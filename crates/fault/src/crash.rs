@@ -25,6 +25,19 @@
 //! headerless file, and a second recovery after the resumed run must
 //! still see every acknowledged append.
 //!
+//! A fourth companion loses a *checkpoint*: the kill lands after a
+//! checkpoint synced the closed-window log but before it renamed its
+//! document into place. It deletes the newest checkpoint and tears the
+//! log's final record, so recovery must fall back to an older
+//! checkpoint and cut the log back to it; the resumed run checkpoints
+//! over the cut log, and a second recovery must match too.
+//!
+//! Resumed runs checkpoint on the same cadence as the pre-crash run, so
+//! every cell also tests checkpoints written after a recovery. The
+//! torn-header companion is the exception: its resumed run never
+//! checkpoints, so its second recovery must read the resumed appends
+//! from the segments rather than skip them under a newer checkpoint.
+//!
 //! Everything is a pure function of `(scenario seed, sweep config)`:
 //! no RNG, no clocks, and the per-boundary cells are
 //! order-independent, so reports are bit-identical at any thread
@@ -33,7 +46,7 @@
 use crate::harness::ChaosScenario;
 use marauder_stream::{
     FlushPolicy, FrameJournal, JournalConfig, JournalError, RecoveryError, StreamConfig,
-    StreamEngine, TrackFix,
+    StreamEngine, TrackFix, CLOSED_LOG, CLOSED_LOG_MAGIC,
 };
 use marauder_wifi::sniffer::CapturedFrame;
 use std::fmt;
@@ -51,7 +64,9 @@ pub struct CrashSweepConfig {
     pub checkpoint_every: usize,
     /// Additionally tear the final record at each crash point
     /// (`tornwrite` at this many bytes into the record; 0 = off) and
-    /// require clean torn-tail recovery plus equivalence.
+    /// require clean torn-tail recovery plus equivalence. The
+    /// lost-checkpoint companion tears the closed-window log's final
+    /// record by the same amount.
     pub torn_write_bytes: usize,
     /// Additionally simulate a kill *inside segment rotation* at each
     /// crash point: a `segment-<n>.wal` file exists holding only this
@@ -141,6 +156,8 @@ pub struct CrashCell {
     /// The torn-header (kill-inside-rotation) companion run, when
     /// enabled.
     pub torn_header: Option<TornOutcome>,
+    /// The lost-checkpoint companion run, when checkpoints are on.
+    pub lost_checkpoint: Option<LostCheckpointOutcome>,
 }
 
 /// Outcome of the torn-write companion run at one boundary.
@@ -152,6 +169,19 @@ pub struct TornOutcome {
     /// landed on a record boundary).
     pub torn_tail_bytes: u64,
     /// Whether tear → recover → resume matched the clean run.
+    pub matched: bool,
+}
+
+/// Outcome of the lost-checkpoint companion run at one boundary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LostCheckpointOutcome {
+    /// Whether the closed-window log had a final record to tear.
+    pub log_torn: bool,
+    /// Sequence the first recovery's checkpoint covered (`None`:
+    /// replayed from scratch).
+    pub checkpoint_seq: Option<u64>,
+    /// Whether recover → resume and a second recovery after it both
+    /// matched the clean run.
     pub matched: bool,
 }
 
@@ -177,13 +207,9 @@ pub struct CrashReport {
 }
 
 impl CrashReport {
-    /// Whether every cell (and every torn companion) matched.
+    /// Whether every cell (and every companion) matched.
     pub fn all_matched(&self) -> bool {
-        self.cells.iter().all(|c| {
-            c.matched
-                && c.torn.as_ref().map(|t| t.matched).unwrap_or(true)
-                && c.torn_header.as_ref().map(|t| t.matched).unwrap_or(true)
-        })
+        self.mismatches().is_empty()
     }
 
     /// Boundaries that failed equivalence.
@@ -194,6 +220,10 @@ impl CrashReport {
                 !c.matched
                     || c.torn.as_ref().map(|t| !t.matched).unwrap_or(false)
                     || c.torn_header.as_ref().map(|t| !t.matched).unwrap_or(false)
+                    || c.lost_checkpoint
+                        .as_ref()
+                        .map(|t| !t.matched)
+                        .unwrap_or(false)
             })
             .map(|c| c.crash_after)
             .collect()
@@ -219,22 +249,33 @@ impl CrashReport {
             ),
             None => "null".to_string(),
         };
+        let seq_json = |seq: Option<u64>| match seq {
+            Some(s) => s.to_string(),
+            None => "null".to_string(),
+        };
         for (i, c) in self.cells.iter().enumerate() {
-            let ckpt = match c.checkpoint_seq {
-                Some(s) => s.to_string(),
+            let lost = match &c.lost_checkpoint {
+                Some(l) => format!(
+                    "{{\"log_torn\": {}, \"checkpoint_seq\": {}, \"matched\": {}}}",
+                    l.log_torn,
+                    seq_json(l.checkpoint_seq),
+                    l.matched
+                ),
                 None => "null".to_string(),
             };
             let sep = if i + 1 == self.cells.len() { "" } else { "," };
             let _ = writeln!(
                 out,
                 "    {{\"crash_after\": {}, \"matched\": {}, \"checkpoint_seq\": {}, \
-                 \"records_replayed\": {}, \"torn\": {}, \"torn_header\": {}}}{}",
+                 \"records_replayed\": {}, \"torn\": {}, \"torn_header\": {}, \
+                 \"lost_checkpoint\": {}}}{}",
                 c.crash_after,
                 c.matched,
-                ckpt,
+                seq_json(c.checkpoint_seq),
                 c.records_replayed,
                 torn_json(&c.torn),
                 torn_json(&c.torn_header),
+                lost,
                 sep
             );
         }
@@ -318,13 +359,15 @@ fn run_until_crash(
     Ok(())
 }
 
-/// Recovers `dir`, resumes ingestion from the recovered sequence, and
-/// renders the final fixes. Returns the rendering plus the recovery
-/// accounting.
+/// Recovers `dir`, resumes ingestion from the recovered sequence —
+/// checkpointing every `checkpoint_every` resumed frames, as the
+/// pre-crash run did — and renders the final fixes. Returns the
+/// rendering plus the recovery accounting.
 fn recover_and_resume(
     scenario: &ChaosScenario,
     frames: &[CapturedFrame],
     dir: &Path,
+    checkpoint_every: usize,
 ) -> Result<(String, marauder_stream::RecoveryReport), SweepError> {
     let rec = FrameJournal::recover(dir, scenario.fresh_map(), sweep_config())?;
     let mut journal = rec.journal;
@@ -332,12 +375,36 @@ fn recover_and_resume(
     let mut engine = rec.engine;
     let mut closed = rec.closed;
     let resume_from = rec.next_seq as usize;
-    for f in &frames[resume_from.min(frames.len())..] {
+    for (k, f) in frames[resume_from.min(frames.len())..].iter().enumerate() {
         journal.append(f)?;
         closed.extend(engine.push(f));
+        if checkpoint_every > 0 && (k + 1) % checkpoint_every == 0 {
+            journal.checkpoint(&engine, &closed)?;
+        }
     }
     closed.extend(engine.finish());
     Ok((render_fixes(&engine.batch_fixes(closed)), rec.report))
+}
+
+/// `(path, name)` of the journal files in `dir` whose names start with
+/// `prefix` and end with `suffix`, sorted by name (= by number: the
+/// names are zero-padded).
+fn journal_files(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<PathBuf>, SweepError> {
+    let io = |source| SweepError::Io {
+        op: format!("scan journal dir {}", dir.display()),
+        source,
+    };
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(io)? {
+        let entry = entry.map_err(io)?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with(prefix) && name.ends_with(suffix) {
+            files.push(entry.path());
+        }
+    }
+    files.sort();
+    Ok(files)
 }
 
 /// Truncates the final journal segment in `dir` to `bytes` bytes into
@@ -345,29 +412,42 @@ fn recover_and_resume(
 /// Returns `false` when there is nothing to tear (no segments, no
 /// records, or the record is shorter than `bytes`).
 pub fn tear_last_record(dir: &Path, bytes: usize) -> Result<bool, SweepError> {
+    match journal_files(dir, "segment-", ".wal")?.last() {
+        // 16-byte segment header, then length-prefixed records.
+        Some(path) => tear_final_record(path, 16, bytes),
+        None => Ok(false),
+    }
+}
+
+/// Simulates a kill after a checkpoint synced the closed-window log but
+/// before its document was renamed into place: deletes the newest
+/// checkpoint in `dir`, then tears the log's final record `bytes` bytes
+/// in (0 = no tear). Returns whether a log record was torn.
+fn lose_newest_checkpoint(dir: &Path, bytes: usize) -> Result<bool, SweepError> {
+    if let Some(newest) = journal_files(dir, "checkpoint-", ".ckpt")?.last() {
+        std::fs::remove_file(newest).map_err(|source| SweepError::Io {
+            op: format!("remove {}", newest.display()),
+            source,
+        })?;
+    }
+    let log = dir.join(CLOSED_LOG);
+    if bytes == 0 || !log.exists() {
+        return Ok(false);
+    }
+    tear_final_record(&log, CLOSED_LOG_MAGIC.len(), bytes)
+}
+
+/// Truncates the file at `path` — a `header_len`-byte header, then
+/// length-prefixed records — to `bytes` bytes into its last record.
+/// Returns `false` when there is nothing to tear.
+fn tear_final_record(path: &Path, header_len: usize, bytes: usize) -> Result<bool, SweepError> {
     let io = |op: &str| {
-        let op = op.to_string();
+        let op = format!("{op} {}", path.display());
         move |source: std::io::Error| SweepError::Io { op, source }
     };
-    // Find the lexicographically (= numerically: names are
-    // zero-padded) last segment file.
-    let mut segments: Vec<PathBuf> = Vec::new();
-    for entry in std::fs::read_dir(dir).map_err(io("scan journal dir"))? {
-        let entry = entry.map_err(io("scan journal dir"))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("segment-") && name.ends_with(".wal") {
-            segments.push(entry.path());
-        }
-    }
-    segments.sort();
-    let Some(path) = segments.last() else {
-        return Ok(false);
-    };
-    let data = std::fs::read(path).map_err(io("read final segment"))?;
-    // Walk the records to find where the last one starts: 16-byte
-    // segment header, then length-prefixed records.
-    let mut pos = 16usize;
+    let data = std::fs::read(path).map_err(io("read"))?;
+    // Walk the records to find where the last one starts.
+    let mut pos = header_len;
     let mut last_start = None;
     while pos + 8 <= data.len() {
         let len = u32::from_be_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
@@ -388,9 +468,8 @@ pub fn tear_last_record(dir: &Path, bytes: usize) -> Result<bool, SweepError> {
     let file = std::fs::OpenOptions::new()
         .write(true)
         .open(path)
-        .map_err(io("reopen final segment"))?;
-    file.set_len(keep as u64)
-        .map_err(io("tear final segment"))?;
+        .map_err(io("reopen"))?;
+    file.set_len(keep as u64).map_err(io("tear"))?;
     Ok(true)
 }
 
@@ -439,7 +518,8 @@ pub fn crash_sweep(
             let cell_dir = dir.join(format!("crash-{n:08}"));
             let _ = std::fs::remove_dir_all(&cell_dir);
             run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
-            let (rendered, report) = recover_and_resume(scenario, &frames, &cell_dir)?;
+            let (rendered, report) =
+                recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
             let matched = rendered == reference;
 
             let torn = if config.torn_write_bytes > 0 {
@@ -447,7 +527,8 @@ pub fn crash_sweep(
                 let _ = std::fs::remove_dir_all(&cell_dir);
                 run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
                 if tear_last_record(&cell_dir, config.torn_write_bytes)? {
-                    let (rendered, report) = recover_and_resume(scenario, &frames, &cell_dir)?;
+                    let (rendered, report) =
+                        recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
                     Some(TornOutcome {
                         bytes: config.torn_write_bytes,
                         torn_tail_bytes: report.torn_tail_bytes,
@@ -466,7 +547,11 @@ pub fn crash_sweep(
                 let _ = std::fs::remove_dir_all(&cell_dir);
                 run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
                 tear_segment_header(&cell_dir, n as u64, config.torn_header_bytes)?;
-                let (rendered, report) = recover_and_resume(scenario, &frames, &cell_dir)?;
+                // The resumed run does not checkpoint: a resumed
+                // checkpoint past the headerless segment would let the
+                // second recovery skip that segment as covered, hiding
+                // the appends this companion exists to find.
+                let (rendered, report) = recover_and_resume(scenario, &frames, &cell_dir, 0)?;
                 // The resumed run journaled the remaining frames; a
                 // second recovery must see every one of them. This is
                 // the check that catches resumed appends landing in a
@@ -482,6 +567,28 @@ pub fn crash_sweep(
                 None
             };
 
+            let lost_checkpoint = if config.checkpoint_every > 0 {
+                // Fresh pre-crash state, then die between the log sync
+                // and the rename of the newest checkpoint.
+                let _ = std::fs::remove_dir_all(&cell_dir);
+                run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
+                let log_torn = lose_newest_checkpoint(&cell_dir, config.torn_write_bytes)?;
+                let (rendered, report) =
+                    recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
+                // The resumed run journaled the remaining frames and,
+                // given enough of them, checkpointed over the cut log;
+                // a second recovery must read it all back.
+                let (again, _) =
+                    recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
+                Some(LostCheckpointOutcome {
+                    log_torn,
+                    checkpoint_seq: report.checkpoint_seq,
+                    matched: rendered == reference && again == reference,
+                })
+            } else {
+                None
+            };
+
             let _ = std::fs::remove_dir_all(&cell_dir);
             marauder_obs::global().counter_add("crash_sweep.cells", 1);
             Ok(CrashCell {
@@ -491,6 +598,7 @@ pub fn crash_sweep(
                 records_replayed: report.records_replayed,
                 torn,
                 torn_header,
+                lost_checkpoint,
             })
         });
 
@@ -564,6 +672,17 @@ mod tests {
             .as_ref()
             .map(|t| t.torn_tail_bytes > 0)
             .unwrap_or(false)));
+        // Every cell lost its newest checkpoint and still matched; some
+        // had a log record to tear, and some had to fall back to an
+        // older checkpoint rather than replay from scratch.
+        let lost: Vec<&LostCheckpointOutcome> = report
+            .cells
+            .iter()
+            .map(|c| c.lost_checkpoint.as_ref().expect("checkpoints are on"))
+            .collect();
+        assert!(lost.iter().all(|l| l.matched));
+        assert!(lost.iter().any(|l| l.log_torn));
+        assert!(lost.iter().any(|l| l.checkpoint_seq.is_some()));
         let json = report.to_json();
         assert!(json.contains("\"all_matched\": true"), "{json}");
         let _ = std::fs::remove_dir_all(&dir);

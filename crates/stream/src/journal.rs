@@ -10,7 +10,7 @@
 //!
 //! # On-disk layout
 //!
-//! A journal is a directory holding two kinds of files:
+//! A journal is one flat directory holding three kinds of files:
 //!
 //! * **Segments** (`segment-<first_seq>.wal`): append-only binary
 //!   record logs, rotated every [`JournalConfig::segment_frames`]
@@ -27,21 +27,44 @@
 //!   `crc` is CRC-32 (IEEE) over the payload; `time_bits` is the
 //!   frame timestamp's IEEE-754 bits, so replay is bit-exact.
 //!
-//! * **Checkpoints** (`checkpoint-<seq>.ckpt`): line-oriented text
-//!   documents written atomically ([`write_atomic`]) that embed an
-//!   engine snapshot plus every window closed so far. `<seq>` is the
-//!   number of frames the checkpoint covers — recovery replays journal
-//!   records with `seq >= <seq>`.
+//! * **The closed-window log** ([`CLOSED_LOG`]): every window the
+//!   engine closed, in emission order, appended at checkpoints. It
+//!   opens with its own 8-byte magic (`MRDRCLW` + format version byte)
+//!   and uses the segment record framing with this payload:
+//!
+//!   ```text
+//!   payload := window:i64be  mobile:6 bytes  ap:6 bytes × |Γ|
+//!   ```
+//!
+//!   Γ is written in `BTreeSet` order; a record with an empty Γ is
+//!   rejected.
+//!
+//! * **Checkpoints** (`checkpoint-<seq>.ckpt`): small line-oriented text
+//!   documents written atomically ([`write_atomic`]): the frames
+//!   covered (`<seq>` — recovery replays journal records with
+//!   `seq >= <seq>`), how many closed-window log records are covered
+//!   (`K`) with the running CRC-32 of those records, and an engine
+//!   snapshot. A checkpoint's size follows the engine state, not the
+//!   campaign's length.
+//!
+//! A checkpoint syncs the open segment, appends only the windows closed
+//! since the previous checkpoint to the closed-window log and syncs it,
+//! and only then writes the checkpoint document. Its cost is the engine
+//! state plus the new windows, however long the campaign has run.
 //!
 //! # Recovery
 //!
-//! [`FrameJournal::recover`] scans checkpoints newest-first and takes
-//! the first one that parses (corrupt or torn candidates are skipped
-//! and counted, never fatal — the journal itself is the source of
-//! truth, so with zero valid checkpoints recovery simply replays the
-//! whole journal from a fresh engine). It then walks the segments,
-//! verifying each record's length and CRC, pushing the tail through
-//! the engine.
+//! [`FrameJournal::recover`] reads the closed-window log up to its
+//! first damaged record, then scans checkpoints newest-first and takes
+//! the first one that parses, agrees with its file name, and whose `K`
+//! log records are intact with a matching running CRC. Other
+//! checkpoints are skipped and counted, never fatal: the segments are
+//! the source of truth and are never pruned, so with zero valid
+//! checkpoints recovery simply replays the whole journal from a fresh
+//! engine. It then walks the segments, verifying each record's length
+//! and CRC, pushing the tail through the engine — windows past `K`
+//! close again during that replay — and finally cuts the log back to
+//! exactly `K` records and reopens it for append.
 //!
 //! **Torn tails are not errors.** A crash mid-append leaves a partial
 //! final record; recovery detects it (short header, short payload, or
@@ -51,6 +74,8 @@
 //! re-feeds it and the resumed run stays byte-identical to an
 //! uninterrupted one. The same damage in a *non-final* segment cannot
 //! be a crash artifact and is reported as [`RecoveryError::Corrupt`].
+//! Damage to the closed-window log is never fatal: at worst it makes
+//! recovery fall back to an older checkpoint.
 //!
 //! # Crash equivalence
 //!
@@ -60,7 +85,7 @@
 //! which is the default).
 
 use crate::engine::{ClosedWindow, StreamConfig, StreamEngine};
-use crate::snapshot::{parse_mac, write_atomic};
+use crate::snapshot::{sync_dir, write_atomic};
 use marauder_core::pipeline::MaraudersMap;
 use marauder_core::PipelineError;
 use marauder_wifi::frame::Frame;
@@ -90,15 +115,28 @@ const PAYLOAD_PREFIX_LEN: usize = 20;
 /// flipped length byte from asking the reader to allocate gigabytes.
 pub const MAX_RECORD_LEN: u32 = 1 << 20;
 
+/// File name of the closed-window log inside the journal directory.
+pub const CLOSED_LOG: &str = "closed.wal";
+
+/// Magic bytes opening the closed-window log (its whole header); the
+/// trailing byte is the binary format version.
+pub const CLOSED_LOG_MAGIC: [u8; 8] = *b"MRDRCLW\x01";
+
+/// Fixed closed-window payload bytes before Γ (window + mobile).
+const CLOSED_PREFIX_LEN: usize = 14;
+
+/// Bytes per MAC address in the closed-window payload.
+const MAC_LEN: usize = 6;
+
 /// Magic first line of the checkpoint text format.
-pub const CHECKPOINT_HEADER: &str = "# marauder journal checkpoint v1";
+pub const CHECKPOINT_HEADER: &str = "# marauder journal checkpoint v2";
 
 /// Checkpoint files retained after each new one is written; older ones
-/// are pruned. Each checkpoint is a full-state document whose size
-/// grows with the campaign's closed-window count, so keeping every one
-/// would grow the directory (and the summed write cost) quadratically
-/// over a long run. Recovery only ever needs the newest valid
-/// checkpoint; the older survivors are fallback against a torn newest.
+/// are pruned. Recovery only ever needs the newest valid checkpoint;
+/// the older survivors are fallback against a torn or lost newest one.
+/// Every checkpoint is about the size of the engine state, so this
+/// bounds the directory's checkpoint bytes whatever the campaign's
+/// length.
 pub const RETAINED_CHECKPOINTS: usize = 4;
 
 /// When appended records are pushed to the OS.
@@ -155,6 +193,15 @@ pub enum JournalError {
         /// The offending directory.
         dir: PathBuf,
     },
+    /// [`FrameJournal::checkpoint`] was handed fewer closed windows
+    /// than the closed-window log already holds: the caller lost
+    /// windows the journal had made durable.
+    ClosedWindowsLost {
+        /// Windows already durable in the closed-window log.
+        persisted: usize,
+        /// Windows the caller handed in.
+        given: usize,
+    },
 }
 
 impl JournalError {
@@ -174,6 +221,11 @@ impl fmt::Display for JournalError {
                  creating over it",
                 dir.display()
             ),
+            JournalError::ClosedWindowsLost { persisted, given } => write!(
+                f,
+                "journal checkpoint was handed {given} closed windows, but {persisted} are \
+                 already durable"
+            ),
         }
     }
 }
@@ -182,7 +234,7 @@ impl std::error::Error for JournalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JournalError::Io { source, .. } => Some(source),
-            JournalError::NotEmpty { .. } => None,
+            JournalError::NotEmpty { .. } | JournalError::ClosedWindowsLost { .. } => None,
         }
     }
 }
@@ -246,7 +298,13 @@ impl std::error::Error for RecoveryError {
 /// no table — because journal records are tens of bytes and the whole
 /// workspace is std-only.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_update(0, bytes)
+}
+
+/// Extends `crc`, the CRC-32 of some bytes, to the CRC-32 of those
+/// bytes followed by `bytes`.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     for &b in bytes {
         crc ^= u32::from(b);
         for _ in 0..8 {
@@ -255,6 +313,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
+}
+
+/// Appends one `len crc payload` record to `out`.
+fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(&crc32(payload).to_be_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Encodes one record payload: sequence, timestamp bits, card index,
@@ -275,6 +340,38 @@ fn encode_payload(seq: u64, frame: &CapturedFrame) -> Vec<u8> {
 /// capture log that diverges from what the interrupted run journaled.
 pub fn record_crc(seq: u64, frame: &CapturedFrame) -> u32 {
     crc32(&encode_payload(seq, frame))
+}
+
+/// Encodes one closed-window log payload: window index, mobile, then Γ
+/// in `BTreeSet` order.
+fn encode_closed(c: &ClosedWindow) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(CLOSED_PREFIX_LEN + MAC_LEN * c.gamma.len());
+    payload.extend_from_slice(&c.window.to_be_bytes());
+    payload.extend_from_slice(&c.mobile.octets());
+    for ap in &c.gamma {
+        payload.extend_from_slice(&ap.octets());
+    }
+    payload
+}
+
+/// A closed window as the log stores it: window index, mobile, Γ.
+type LoggedWindow = (i64, MacAddr, BTreeSet<MacAddr>);
+
+/// Decodes a closed-window log payload. `None` unless it is exactly
+/// what [`encode_closed`] writes: a whole number of MACs, a non-empty
+/// Γ, strictly ascending.
+fn decode_closed(payload: &[u8]) -> Option<LoggedWindow> {
+    let (window, rest) = payload.split_first_chunk::<8>()?;
+    let (mobile, aps) = rest.split_first_chunk::<MAC_LEN>()?;
+    let (gamma, tail) = aps.as_chunks::<MAC_LEN>();
+    if gamma.is_empty() || !tail.is_empty() || !gamma.is_sorted_by(|a, b| a < b) {
+        return None;
+    }
+    Some((
+        i64::from_be_bytes(*window),
+        MacAddr::new(*mobile),
+        gamma.iter().map(|&ap| MacAddr::new(ap)).collect(),
+    ))
 }
 
 fn segment_name(first_seq: u64) -> String {
@@ -355,6 +452,13 @@ pub struct FrameJournal {
     /// Frames covered by the newest checkpoint written through this
     /// handle (or carried in at recovery).
     checkpointed_seq: u64,
+    /// The closed-window log, opened for append (`None` until a
+    /// checkpoint first has a window to persist).
+    closed_log: Option<File>,
+    /// Windows durable in the closed-window log.
+    closed_persisted: usize,
+    /// Running CRC-32 of the closed-window log's records.
+    closed_crc: u32,
 }
 
 impl FrameJournal {
@@ -362,14 +466,15 @@ impl FrameJournal {
     ///
     /// # Errors
     ///
-    /// [`JournalError::NotEmpty`] when `dir` already holds segments or
-    /// checkpoints (recover those instead), or [`JournalError::Io`].
+    /// [`JournalError::NotEmpty`] when `dir` already holds segments,
+    /// checkpoints or a closed-window log (recover those instead), or
+    /// [`JournalError::Io`].
     pub fn create(dir: &Path, config: JournalConfig) -> Result<FrameJournal, JournalError> {
         std::fs::create_dir_all(dir)
             .map_err(JournalError::io(format!("create dir {}", dir.display())))?;
         let (segments, checkpoints) =
             list_journal_files(dir).map_err(JournalError::io(format!("scan {}", dir.display())))?;
-        if !segments.is_empty() || !checkpoints.is_empty() {
+        if !segments.is_empty() || !checkpoints.is_empty() || dir.join(CLOSED_LOG).exists() {
             return Err(JournalError::NotEmpty {
                 dir: dir.to_path_buf(),
             });
@@ -382,6 +487,9 @@ impl FrameJournal {
             next_seq: 0,
             unflushed: 0,
             checkpointed_seq: 0,
+            closed_log: None,
+            closed_persisted: 0,
+            closed_crc: 0,
         })
     }
 
@@ -411,9 +519,7 @@ impl FrameJournal {
         let seq = self.next_seq;
         let payload = encode_payload(seq, frame);
         let mut record = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        record.extend_from_slice(&crc32(&payload).to_be_bytes());
-        record.extend_from_slice(&payload);
+        push_record(&mut record, &payload);
         let file = self.segment.as_mut().ok_or_else(|| JournalError::Io {
             op: "open segment".into(),
             source: std::io::Error::new(std::io::ErrorKind::NotFound, "no open segment"),
@@ -470,37 +576,64 @@ impl FrameJournal {
         header.extend_from_slice(&self.next_seq.to_be_bytes());
         file.write_all(&header)
             .map_err(JournalError::io("write segment header"))?;
+        sync_dir(&self.dir).map_err(JournalError::io(format!("sync {}", self.dir.display())))?;
         self.segment = Some(file);
         marauder_obs::global().counter_add("journal.segments", 1);
         Ok(())
     }
 
-    /// Writes a checkpoint covering everything ingested so far: the
-    /// engine snapshot plus every closed window, to
+    /// Writes a checkpoint covering everything ingested so far. In
+    /// order: the segment is synced, so a checkpoint never claims
+    /// frames that are not yet durable; the windows of `closed` not
+    /// yet in the closed-window log are appended to it and the log is
+    /// synced; then the engine snapshot goes to
     /// `checkpoint-<next_seq>.ckpt` via the atomic temp-file + rename
-    /// helper. The segment is synced first, so a checkpoint never
-    /// claims to cover frames that are not yet durable. After a
-    /// successful write, checkpoints older than the newest
-    /// [`RETAINED_CHECKPOINTS`] are pruned (best-effort: a failed
-    /// unlink never fails the checkpoint that just succeeded).
+    /// helper. After a successful write, checkpoints older than the
+    /// newest [`RETAINED_CHECKPOINTS`] are pruned (best-effort: a
+    /// failed unlink never fails the checkpoint that just succeeded).
+    ///
+    /// `closed` is every window closed so far, in emission order — the
+    /// list [`Recovery::closed`] starts, extended by each push.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`].
+    /// [`JournalError::ClosedWindowsLost`] when `closed` is shorter
+    /// than the windows already persisted, or [`JournalError::Io`].
     pub fn checkpoint(
         &mut self,
         engine: &StreamEngine,
         closed: &[ClosedWindow],
     ) -> Result<(), JournalError> {
         self.sync()?;
-        let doc = checkpoint_document(engine, closed, self.next_seq);
+        let fresh = closed
+            .get(self.closed_persisted..)
+            .ok_or(JournalError::ClosedWindowsLost {
+                persisted: self.closed_persisted,
+                given: closed.len(),
+            })?;
+        let mut log_bytes = 0;
+        if !fresh.is_empty() {
+            let mut records = Vec::new();
+            for c in fresh {
+                push_record(&mut records, &encode_closed(c));
+            }
+            log_bytes = self.append_closed(&records)?;
+            self.closed_crc = crc32_update(self.closed_crc, &records);
+            self.closed_persisted = closed.len();
+        }
+        let doc = checkpoint_document(
+            engine,
+            self.next_seq,
+            self.closed_persisted,
+            self.closed_crc,
+        );
         let path = self.dir.join(checkpoint_name(self.next_seq));
         write_atomic(&path, doc.as_bytes())
             .map_err(JournalError::io(format!("write {}", path.display())))?;
         self.checkpointed_seq = self.next_seq;
         let reg = marauder_obs::global();
         reg.counter_add("journal.checkpoints", 1);
-        reg.counter_add("journal.checkpoint_bytes", doc.len() as u64);
+        reg.counter_add("journal.checkpoint_bytes", (log_bytes + doc.len()) as u64);
         if let Ok((_, checkpoints)) = list_journal_files(&self.dir) {
             let excess = checkpoints.len().saturating_sub(RETAINED_CHECKPOINTS);
             for (_, name) in &checkpoints[..excess] {
@@ -512,17 +645,49 @@ impl FrameJournal {
         Ok(())
     }
 
+    /// Appends encoded records to the closed-window log, creating it
+    /// (header written, directory synced) on first use, and syncs it.
+    /// Returns the bytes written.
+    fn append_closed(&mut self, records: &[u8]) -> Result<usize, JournalError> {
+        let mut written = records.len();
+        let log = match self.closed_log.take() {
+            Some(log) => log,
+            None => {
+                let path = self.dir.join(CLOSED_LOG);
+                let mut log = OpenOptions::new()
+                    .create_new(true)
+                    .append(true)
+                    .open(&path)
+                    .map_err(JournalError::io(format!("create {}", path.display())))?;
+                log.write_all(&CLOSED_LOG_MAGIC)
+                    .map_err(JournalError::io("write closed-window log header"))?;
+                sync_dir(&self.dir)
+                    .map_err(JournalError::io(format!("sync {}", self.dir.display())))?;
+                written += CLOSED_LOG_MAGIC.len();
+                log
+            }
+        };
+        let log = self.closed_log.insert(log);
+        log.write_all(records)
+            .map_err(JournalError::io("append closed-window log"))?;
+        log.sync_data()
+            .map_err(JournalError::io("sync closed-window log"))?;
+        Ok(written)
+    }
+
     /// Frames covered by the newest checkpoint this handle wrote.
     pub fn checkpointed_seq(&self) -> u64 {
         self.checkpointed_seq
     }
 
     /// Rebuilds engine state from the journal in `dir`: restores the
-    /// newest checkpoint that parses (skipping, not failing on,
-    /// corrupt ones — the journal itself is authoritative) and replays
-    /// the journal tail through the engine. A partial final record —
-    /// the signature of a crash mid-append — is truncated away and
-    /// reported, not an error.
+    /// newest checkpoint that parses and agrees with the closed-window
+    /// log (skipping, not failing on, the others — the journal itself
+    /// is authoritative) and replays the journal tail through the
+    /// engine. A partial final record — the signature of a crash
+    /// mid-append — is truncated away and reported, not an error. The
+    /// closed-window log is cut back to the windows the restored
+    /// checkpoint covers; the replay closes the rest again.
     ///
     /// `config`'s `live_localization`/`warm_start` are applied to the
     /// rebuilt engine (they are process configuration, never
@@ -542,11 +707,11 @@ impl FrameJournal {
         let (segments, mut checkpoints) = list_journal_files(dir)
             .map_err(RecoveryError::io(format!("scan {}", dir.display())))?;
         let mut report = RecoveryReport::default();
+        let log = scan_closed_log(&dir.join(CLOSED_LOG))?;
 
-        // Newest checkpoint that parses wins; the rest are skipped.
-        let mut engine: Option<StreamEngine> = None;
-        let mut closed: Vec<ClosedWindow> = Vec::new();
-        let mut start_seq = 0u64;
+        // Newest checkpoint that parses and whose closed-window records
+        // are intact wins; the rest are skipped.
+        let mut restored: Option<Checkpoint> = None;
         checkpoints.reverse();
         for (seq, name) in &checkpoints {
             let path = dir.join(name);
@@ -558,24 +723,42 @@ impl FrameJournal {
                 }
             };
             match parse_checkpoint(&text, map.clone()) {
-                Ok((restored, windows, covers)) if covers == *seq => {
-                    engine = Some(restored);
-                    closed = windows;
-                    start_seq = covers;
-                    report.checkpoint_seq = Some(covers);
+                // A checkpoint whose file name disagrees with its
+                // `covers` record, or whose log records are damaged or
+                // gone, is as untrustworthy as one that fails to parse.
+                Ok(ckpt)
+                    if ckpt.covers == *seq
+                        && log.prefix.get(ckpt.closed).map(|&(_, crc)| crc)
+                            == Some(ckpt.closed_crc) =>
+                {
+                    report.checkpoint_seq = Some(ckpt.covers);
+                    restored = Some(ckpt);
                     break;
                 }
-                // A checkpoint whose file name disagrees with its
-                // `covers` record is as untrustworthy as one that
-                // fails to parse.
                 Ok(_) | Err(_) => report.checkpoints_skipped += 1,
             }
         }
-        let mut engine = match engine {
-            Some(e) => e,
-            None => StreamEngine::new(map, config.clone()),
+        let (mut engine, closed_persisted, closed_crc, start_seq) = match restored {
+            Some(c) => (c.engine, c.closed, c.closed_crc, c.covers),
+            None => (StreamEngine::new(map, config.clone()), 0, 0, 0),
         };
         engine.set_mode(config.live_localization, config.warm_start);
+        let window_s = engine.window_s;
+        let mut closed: Vec<ClosedWindow> = log
+            .windows
+            .into_iter()
+            .take(closed_persisted)
+            .map(|(window, mobile, gamma)| ClosedWindow {
+                window,
+                window_start_s: window_start(window, window_s),
+                mobile,
+                gamma,
+                // Checkpoints serve batch-fix pipelines, whose engines
+                // run with live localization off: the live outcome is
+                // always deferred, and `batch_fixes` never reads it.
+                outcome: Err(PipelineError::DeferredLocalization),
+            })
+            .collect();
 
         // Replay the tail: walk segments in order, skipping any whose
         // entire range the checkpoint already covers.
@@ -658,6 +841,23 @@ impl FrameJournal {
             None => (None, 0),
         };
 
+        // Cut the closed-window log back to exactly the restored
+        // checkpoint's records: the tail replay closed the windows past
+        // them again, and the next checkpoint appends them anew.
+        let closed_log = match log.prefix.get(closed_persisted) {
+            Some(&(len, _)) if log.intact => {
+                let path = dir.join(CLOSED_LOG);
+                let file = OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .map_err(RecoveryError::io(format!("reopen {}", path.display())))?;
+                file.set_len(len)
+                    .map_err(RecoveryError::io(format!("truncate {}", path.display())))?;
+                Some(file)
+            }
+            _ => None,
+        };
+
         let reg = marauder_obs::global();
         reg.counter_add("recovery.runs", 1);
         reg.counter_add("recovery.records_replayed", report.records_replayed);
@@ -680,6 +880,9 @@ impl FrameJournal {
                 next_seq,
                 unflushed: 0,
                 checkpointed_seq: start_seq,
+                closed_log,
+                closed_persisted,
+                closed_crc,
             },
             engine,
             closed,
@@ -722,6 +925,63 @@ fn list_journal_files(dir: &Path) -> std::io::Result<JournalFiles> {
     segments.sort();
     checkpoints.sort();
     Ok((segments, checkpoints))
+}
+
+/// Walks `len:u32be crc:u32be payload[len]` records — the framing of
+/// segments and the closed-window log alike — yielding
+/// `(offset, crc, payload)` for each intact one. The walk ends at the
+/// end of the bytes or at the first record that is short, has an
+/// implausible length, or fails its CRC; `pos` is then the offset just
+/// past the last intact record and `damage` says what stopped it.
+struct Records<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Smallest plausible payload length.
+    min_len: usize,
+    damage: Option<String>,
+}
+
+impl<'a> Records<'a> {
+    fn new(bytes: &'a [u8], start: usize, min_len: usize) -> Self {
+        Records {
+            bytes,
+            pos: start,
+            min_len,
+            damage: None,
+        }
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (usize, u32, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.bytes[self.pos..];
+        if rest.is_empty() || self.damage.is_some() {
+            return None; // clean end on a record boundary, or stopped
+        }
+        let Some((header, body)) = rest.split_first_chunk::<8>() else {
+            self.damage = Some("short record header".into());
+            return None;
+        };
+        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
+        let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+        if len > MAX_RECORD_LEN || (len as usize) < self.min_len {
+            self.damage = Some(format!("implausible record length {len}"));
+            return None;
+        }
+        let Some(payload) = body.get(..len as usize) else {
+            self.damage = Some("record extends past end of file".into());
+            return None;
+        };
+        if crc32(payload) != crc {
+            self.damage = Some("checksum mismatch".into());
+            return None;
+        }
+        let offset = self.pos;
+        self.pos += RECORD_HEADER_LEN as usize + payload.len();
+        Some((offset, crc, payload))
+    }
 }
 
 /// One scanned segment: the intact records (sequence, payload CRC,
@@ -773,44 +1033,8 @@ fn scan_segment(
     }
 
     let mut frames = Vec::new();
-    let mut pos = SEGMENT_HEADER_LEN as usize;
-    loop {
-        if pos == bytes.len() {
-            break; // clean end on a record boundary
-        }
-        let fail_or_tear = |reason: String| -> Result<usize, RecoveryError> {
-            if is_final {
-                Ok(pos) // tear here
-            } else {
-                Err(corrupt(pos as u64, reason))
-            }
-        };
-        if bytes.len() - pos < RECORD_HEADER_LEN as usize {
-            let tear = fail_or_tear("short record header".into())?;
-            return Ok(finish_scan(frames, tear, bytes.len()));
-        }
-        let len = u32::from_be_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-        let crc = u32::from_be_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        if len > MAX_RECORD_LEN || (len as usize) < PAYLOAD_PREFIX_LEN {
-            let tear = fail_or_tear(format!("implausible record length {len}"))?;
-            return Ok(finish_scan(frames, tear, bytes.len()));
-        }
-        let body_start = pos + RECORD_HEADER_LEN as usize;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            let tear = fail_or_tear("record extends past end of file".into())?;
-            return Ok(finish_scan(frames, tear, bytes.len()));
-        }
-        let payload = &bytes[body_start..body_end];
-        if crc32(payload) != crc {
-            let tear = fail_or_tear("checksum mismatch".into())?;
-            return Ok(finish_scan(frames, tear, bytes.len()));
-        }
+    let mut records = Records::new(&bytes, SEGMENT_HEADER_LEN as usize, PAYLOAD_PREFIX_LEN);
+    for (offset, crc, payload) in records.by_ref() {
         let seq = u64::from_be_bytes([
             payload[0], payload[1], payload[2], payload[3], payload[4], payload[5], payload[6],
             payload[7],
@@ -832,7 +1056,7 @@ fn scan_segment(
             Err(e) => {
                 // The CRC passed but the frame codec rejects the bytes:
                 // that is structural corruption, not a torn write.
-                return Err(corrupt(pos as u64, format!("undecodable frame: {e:?}")));
+                return Err(corrupt(offset as u64, format!("undecodable frame: {e:?}")));
             }
         };
         frames.push((
@@ -844,163 +1068,154 @@ fn scan_segment(
                 frame,
             },
         ));
-        pos = body_end;
+    }
+    if let (Some(reason), false) = (records.damage, is_final) {
+        return Err(corrupt(records.pos as u64, reason));
     }
     Ok(SegmentScan {
         frames,
-        valid_len: pos as u64,
-        torn_bytes: 0,
+        valid_len: records.pos as u64,
+        torn_bytes: (bytes.len() - records.pos) as u64,
     })
 }
 
-fn finish_scan(frames: Vec<(u64, u32, CapturedFrame)>, valid: usize, total: usize) -> SegmentScan {
-    SegmentScan {
-        frames,
-        valid_len: valid as u64,
-        torn_bytes: (total - valid) as u64,
-    }
+/// The intact prefix of the closed-window log.
+struct ClosedLogScan {
+    /// Whether a log with an intact header exists.
+    intact: bool,
+    /// Its intact records, decoded, in log order.
+    windows: Vec<LoggedWindow>,
+    /// `prefix[k]`: the byte length and running CRC-32 of the log's
+    /// first `k` records (`prefix[0]` is the bare header).
+    prefix: Vec<(u64, u32)>,
 }
 
-/// Renders the checkpoint document: `covers`, one `closed` record per
-/// window, the embedded engine snapshot, and the truncation sentinel.
-fn checkpoint_document(engine: &StreamEngine, closed: &[ClosedWindow], covers: u64) -> String {
-    let mut out = String::new();
-    out.push_str(CHECKPOINT_HEADER);
-    out.push('\n');
-    out.push_str(&format!("covers {covers}\n"));
-    for c in closed {
-        let macs: Vec<String> = c.gamma.iter().map(|m| m.to_string()).collect();
-        out.push_str(&format!(
-            "closed {} {} {}\n",
-            c.window,
-            c.mobile,
-            macs.join(",")
-        ));
+/// Reads the closed-window log up to its first damaged record. Damage
+/// is never an error: a checkpoint that needs records past it is
+/// skipped. A log whose header is torn holds nothing usable and is
+/// deleted, as a headerless final segment is; the next checkpoint
+/// creates a fresh one.
+fn scan_closed_log(path: &Path) -> Result<ClosedLogScan, RecoveryError> {
+    let header_len = CLOSED_LOG_MAGIC.len();
+    let mut scan = ClosedLogScan {
+        intact: false,
+        windows: Vec::new(),
+        prefix: vec![(header_len as u64, 0)],
+    };
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(scan),
+        Err(e) => return Err(RecoveryError::io(format!("read {}", path.display()))(e)),
+    };
+    if !bytes.starts_with(&CLOSED_LOG_MAGIC) {
+        std::fs::remove_file(path)
+            .map_err(RecoveryError::io(format!("remove {}", path.display())))?;
+        return Ok(scan);
     }
+    scan.intact = true;
+    let mut crc = 0;
+    for (offset, _, payload) in Records::new(&bytes, header_len, CLOSED_PREFIX_LEN + MAC_LEN) {
+        let Some(window) = decode_closed(payload) else {
+            break;
+        };
+        let end = offset + RECORD_HEADER_LEN as usize + payload.len();
+        crc = crc32_update(crc, &bytes[offset..end]);
+        scan.windows.push(window);
+        scan.prefix.push((end as u64, crc));
+    }
+    Ok(scan)
+}
+
+/// Renders the checkpoint document: `covers`, the closed-window log
+/// records covered and their running CRC, the embedded engine
+/// snapshot, and the truncation sentinel counting the records after
+/// the header.
+fn checkpoint_document(engine: &StreamEngine, covers: u64, closed: usize, crc: u32) -> String {
     let engine_text = engine.snapshot();
-    out.push_str(&format!("engine {}\n", engine_text.lines().count()));
+    let engine_lines = engine_text.lines().count();
+    let mut out = format!(
+        "{CHECKPOINT_HEADER}\ncovers {covers}\nclosed {closed} {crc:08x}\nengine {engine_lines}\n"
+    );
     out.push_str(&engine_text);
     if !engine_text.ends_with('\n') {
         out.push('\n');
     }
-    let records = out.lines().count() - 1;
-    out.push_str(&format!("end {records}\n"));
+    out.push_str(&format!("end {}\n", engine_lines + 3));
     out
 }
 
-/// Parses a checkpoint document back to `(engine, closed, covers)`.
-/// All errors are stringly typed: the caller (recovery) treats any
-/// failure as "skip this checkpoint", and the string only feeds logs.
-fn parse_checkpoint(
-    text: &str,
-    map: MaraudersMap,
-) -> Result<(StreamEngine, Vec<ClosedWindow>, u64), String> {
-    let lines: Vec<&str> = text.lines().collect();
-    match lines.first() {
-        Some(h) if h.trim() == CHECKPOINT_HEADER => {}
-        _ => return Err(format!("missing header {CHECKPOINT_HEADER:?}")),
-    }
-    let mut covers: Option<u64> = None;
-    let mut raw_closed: Vec<(i64, MacAddr, BTreeSet<MacAddr>)> = Vec::new();
-    let mut engine: Option<StreamEngine> = None;
-    let mut records = 0usize;
-    let mut end_seen = false;
-    let mut i = 1usize;
-    while i < lines.len() {
-        let line = lines[i];
-        i += 1;
-        if line.trim().is_empty() {
-            continue;
+/// A parsed checkpoint document.
+struct Checkpoint {
+    engine: StreamEngine,
+    /// Frames covered.
+    covers: u64,
+    /// Closed-window log records covered.
+    closed: usize,
+    /// Running CRC-32 of those records.
+    closed_crc: u32,
+}
+
+/// Reads the next line of a checkpoint as `key` plus `N` fields.
+fn checkpoint_record<'t, const N: usize>(
+    lines: &mut std::str::Lines<'t>,
+    key: &str,
+) -> Result<[&'t str; N], String> {
+    let line = lines
+        .next()
+        .ok_or_else(|| format!("checkpoint truncated before {key}"))?;
+    match line.split_whitespace().collect::<Vec<_>>().split_first() {
+        Some((first, args)) if *first == key => {
+            <[&str; N]>::try_from(args).map_err(|_| format!("{key} takes {N} field(s)"))
         }
-        if end_seen {
-            return Err("record after the end sentinel".into());
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let args = &fields[1..];
-        match fields[0] {
-            "covers" => {
-                if args.len() != 1 {
-                    return Err("covers takes 1 field".into());
-                }
-                covers = Some(args[0].parse().map_err(|e| format!("bad covers: {e}"))?);
-            }
-            "closed" => {
-                if args.len() != 3 {
-                    return Err("closed takes 3 fields".into());
-                }
-                let w = args[0]
-                    .parse::<i64>()
-                    .map_err(|e| format!("bad window: {e}"))?;
-                let mobile = parse_mac(args[1])?;
-                let gamma: BTreeSet<MacAddr> = args[2]
-                    .split(',')
-                    .map(parse_mac)
-                    .collect::<Result<_, _>>()?;
-                if gamma.is_empty() {
-                    return Err("closed window with empty gamma".into());
-                }
-                raw_closed.push((w, mobile, gamma));
-            }
-            "engine" => {
-                if args.len() != 1 {
-                    return Err("engine takes 1 field".into());
-                }
-                let count = args[0]
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad engine line count: {e}"))?;
-                if i + count > lines.len() {
-                    return Err(format!(
-                        "engine block declares {count} lines but only {} remain",
-                        lines.len() - i
-                    ));
-                }
-                let block = lines[i..i + count].join("\n");
-                let restored = StreamEngine::restore(map.clone(), &block)
-                    .map_err(|e| format!("embedded engine snapshot: {e}"))?;
-                engine = Some(restored);
-                records += count;
-                i += count;
-            }
-            "end" => {
-                if args.len() != 1 {
-                    return Err("end takes 1 field".into());
-                }
-                let declared = args[0]
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad end count: {e}"))?;
-                if declared != records {
-                    return Err(format!(
-                        "checkpoint truncated: end sentinel declares {declared} records \
-                         but {records} were read"
-                    ));
-                }
-                end_seen = true;
-                continue;
-            }
-            other => return Err(format!("unknown record {other:?}")),
-        }
-        records += 1;
+        _ => Err(format!("expected a {key} record, found {line:?}")),
     }
-    if !end_seen {
-        return Err("checkpoint truncated: missing end sentinel".into());
+}
+
+/// Parses a checkpoint document. All errors are stringly typed: the
+/// caller (recovery) treats any failure as "skip this checkpoint", and
+/// the string only feeds logs.
+fn parse_checkpoint(text: &str, map: MaraudersMap) -> Result<Checkpoint, String> {
+    let mut lines = text.lines();
+    if lines.next() != Some(CHECKPOINT_HEADER) {
+        return Err(format!("missing header {CHECKPOINT_HEADER:?}"));
     }
-    let covers = covers.ok_or("missing covers record")?;
-    let engine = engine.ok_or("missing engine block")?;
-    let window_s = engine.window_s;
-    let closed = raw_closed
-        .into_iter()
-        .map(|(w, mobile, gamma)| ClosedWindow {
-            window: w,
-            window_start_s: window_start(w, window_s),
-            mobile,
-            gamma,
-            // Checkpoints serve batch-fix pipelines, whose engines run
-            // with live localization off: the live outcome is always
-            // deferred, and `batch_fixes` never reads it.
-            outcome: Err(PipelineError::DeferredLocalization),
-        })
-        .collect();
-    Ok((engine, closed, covers))
+    let [covers] = checkpoint_record(&mut lines, "covers")?;
+    let covers = covers.parse().map_err(|e| format!("bad covers: {e}"))?;
+    let [closed, closed_crc] = checkpoint_record(&mut lines, "closed")?;
+    let closed = closed
+        .parse()
+        .map_err(|e| format!("bad closed count: {e}"))?;
+    let closed_crc =
+        u32::from_str_radix(closed_crc, 16).map_err(|e| format!("bad closed crc: {e}"))?;
+    let [count] = checkpoint_record(&mut lines, "engine")?;
+    let count: usize = count
+        .parse()
+        .map_err(|e| format!("bad engine line count: {e}"))?;
+    let block: Vec<&str> = lines.by_ref().take(count).collect();
+    if block.len() != count {
+        return Err(format!(
+            "engine block declares {count} lines but only {} remain",
+            block.len()
+        ));
+    }
+    let engine = StreamEngine::restore(map, &block.join("\n"))
+        .map_err(|e| format!("embedded engine snapshot: {e}"))?;
+    let [end] = checkpoint_record(&mut lines, "end")?;
+    if end.parse::<usize>().ok() != count.checked_add(3) {
+        return Err(format!(
+            "checkpoint truncated: end sentinel declares {end} records but {} were read",
+            count + 3
+        ));
+    }
+    if lines.any(|l| !l.trim().is_empty()) {
+        return Err("record after the end sentinel".into());
+    }
+    Ok(Checkpoint {
+        engine,
+        covers,
+        closed,
+        closed_crc,
+    })
 }
 
 #[cfg(test)]
@@ -1375,6 +1590,173 @@ mod tests {
         drop(journal);
         let err = FrameJournal::create(&dir, JournalConfig::default()).unwrap_err();
         assert!(matches!(err, JournalError::NotEmpty { .. }), "{err}");
+        // A closed-window log alone makes a journal too.
+        let (segments, _) = list_journal_files(&dir).unwrap();
+        for (_, name) in segments {
+            std::fs::remove_file(dir.join(name)).unwrap();
+        }
+        std::fs::write(dir.join(CLOSED_LOG), CLOSED_LOG_MAGIC).unwrap();
+        let err = FrameJournal::create(&dir, JournalConfig::default()).unwrap_err();
+        assert!(matches!(err, JournalError::NotEmpty { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoints_append_only_the_new_windows() {
+        let dir = scratch("incremental");
+        let all = frames(30);
+        let mut journal = FrameJournal::create(&dir, JournalConfig::default()).unwrap();
+        let mut engine = StreamEngine::new(map(), lazy());
+        let mut closed = Vec::new();
+        let mut log_lens = Vec::new();
+        for (k, f) in all.iter().enumerate() {
+            journal.append(f).unwrap();
+            closed.extend(engine.push(f));
+            if k == 14 || k == 29 {
+                journal.checkpoint(&engine, &closed).unwrap();
+                log_lens.push((
+                    closed.len(),
+                    std::fs::metadata(dir.join(CLOSED_LOG)).unwrap().len(),
+                ));
+            }
+        }
+        // The log holds each window once: its bytes are exactly the
+        // records of every window closed so far.
+        for (count, len) in &log_lens {
+            let mut records = CLOSED_LOG_MAGIC.to_vec();
+            for c in &closed[..*count] {
+                push_record(&mut records, &encode_closed(c));
+            }
+            assert_eq!(*len, records.len() as u64);
+        }
+        assert!(log_lens[0].0 > 0 && log_lens[1].0 > log_lens[0].0);
+        // The checkpoint document carries no per-window lines.
+        let doc = std::fs::read_to_string(dir.join(checkpoint_name(30))).unwrap();
+        assert!(doc.starts_with(&format!(
+            "{CHECKPOINT_HEADER}\ncovers 30\nclosed {} ",
+            closed.len()
+        )));
+        // Handing in fewer windows than are durable is a typed error.
+        let err = journal.checkpoint(&engine, &closed[..1]).unwrap_err();
+        assert!(
+            matches!(err, JournalError::ClosedWindowsLost { persisted, given: 1 } if persisted == closed.len()),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lost_checkpoint_cuts_the_log_back_and_resumes() {
+        // A kill after the closed-window log was synced but before the
+        // checkpoint's rename: the log holds windows no checkpoint
+        // covers.
+        let dir = scratch("lostckpt");
+        let all = frames(40);
+        let mut journal = FrameJournal::create(&dir, JournalConfig::default()).unwrap();
+        let mut engine = StreamEngine::new(map(), lazy());
+        let mut closed = Vec::new();
+        for (k, f) in all[..30].iter().enumerate() {
+            journal.append(f).unwrap();
+            closed.extend(engine.push(f));
+            if k == 9 || k == 29 {
+                journal.checkpoint(&engine, &closed).unwrap();
+            }
+        }
+        drop(journal);
+        std::fs::remove_file(dir.join(checkpoint_name(30))).unwrap();
+        let logged = std::fs::metadata(dir.join(CLOSED_LOG)).unwrap().len();
+
+        let rec = FrameJournal::recover(&dir, map(), lazy()).unwrap();
+        assert_eq!(rec.report.checkpoint_seq, Some(10));
+        assert_eq!(rec.next_seq, 30);
+        assert!(
+            std::fs::metadata(dir.join(CLOSED_LOG)).unwrap().len() < logged,
+            "the log must be cut back to the restored checkpoint"
+        );
+        // Resume with a checkpoint; the next recovery restores it.
+        let mut journal = rec.journal;
+        let mut recovered = rec.engine;
+        let mut closed = rec.closed;
+        for f in &all[30..] {
+            journal.append(f).unwrap();
+            closed.extend(recovered.push(f));
+        }
+        journal.checkpoint(&recovered, &closed).unwrap();
+        drop(journal);
+        let rec2 = FrameJournal::recover(&dir, map(), lazy()).unwrap();
+        assert_eq!(rec2.report.checkpoint_seq, Some(40));
+        assert_eq!(rec2.report.records_replayed, 0);
+        let mut recovered = rec2.engine;
+        let mut closed = rec2.closed;
+        closed.extend(recovered.finish());
+        assert_eq!(render(&recovered.batch_fixes(closed)), clean_fixes(40));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn closed_log_from_another_journal_fails_the_running_crc() {
+        // Every record of a foreign log is intact, so only the running
+        // CRC can tell it is not the log the checkpoint was written
+        // against.
+        let dir = scratch("foreign");
+        let other = scratch("foreign-other");
+        for (d, mobile) in [(&dir, 1), (&other, 5)] {
+            let mut journal = FrameJournal::create(d, JournalConfig::default()).unwrap();
+            let mut engine = StreamEngine::new(map(), lazy());
+            let mut closed = Vec::new();
+            for k in 0..30 {
+                let f = response(
+                    k as f64 * 7.0,
+                    100 + (k % 3) as u64,
+                    mobile + (k % 2) as u64,
+                );
+                journal.append(&f).unwrap();
+                closed.extend(engine.push(&f));
+            }
+            journal.checkpoint(&engine, &closed).unwrap();
+        }
+        let ours = std::fs::metadata(dir.join(CLOSED_LOG)).unwrap().len();
+        std::fs::copy(other.join(CLOSED_LOG), dir.join(CLOSED_LOG)).unwrap();
+        assert_eq!(std::fs::metadata(dir.join(CLOSED_LOG)).unwrap().len(), ours);
+
+        let rec = FrameJournal::recover(&dir, map(), lazy()).unwrap();
+        assert_eq!(rec.report.checkpoint_seq, None);
+        assert_eq!(rec.report.checkpoints_skipped, 1);
+        let mut recovered = rec.engine;
+        let mut closed = rec.closed;
+        closed.extend(recovered.finish());
+        assert_eq!(render(&recovered.batch_fixes(closed)), clean_fixes(30));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&other);
+    }
+
+    #[test]
+    fn version_one_checkpoint_is_skipped() {
+        let dir = scratch("v1ckpt");
+        let all = frames(20);
+        let mut journal = FrameJournal::create(&dir, JournalConfig::default()).unwrap();
+        let mut engine = StreamEngine::new(map(), lazy());
+        for f in &all {
+            journal.append(f).unwrap();
+            engine.push(f);
+        }
+        drop(journal);
+        // The layout an older build wrote: per-window lines, no log.
+        let snapshot = engine.snapshot();
+        let doc = format!(
+            "# marauder journal checkpoint v1\ncovers 20\nengine {}\n{snapshot}end {}\n",
+            snapshot.lines().count(),
+            snapshot.lines().count() + 2
+        );
+        std::fs::write(dir.join(checkpoint_name(20)), doc).unwrap();
+        let rec = FrameJournal::recover(&dir, map(), lazy()).unwrap();
+        assert_eq!(rec.report.checkpoint_seq, None);
+        assert_eq!(rec.report.checkpoints_skipped, 1);
+        assert_eq!(rec.report.records_replayed, 20);
+        let mut recovered = rec.engine;
+        let mut closed = rec.closed;
+        closed.extend(recovered.finish());
+        assert_eq!(render(&recovered.batch_fixes(closed)), clean_fixes(20));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

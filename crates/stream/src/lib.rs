@@ -73,7 +73,8 @@ mod snapshot;
 pub use engine::{ClosedWindow, StreamConfig, StreamEngine, StreamStats};
 pub use journal::{
     record_crc, FlushPolicy, FrameJournal, JournalConfig, JournalError, Recovery, RecoveryError,
-    RecoveryReport, CHECKPOINT_HEADER, MAX_RECORD_LEN, RETAINED_CHECKPOINTS, SEGMENT_MAGIC,
+    RecoveryReport, CHECKPOINT_HEADER, CLOSED_LOG, CLOSED_LOG_MAGIC, MAX_RECORD_LEN,
+    RETAINED_CHECKPOINTS, SEGMENT_MAGIC,
 };
 pub use publish::SnapshotSink;
 pub use replay::{

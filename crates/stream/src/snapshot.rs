@@ -122,13 +122,20 @@ pub(crate) fn parse_mac(s: &str) -> Result<MacAddr, String> {
 /// so concurrent writers of *different* files never collide; the
 /// workspace's checkpoint writers are single-threaded per target.
 ///
+/// The rename is made durable too: the parent directory is synced
+/// after it, so a power loss cannot take the new entry back.
+///
 /// # Errors
 ///
 /// Any I/O failure creating, writing, syncing, or renaming the
-/// temporary file. On failure the target is untouched.
+/// temporary file, or syncing the directory. On failure before the
+/// rename the target is untouched.
 pub fn write_atomic(path: &std::path::Path, contents: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
-    let dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
     let name = path
         .file_name()
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no name"))?;
@@ -145,7 +152,14 @@ pub fn write_atomic(path: &std::path::Path, contents: &[u8]) -> std::io::Result<
     f.sync_all()?;
     drop(f);
     std::fs::rename(&tmp, path)?;
-    Ok(())
+    sync_dir(dir)
+}
+
+/// Syncs a directory, making the entries created or renamed in it
+/// durable: fsync(2) on a file does not cover the directory entry that
+/// names it.
+pub(crate) fn sync_dir(dir: &std::path::Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
 }
 
 impl StreamEngine {

@@ -1,21 +1,26 @@
 //! Property tests for the frame journal's damage tolerance, mirroring
 //! the wire-codec fuzz suite: any truncation or single-byte corruption
-//! of a segment or checkpoint file yields either a clean torn-tail
-//! recovery or a typed [`RecoveryError`] — never a panic, and never a
-//! recovery that claims more frames than were written.
+//! of a segment, checkpoint or the closed-window log yields either a
+//! clean torn-tail recovery or a typed [`RecoveryError`] — never a
+//! panic, and never a recovery that claims more frames than were
+//! written.
 //!
-//! Two invariants are pinned exactly:
+//! Three invariants are pinned exactly:
 //!
 //! * damage to a *checkpoint* is never fatal (the journal is the
 //!   source of truth; the checkpoint is skipped),
 //! * damage to the *final segment* is never fatal (it is
-//!   indistinguishable from a crash mid-append, so it is a torn tail).
+//!   indistinguishable from a crash mid-append, so it is a torn tail),
+//! * damage to the *closed-window log* is never fatal and changes
+//!   nothing: every record is CRC'd and bound to its checkpoint by a
+//!   running CRC, so recovery falls back to an older checkpoint and
+//!   the fixes are byte-identical to the undamaged journal's.
 
 use marauder_core::apdb::{ApDatabase, ApRecord};
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
 use marauder_stream::{
-    FlushPolicy, FrameJournal, JournalConfig, RecoveryError, StreamConfig, StreamEngine,
+    FlushPolicy, FrameJournal, JournalConfig, RecoveryError, StreamConfig, StreamEngine, CLOSED_LOG,
 };
 use marauder_wifi::channel::Channel;
 use marauder_wifi::frame::Frame;
@@ -28,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Frames in the template journal.
-const FRAMES: usize = 24;
+const FRAMES: usize = 32;
 
 fn map() -> MaraudersMap {
     let db: ApDatabase = [
@@ -71,7 +76,8 @@ fn lazy() -> StreamConfig {
 }
 
 /// The template journal, built once and replayed from memory for every
-/// case: three 8-record segments plus a mid-run checkpoint.
+/// case: four 8-record segments, two mid-run checkpoints, and the
+/// closed-window log they share.
 fn template() -> &'static Vec<(String, Vec<u8>)> {
     static T: OnceLock<Vec<(String, Vec<u8>)>> = OnceLock::new();
     T.get_or_init(|| {
@@ -93,7 +99,7 @@ fn template() -> &'static Vec<(String, Vec<u8>)> {
         for (k, f) in frames(FRAMES).iter().enumerate() {
             journal.append(f).expect("append");
             closed.extend(engine.push(f));
-            if k == 10 {
+            if k == 10 || k == 17 {
                 journal.checkpoint(&engine, &closed).expect("checkpoint");
             }
         }
@@ -112,7 +118,80 @@ fn template() -> &'static Vec<(String, Vec<u8>)> {
         let _ = std::fs::remove_dir_all(&dir);
         files.sort();
         assert!(files.len() >= 3, "template must rotate segments");
+        // Both checkpoints must cover closed windows, or log damage
+        // would never reach a checkpoint.
+        for (name, bytes) in &files {
+            if name.starts_with("checkpoint-") {
+                let text = String::from_utf8_lossy(bytes);
+                let covered: usize = text
+                    .lines()
+                    .find_map(|l| l.strip_prefix("closed "))
+                    .and_then(|rest| rest.split_whitespace().next())
+                    .and_then(|k| k.parse().ok())
+                    .expect("checkpoint has a closed record");
+                assert!(covered >= 1, "{name} covers no closed window");
+            }
+        }
+        // The newest checkpoint must leave a non-final segment for
+        // recovery to scan, or no segment damage could reach the typed
+        // corruption error: recovery skips every segment whose
+        // successor starts at or below the checkpoint's `covers`.
+        let numbers = |prefix: &str, suffix: &str| -> Vec<u64> {
+            files
+                .iter()
+                .filter_map(|(n, _)| n.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok())
+                .collect()
+        };
+        let newest_covers = numbers("checkpoint-", ".ckpt")
+            .into_iter()
+            .max()
+            .expect("template has checkpoints");
+        let final_start = numbers("segment-", ".wal")
+            .into_iter()
+            .max()
+            .expect("template has segments");
+        assert!(
+            final_start > newest_covers,
+            "newest checkpoint covers {newest_covers} frames, so recovery scans only \
+             the final segment (first seq {final_start})"
+        );
         files
+    })
+}
+
+/// Canonical byte rendering of the batch fixes a recovered journal
+/// holds.
+fn recovered_fixes(dir: &std::path::Path) -> Result<String, RecoveryError> {
+    let rec = FrameJournal::recover(dir, map(), lazy())?;
+    let mut engine = rec.engine;
+    let mut closed = rec.closed;
+    closed.extend(engine.finish());
+    Ok(engine
+        .batch_fixes(closed)
+        .iter()
+        .map(|f| {
+            let gamma: Vec<String> = f.gamma.iter().map(|m| m.to_string()).collect();
+            format!(
+                "{:016x} {} {:016x} {:016x} {}\n",
+                f.time_s.to_bits(),
+                f.mobile,
+                f.estimate.position.x.to_bits(),
+                f.estimate.position.y.to_bits(),
+                gamma.join(",")
+            )
+        })
+        .collect())
+}
+
+/// The undamaged template's fixes.
+fn reference_fixes() -> &'static String {
+    static R: OnceLock<String> = OnceLock::new();
+    R.get_or_init(|| {
+        let dir = materialize(template());
+        let fixes = recovered_fixes(&dir).expect("undamaged template recovers");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!fixes.is_empty(), "template yields fixes");
+        fixes
     })
 }
 
@@ -142,7 +221,8 @@ fn final_segment_name(files: &[(String, Vec<u8>)]) -> String {
 
 /// Shared verdict: recovery of a journal with one damaged file either
 /// succeeds within bounds or fails with the typed corruption error —
-/// and the two protected damage classes always succeed.
+/// the two protected damage classes always succeed, and closed-window
+/// log damage recovers exactly the undamaged journal's fixes.
 fn check_recovery(
     files: &[(String, Vec<u8>)],
     damaged: &str,
@@ -151,6 +231,19 @@ fn check_recovery(
     let is_checkpoint = damaged.starts_with("checkpoint-");
     let is_final_segment = damaged == final_segment;
     let dir = materialize(files);
+    if damaged == CLOSED_LOG {
+        let fixes = recovered_fixes(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        return match fixes {
+            Ok(fixes) => {
+                prop_assert_eq!(&fixes, reference_fixes(), "log damage changed the fixes");
+                Ok(())
+            }
+            Err(e) => Err(TestCaseError::fail(format!(
+                "closed-window log damage must never fail recovery: {e}"
+            ))),
+        };
+    }
     let result = FrameJournal::recover(&dir, map(), lazy());
     let verdict = match result {
         Ok(rec) => {
@@ -209,4 +302,36 @@ proptest! {
         files[fi].1[pos] ^= 1 << bit;
         check_recovery(&files, &damaged, &final_segment)?;
     }
+}
+
+/// Every truncation and every single-bit flip of the closed-window log,
+/// exhaustively: the per-record CRC makes each one detectable, so each
+/// must recover the undamaged journal's fixes exactly.
+#[test]
+fn every_closed_log_truncation_and_bit_flip_recovers_exactly() {
+    let files = template();
+    let final_segment = final_segment_name(files);
+    let li = files
+        .iter()
+        .position(|(name, _)| name == CLOSED_LOG)
+        .expect("template has a closed-window log");
+    let len = files[li].1.len();
+    let mut cases = 0;
+    for cut in 0..len {
+        let mut damaged = files.clone();
+        damaged[li].1.truncate(cut);
+        check_recovery(&damaged, CLOSED_LOG, &final_segment)
+            .unwrap_or_else(|e| panic!("log cut to {cut} bytes: {e}"));
+        cases += 1;
+    }
+    for pos in 0..len {
+        for bit in 0..8 {
+            let mut damaged = files.clone();
+            damaged[li].1[pos] ^= 1 << bit;
+            check_recovery(&damaged, CLOSED_LOG, &final_segment)
+                .unwrap_or_else(|e| panic!("log byte {pos} bit {bit} flipped: {e}"));
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 9 * len);
 }

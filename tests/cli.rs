@@ -208,6 +208,104 @@ fn replay_matches_attack_fix_for_fix() {
 }
 
 #[test]
+fn journaled_replay_resumes_after_a_lost_checkpoint() {
+    let dir = temp_dir("journal");
+    let out = marauder()
+        .args([
+            "simulate",
+            "--seed",
+            "9",
+            "--aps",
+            "50",
+            "--mobiles",
+            "3",
+            "--duration",
+            "180",
+            "--out-dir",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success());
+    let knowledge = dir.join("aps.csv");
+    let log = dir.join("capture.log");
+    let journal = dir.join("wal");
+
+    // The interrupted run: the first half of the capture, journaled.
+    let text = std::fs::read_to_string(&log).expect("read capture log");
+    let lines: Vec<&str> = text.lines().collect();
+    let half = dir.join("half.log");
+    let keep = 1 + (lines.len() - 1) / 2;
+    std::fs::write(&half, lines[..keep].join("\n") + "\n").expect("write half log");
+    let replay = |capture: &PathBuf| {
+        let out = marauder()
+            .arg("replay")
+            .arg(capture)
+            .arg("--knowledge")
+            .arg(&knowledge)
+            .arg("--journal")
+            .arg(&journal)
+            .args(["--checkpoint-every", "64"])
+            .output()
+            .expect("run replay");
+        assert!(
+            out.status.success(),
+            "replay failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    replay(&half);
+
+    // Kill before the seal: the newest checkpoint never landed.
+    let mut checkpoints: Vec<PathBuf> = std::fs::read_dir(&journal)
+        .expect("list journal")
+        .map(|e| e.expect("journal entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .collect();
+    checkpoints.sort();
+    assert!(checkpoints.len() >= 2, "want a checkpoint to fall back to");
+    std::fs::remove_file(checkpoints.last().expect("newest checkpoint")).expect("remove");
+
+    // Resume over the whole log, then salvage the journal.
+    replay(&log);
+    let recover = marauder()
+        .arg("recover")
+        .arg(&journal)
+        .arg("--knowledge")
+        .arg(&knowledge)
+        .output()
+        .expect("run recover");
+    assert!(
+        recover.status.success(),
+        "recover failed: {}",
+        String::from_utf8_lossy(&recover.stderr)
+    );
+    let attack = marauder()
+        .arg("attack")
+        .arg("--knowledge")
+        .arg(&knowledge)
+        .arg("--captures")
+        .arg(&log)
+        .output()
+        .expect("run attack");
+    assert!(attack.status.success());
+    let sorted = |bytes: &[u8]| -> Vec<String> {
+        let mut lines: Vec<String> = String::from_utf8_lossy(bytes)
+            .lines()
+            .skip(1)
+            .map(str::to_string)
+            .collect();
+        lines.sort();
+        lines
+    };
+    let batch = sorted(&attack.stdout);
+    assert!(!batch.is_empty(), "attack produced no fixes");
+    assert_eq!(sorted(&recover.stdout), batch, "recovered journal diverged");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn replay_follow_tails_an_appended_log() {
     use std::io::Read;
 
@@ -640,6 +738,9 @@ fn serve_announces_and_answers_http() {
         .arg(dir.join("aps.csv"))
         .args(["--listen", "127.0.0.1:0", "--speed", "0", "--linger", "30"])
         .stdout(std::process::Stdio::piped())
+        // Piped, not inherited: the server's progress line would
+        // otherwise land in the middle of the test harness's own output.
+        .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn serve");
 
@@ -665,6 +766,6 @@ fn serve_announces_and_answers_http() {
     assert_eq!(client.get("/nope").expect("/nope"), 404);
 
     child.kill().expect("stop serve");
-    child.wait().expect("reap serve");
+    child.wait_with_output().expect("reap serve");
     let _ = std::fs::remove_dir_all(&dir);
 }
