@@ -70,13 +70,12 @@ const BUILTIN_RESULT_FNS: [&str; 14] = [
 /// The workspace's typed error enums. A `match` whose arms name one of
 /// these must not hide behind a wildcard arm. `error-enums` in
 /// `lint.toml` replaces the list.
-const BUILTIN_ERROR_ENUMS: [&str; 8] = [
+const BUILTIN_ERROR_ENUMS: [&str; 7] = [
     "PipelineError",
     "WireError",
-    "SnapshotError",
+    "PersistError",
     "CliError",
     "NetError",
-    "FleetSnapshotError",
     "SnifferError",
     "LintError",
 ];

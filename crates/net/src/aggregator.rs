@@ -30,11 +30,11 @@
 use crate::codec::{snapshot_messages, Message, PROTOCOL_VERSION};
 use crate::transport::NetError;
 use marauder_core::pipeline::{MaraudersMap, TrackFix};
+use marauder_stream::persist::{self, DocKind, Field, PersistError, Reader};
 use marauder_stream::{ClosedWindow, StreamEngine};
 use marauder_wifi::frame::Frame;
 use marauder_wifi::sniffer::CapturedFrame;
 use std::collections::BTreeMap;
-use std::fmt;
 
 pub use marauder_stream::StreamConfig;
 
@@ -148,78 +148,55 @@ struct Buffered {
     frame: CapturedFrame,
 }
 
-/// A parse failure restoring a fleet checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetSnapshotError {
-    /// The checkpoint was written by an incompatible format version.
-    VersionMismatch {
-        /// Version found in the header.
-        found: u32,
-        /// Version this build reads.
-        supported: u32,
-    },
-    /// A structurally invalid document.
-    Malformed {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// The embedded engine snapshot failed to restore.
-    Engine(marauder_stream::SnapshotError),
-}
-
-impl fmt::Display for FleetSnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetSnapshotError::VersionMismatch { found, supported } => write!(
-                f,
-                "fleet snapshot version v{found} is not supported (this build reads v{supported})"
-            ),
-            FleetSnapshotError::Malformed { line, reason } => {
-                write!(f, "fleet snapshot parse error on line {line}: {reason}")
-            }
-            FleetSnapshotError::Engine(e) => write!(f, "embedded engine snapshot: {e}"),
-        }
+/// A node's merge state; the transport flag restores as disconnected.
+impl Field for NodeState {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.clock_offset_s.put(out);
+        self.next_seq.put(out);
+        self.watermark_s.put(out);
+        self.evicted.put(out);
     }
-}
 
-impl std::error::Error for FleetSnapshotError {}
-
-/// Magic first line of the fleet checkpoint format.
-pub const FLEET_SNAPSHOT_HEADER: &str = "# marauder fleet snapshot v1";
-
-/// Version this build writes and reads.
-const FLEET_SNAPSHOT_VERSION: u32 = 1;
-
-pub(crate) fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-pub(crate) fn unhex(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad f64 bits {s:?}: {e}"))
-}
-
-fn hex_bytes(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn unhex_bytes(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex string ({} chars)", s.len()));
-    }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16)
-                .map_err(|e| format!("bad hex byte at {}: {e}", 2 * i))
+    fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Ok(NodeState {
+            clock_offset_s: r.get()?,
+            next_seq: r.get()?,
+            watermark_s: r.get()?,
+            evicted: r.get()?,
+            connected: false,
         })
-        .collect()
+    }
+}
+
+/// A parked frame; its wire encoding must decode and re-encode to the
+/// same bytes.
+impl Field for Buffered {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.node_id.put(out);
+        self.arrival.put(out);
+        self.time_s.put(out);
+        self.frame.card.put(out);
+        self.frame.frame.encode().put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let (node_id, arrival, time_s, card) = (r.get()?, r.get()?, r.get()?, r.get()?);
+        let bytes: Vec<u8> = r.get()?;
+        let frame = Frame::decode(&bytes)
+            .ok()
+            .filter(|frame| frame.encode() == bytes)
+            .ok_or_else(|| r.malformed("buffered frame does not decode to the same bytes"))?;
+        Ok(Buffered {
+            time_s,
+            node_id,
+            arrival,
+            frame: CapturedFrame {
+                time_s,
+                card,
+                frame,
+            },
+        })
+    }
 }
 
 /// The multi-node merge layer in front of a [`StreamEngine`].
@@ -637,28 +614,47 @@ impl Aggregator {
     }
 
     /// Serializes the full merge state — node table, parked frames,
-    /// counters, and the embedded engine snapshot — to a line-oriented
-    /// checkpoint. Restoring and resuming the message stream yields
-    /// output byte-identical to an uninterrupted run.
-    pub fn snapshot(&self) -> String {
-        let mut out = String::new();
-        out.push_str(FLEET_SNAPSHOT_HEADER);
-        out.push('\n');
-        out.push_str(&format!("expected {}\n", self.config.expected_nodes));
-        out.push_str(&format!("dead_after_s {}\n", hex(self.config.dead_after_s)));
-        out.push_str(&format!(
-            "max_buffered {}\n",
-            self.config.max_buffered_frames
-        ));
-        out.push_str(&format!(
-            "correct_times {}\n",
-            u8::from(self.config.correct_frame_times)
-        ));
-        out.push_str(&format!("released {}\n", hex(self.released_up_to)));
-        out.push_str(&format!("arrival {}\n", self.arrival));
+    /// counters, and the engine state — as a sealed document.
+    /// Restoring and resuming the message stream yields output
+    /// byte-identical to an uninterrupted run.
+    pub fn snapshot(&self) -> Vec<u8> {
+        persist::seal(DocKind::FleetSnapshot, |out| self.encode_state(out))
+    }
+
+    /// Rebuilds an aggregator from the same AP knowledge and a
+    /// document produced by [`snapshot`](Self::snapshot).
+    ///
+    /// The engine's live/warm mode flags are process configuration and
+    /// not serialized (see [`StreamEngine::restore`]); pass the
+    /// desired [`StreamConfig`] via `config.stream` — its
+    /// `live_localization`/`warm_start` are applied, while the
+    /// windowing knobs come from the document itself.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError`] on a damaged or foreign document, or when the
+    /// engine state does not fit `map`.
+    pub fn restore(
+        map: MaraudersMap,
+        config: FleetConfig,
+        doc: &[u8],
+    ) -> Result<Aggregator, PersistError> {
+        persist::open(doc, DocKind::FleetSnapshot, |r| {
+            Aggregator::decode_state(map, config, r)
+        })
+    }
+
+    /// Writes the merge state into a document body — inline, as the
+    /// fleet checkpoint embeds it.
+    pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
+        self.config.expected_nodes.put(out);
+        self.config.dead_after_s.put(out);
+        self.config.max_buffered_frames.put(out);
+        self.config.correct_frame_times.put(out);
+        self.released_up_to.put(out);
+        self.arrival.put(out);
         let s = &self.stats;
-        out.push_str(&format!(
-            "fstats {} {} {} {} {} {} {} {} {}\n",
+        for n in [
             s.batches,
             s.frames_relayed,
             s.heartbeats,
@@ -667,258 +663,46 @@ impl Aggregator {
             s.nodes_evicted,
             s.snapshots_served,
             s.frames_forced,
-            s.buffered_peak
-        ));
-        for (id, st) in &self.nodes {
-            out.push_str(&format!(
-                "node {id} {} {} {} {}\n",
-                hex(st.clock_offset_s),
-                st.next_seq,
-                hex(st.watermark_s),
-                u8::from(st.evicted)
-            ));
+        ] {
+            n.put(out);
         }
-        for b in &self.buffer {
-            out.push_str(&format!(
-                "buf {} {} {} {} {}\n",
-                b.node_id,
-                b.arrival,
-                hex(b.frame.time_s),
-                b.frame.card,
-                hex_bytes(&b.frame.frame.encode())
-            ));
-        }
-        let engine_text = self.engine.snapshot();
-        out.push_str(&format!("engine {}\n", engine_text.lines().count()));
-        out.push_str(&engine_text);
-        if !engine_text.ends_with('\n') {
-            out.push('\n');
-        }
-        let records = out.lines().count() - 1;
-        out.push_str(&format!("end {records}\n"));
-        out
+        s.buffered_peak.put(out);
+        self.nodes.put(out);
+        self.buffer.put(out);
+        self.engine.encode_state(out);
     }
 
-    /// Rebuilds an aggregator from the same AP knowledge and a
-    /// checkpoint produced by [`snapshot`](Self::snapshot).
-    ///
-    /// The engine's live/warm mode flags are process configuration and
-    /// not serialized (see [`StreamEngine::restore`]); pass the
-    /// desired [`StreamConfig`] via `config.stream` — its
-    /// `live_localization`/`warm_start` are applied, while the
-    /// windowing knobs come from the checkpoint itself.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetSnapshotError`] on a malformed or version-mismatched
-    /// document, or when the embedded engine snapshot fails.
-    pub fn restore(
+    /// Reads what [`encode_state`](Self::encode_state) wrote.
+    pub(crate) fn decode_state(
         map: MaraudersMap,
         config: FleetConfig,
-        text: &str,
-    ) -> Result<Aggregator, FleetSnapshotError> {
-        let malformed =
-            |line: usize, reason: String| FleetSnapshotError::Malformed { line, reason };
-        let lines: Vec<&str> = text.lines().collect();
-        match lines.first() {
-            Some(h) if h.trim() == FLEET_SNAPSHOT_HEADER => {}
-            Some(h) if h.trim_start().starts_with("# marauder fleet snapshot v") => {
-                let found = h
-                    .trim_start()
-                    .trim_start_matches("# marauder fleet snapshot v")
-                    .trim()
-                    .parse::<u32>()
-                    .map_err(|e| malformed(1, format!("bad version number: {e}")))?;
-                return Err(FleetSnapshotError::VersionMismatch {
-                    found,
-                    supported: FLEET_SNAPSHOT_VERSION,
-                });
-            }
-            _ => {
-                return Err(malformed(
-                    1,
-                    format!("missing header {FLEET_SNAPSHOT_HEADER:?}"),
-                ))
-            }
-        }
-
+        r: &mut Reader<'_>,
+    ) -> Result<Aggregator, PersistError> {
         let mut agg = Aggregator::new(map.clone(), config);
-        let mut engine: Option<StreamEngine> = None;
-        let mut records = 0usize;
-        let mut end_seen = false;
-        let mut i = 1usize;
-        while i < lines.len() {
-            let no = i + 1;
-            let line = lines[i];
-            i += 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if end_seen {
-                return Err(malformed(no, "record after the end sentinel".into()));
-            }
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            let args = &fields[1..];
-            let expect = |n: usize| -> Result<(), FleetSnapshotError> {
-                if args.len() == n {
-                    Ok(())
-                } else {
-                    Err(malformed(
-                        no,
-                        format!("{} takes {n} fields, got {}", fields[0], args.len()),
-                    ))
-                }
-            };
-            match fields[0] {
-                "expected" => {
-                    expect(1)?;
-                    agg.config.expected_nodes = args[0]
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| malformed(no, e.to_string()))?;
-                }
-                "dead_after_s" => {
-                    expect(1)?;
-                    agg.config.dead_after_s = unhex(args[0]).map_err(|e| malformed(no, e))?;
-                }
-                "max_buffered" => {
-                    expect(1)?;
-                    agg.config.max_buffered_frames = args[0]
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| malformed(no, e.to_string()))?;
-                }
-                "correct_times" => {
-                    expect(1)?;
-                    agg.config.correct_frame_times = args[0] == "1";
-                }
-                "released" => {
-                    expect(1)?;
-                    agg.released_up_to = unhex(args[0]).map_err(|e| malformed(no, e))?;
-                }
-                "arrival" => {
-                    expect(1)?;
-                    agg.arrival = args[0]
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| malformed(no, e.to_string()))?;
-                }
-                "fstats" => {
-                    expect(9)?;
-                    let mut vals = [0u64; 9];
-                    for (slot, a) in vals.iter_mut().zip(args) {
-                        *slot = a
-                            .parse()
-                            .map_err(|e: std::num::ParseIntError| malformed(no, e.to_string()))?;
-                    }
-                    agg.stats = FleetStats {
-                        batches: vals[0],
-                        frames_relayed: vals[1],
-                        heartbeats: vals[2],
-                        duplicate_batches: vals[3],
-                        reconnects: vals[4],
-                        nodes_evicted: vals[5],
-                        snapshots_served: vals[6],
-                        frames_forced: vals[7],
-                        buffered_peak: vals[8] as usize,
-                    };
-                }
-                "node" => {
-                    expect(5)?;
-                    let id = args[0]
-                        .parse::<u32>()
-                        .map_err(|e| malformed(no, e.to_string()))?;
-                    agg.nodes.insert(
-                        id,
-                        NodeState {
-                            clock_offset_s: unhex(args[1]).map_err(|e| malformed(no, e))?,
-                            next_seq: args[2].parse().map_err(|e: std::num::ParseIntError| {
-                                malformed(no, e.to_string())
-                            })?,
-                            watermark_s: unhex(args[3]).map_err(|e| malformed(no, e))?,
-                            evicted: args[4] == "1",
-                            connected: false,
-                        },
-                    );
-                }
-                "buf" => {
-                    expect(5)?;
-                    let node_id = args[0]
-                        .parse::<u32>()
-                        .map_err(|e| malformed(no, e.to_string()))?;
-                    let arrival = args[1]
-                        .parse::<u64>()
-                        .map_err(|e| malformed(no, e.to_string()))?;
-                    let time_s = unhex(args[2]).map_err(|e| malformed(no, e))?;
-                    let card = args[3]
-                        .parse::<usize>()
-                        .map_err(|e| malformed(no, e.to_string()))?;
-                    let bytes = unhex_bytes(args[4]).map_err(|e| malformed(no, e))?;
-                    let frame = Frame::decode(&bytes)
-                        .map_err(|e| malformed(no, format!("bad frame bytes: {e:?}")))?;
-                    agg.buffer.push(Buffered {
-                        time_s,
-                        node_id,
-                        arrival,
-                        frame: CapturedFrame {
-                            time_s,
-                            card,
-                            frame,
-                        },
-                    });
-                }
-                "engine" => {
-                    expect(1)?;
-                    let count = args[0]
-                        .parse::<usize>()
-                        .map_err(|e| malformed(no, e.to_string()))?;
-                    if i + count > lines.len() {
-                        return Err(malformed(
-                            no,
-                            format!(
-                                "engine block declares {count} lines but only {} remain",
-                                lines.len() - i
-                            ),
-                        ));
-                    }
-                    let block = lines[i..i + count].join("\n");
-                    let restored = StreamEngine::restore(map.clone(), &block)
-                        .map_err(FleetSnapshotError::Engine)?;
-                    engine = Some(restored);
-                    records += count;
-                    i += count;
-                }
-                "end" => {
-                    expect(1)?;
-                    let declared = args[0]
-                        .parse::<usize>()
-                        .map_err(|e| malformed(no, e.to_string()))?;
-                    if declared != records {
-                        return Err(malformed(
-                            no,
-                            format!(
-                                "snapshot truncated: end sentinel declares {declared} \
-                                 records but {records} were read"
-                            ),
-                        ));
-                    }
-                    end_seen = true;
-                    continue;
-                }
-                other => return Err(malformed(no, format!("unknown record {other:?}"))),
-            }
-            records += 1;
-        }
-        if !end_seen {
-            return Err(malformed(
-                lines.len() + 1,
-                "snapshot truncated: missing end sentinel".into(),
-            ));
-        }
-        let mut engine =
-            engine.ok_or_else(|| malformed(lines.len(), "missing embedded engine block".into()))?;
-        engine.set_mode(
+        agg.config.expected_nodes = r.get()?;
+        agg.config.dead_after_s = r.get()?;
+        agg.config.max_buffered_frames = r.get()?;
+        agg.config.correct_frame_times = r.get()?;
+        agg.released_up_to = r.get()?;
+        agg.arrival = r.get()?;
+        agg.stats = FleetStats {
+            batches: r.get()?,
+            frames_relayed: r.get()?,
+            heartbeats: r.get()?,
+            duplicate_batches: r.get()?,
+            reconnects: r.get()?,
+            nodes_evicted: r.get()?,
+            snapshots_served: r.get()?,
+            frames_forced: r.get()?,
+            buffered_peak: r.get()?,
+        };
+        agg.nodes = r.get()?;
+        agg.buffer = r.get()?;
+        agg.engine = StreamEngine::decode_state(map, r)?;
+        agg.engine.set_mode(
             agg.config.stream.live_localization,
             agg.config.stream.warm_start,
         );
-        agg.engine = engine;
         Ok(agg)
     }
 }
@@ -1188,26 +972,67 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_future_version_and_garbage() {
-        let snap = Aggregator::new(map(), FleetConfig::default()).snapshot();
-        let future = snap.replacen("v1", "v9", 1);
+    fn snapshot_round_trips_byte_exactly_with_parked_frames() {
+        let mut agg = Aggregator::new(
+            map(),
+            FleetConfig {
+                expected_nodes: 2,
+                ..FleetConfig::default()
+            },
+        );
+        agg.on_message(&hello(0)).unwrap();
+        agg.on_message(&hello(1)).unwrap();
+        agg.on_message(&Message::FrameBatch {
+            node_id: 0,
+            seq: 0,
+            frames: (0..6)
+                .map(|k| response(k as f64 * 7.0, 100 + k % 3, 1))
+                .collect(),
+        })
+        .unwrap();
+        agg.on_message(&Message::Heartbeat {
+            node_id: 0,
+            watermark_s: 40.0,
+        })
+        .unwrap();
+        assert!(!agg.buffer.is_empty(), "node 1 holds the gate closed");
+        let snap = agg.snapshot();
+        let restored = Aggregator::restore(map(), FleetConfig::default(), &snap).unwrap();
+        assert_eq!(restored.snapshot(), snap);
+        // Another kind's document is refused, typed.
+        let engine_doc = agg.engine().snapshot();
         assert!(matches!(
-            Aggregator::restore(map(), FleetConfig::default(), &future),
-            Err(FleetSnapshotError::VersionMismatch {
-                found: 9,
-                supported: 1
+            Aggregator::restore(map(), FleetConfig::default(), &engine_doc),
+            Err(PersistError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn every_node_evicted_restores_with_the_gate_closed() {
+        // No message sequence evicts the node at the fleet front, so
+        // this state is set directly: the "min over an empty set" must
+        // collapse to -∞ (the gate closes), not the +∞ a naive min-fold
+        // would report — before and after a snapshot round trip.
+        let config = FleetConfig {
+            expected_nodes: 2,
+            ..FleetConfig::default()
+        };
+        let mut agg = Aggregator::new(map(), config.clone());
+        for (id, mark) in [(1, 10.0), (2, 20.0)] {
+            agg.on_message(&hello(id)).unwrap();
+            agg.on_message(&Message::Heartbeat {
+                node_id: id,
+                watermark_s: mark,
             })
-        ));
-        assert!(matches!(
-            Aggregator::restore(map(), FleetConfig::default(), "nope"),
-            Err(FleetSnapshotError::Malformed { line: 1, .. })
-        ));
-        // Truncation (lost end sentinel) is refused.
-        let lines: Vec<&str> = snap.lines().collect();
-        let cut = lines[..lines.len() - 1].join("\n");
-        assert!(matches!(
-            Aggregator::restore(map(), FleetConfig::default(), &cut),
-            Err(FleetSnapshotError::Malformed { .. })
-        ));
+            .unwrap();
+        }
+        assert_eq!(agg.fleet_watermark(), 10.0);
+        for st in agg.nodes.values_mut() {
+            st.evicted = true;
+        }
+        assert_eq!(agg.fleet_watermark(), f64::NEG_INFINITY);
+        let restored = Aggregator::restore(map(), config, &agg.snapshot()).unwrap();
+        assert_eq!(restored.joined_nodes(), 2);
+        assert_eq!(restored.fleet_watermark(), f64::NEG_INFINITY);
     }
 }

@@ -14,27 +14,21 @@
 //! wall clock: identical message sequences checkpoint at identical
 //! points, which keeps crash-recovery tests bit-exact.
 
-use crate::aggregator::{hex, unhex, Aggregator, FleetConfig};
-use marauder_core::{MaraudersMap, PipelineError};
+use crate::aggregator::{Aggregator, FleetConfig};
+use marauder_core::MaraudersMap;
+use marauder_stream::persist::{self, decode_closed, encode_closed, DocKind, Field, PersistError};
 use marauder_stream::{write_atomic, ClosedWindow, RETAINED_CHECKPOINTS};
-use marauder_wifi::MacAddr;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
-
-/// Magic first line of a fleet checkpoint file.
-pub const FLEET_CHECKPOINT_HEADER: &str = "# marauder fleet checkpoint v1";
 
 /// Filename extension of checkpoint files in a checkpoint directory.
 const CHECKPOINT_SUFFIX: &str = ".ckpt";
 
 /// Errors from writing or restoring fleet checkpoints.
 ///
-/// Corruption inside an individual checkpoint file is deliberately
-/// *not* an error at this level: [`restore_latest`] skips damaged
-/// files newest-first and only reports I/O failures on the directory
-/// itself.
+/// Damage inside an individual checkpoint file is not an error while
+/// an older file restores: [`restore_latest`] skips damaged files
+/// newest-first.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// An underlying filesystem operation failed.
@@ -44,6 +38,15 @@ pub enum CheckpointError {
         /// The OS error.
         source: std::io::Error,
     },
+    /// The directory holds checkpoint files and none of them restores.
+    /// Starting fresh here would silently drop every window they
+    /// carried, so the operator must move them aside to do that.
+    NoUsableCheckpoint {
+        /// The checkpoint directory.
+        dir: PathBuf,
+        /// Checkpoint files found, every one skipped.
+        skipped: usize,
+    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -52,6 +55,12 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io { op, source } => {
                 write!(f, "fleet checkpoint {op}: {source}")
             }
+            CheckpointError::NoUsableCheckpoint { dir, skipped } => write!(
+                f,
+                "none of the {skipped} fleet checkpoint file(s) in {} restores (damaged, or \
+                 written by another format version); move them aside to start a fresh campaign",
+                dir.display()
+            ),
         }
     }
 }
@@ -60,6 +69,7 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Io { source, .. } => Some(source),
+            CheckpointError::NoUsableCheckpoint { .. } => None,
         }
     }
 }
@@ -76,11 +86,11 @@ fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> CheckpointError {
 /// with [`write_atomic`], so a crash mid-write leaves either the old
 /// file set or the new one, never a torn checkpoint.
 ///
-/// Every checkpoint is a *full-state* document — engine snapshot plus
-/// the complete closed-window list — so its size grows with campaign
-/// length. To keep a long campaign's directory (and summed write cost)
-/// bounded, only the newest [`RETAINED_CHECKPOINTS`] files are kept;
-/// older ones are pruned after each successful write.
+/// Every checkpoint is a *full-state* sealed document — the merge and
+/// engine state plus the complete closed-window list — so its size
+/// grows with campaign length. To keep a long campaign's directory (and
+/// summed write cost) bounded, only the newest [`RETAINED_CHECKPOINTS`]
+/// files are kept; older ones are pruned after each successful write.
 #[derive(Debug)]
 pub struct Checkpointer {
     dir: PathBuf,
@@ -154,7 +164,7 @@ impl Checkpointer {
     ) -> Result<(), CheckpointError> {
         let doc = checkpoint_document(aggregator, closed);
         let name = checkpoint_name(self.next_index);
-        write_atomic(&self.dir.join(name), doc.as_bytes()).map_err(io_err("write checkpoint"))?;
+        write_atomic(&self.dir.join(name), &doc).map_err(io_err("write checkpoint"))?;
         self.next_index += 1;
         // A NaN watermark must never be stored: with `last_mark = NaN`
         // both the `is_finite` and `< 0.0` cadence arms go false, which
@@ -226,13 +236,14 @@ pub struct FleetRestore {
 
 /// Restores the newest valid checkpoint in `dir`, skipping damaged
 /// files (truncated, corrupted, or from a different format version)
-/// newest-first. Returns `None` when the directory holds no usable
-/// checkpoint — the caller starts a fresh campaign.
+/// newest-first. Returns `None` when the directory holds no checkpoint
+/// file — the caller starts a fresh campaign.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Io`] when the directory itself cannot be listed.
-/// Damage inside individual files is never an error.
+/// [`CheckpointError::Io`] when the directory itself cannot be listed,
+/// and [`CheckpointError::NoUsableCheckpoint`] when it holds checkpoint
+/// files but none restores.
 pub fn restore_latest(
     dir: &Path,
     map: &MaraudersMap,
@@ -242,11 +253,11 @@ pub fn restore_latest(
     let mut skipped = 0usize;
     let files = list_checkpoints(dir)?;
     for (_, path) in files.iter().rev() {
-        let Ok(text) = std::fs::read_to_string(path) else {
+        let Ok(doc) = std::fs::read(path) else {
             skipped += 1;
             continue;
         };
-        match parse_checkpoint(&text, map.clone(), config.clone()) {
+        match open_checkpoint(&doc, map.clone(), config.clone()) {
             Ok((aggregator, closed)) => {
                 reg.counter_add("fleet.restores", 1);
                 reg.counter_add("fleet.checkpoints_skipped", skipped as u64);
@@ -261,6 +272,12 @@ pub fn restore_latest(
         }
     }
     reg.counter_add("fleet.checkpoints_skipped", skipped as u64);
+    if skipped > 0 {
+        return Err(CheckpointError::NoUsableCheckpoint {
+            dir: dir.to_path_buf(),
+            skipped,
+        });
+    }
     Ok(None)
 }
 
@@ -290,119 +307,34 @@ fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> 
     Ok(out)
 }
 
-/// Renders the checkpoint document: header, one `closed` record per
-/// closed window, the embedded aggregator snapshot, and an `end`
-/// sentinel carrying the record count (so truncation is detectable).
-fn checkpoint_document(aggregator: &Aggregator, closed: &[ClosedWindow]) -> String {
-    let mut out = String::new();
-    out.push_str(FLEET_CHECKPOINT_HEADER);
-    out.push('\n');
-    for c in closed {
-        let gamma = if c.gamma.is_empty() {
-            "-".to_string()
-        } else {
-            c.gamma
-                .iter()
-                .map(|m| m.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        out.push_str(&format!(
-            "closed {} {} {} {gamma}\n",
-            c.window,
-            hex(c.window_start_s),
-            c.mobile
-        ));
-    }
-    let fleet = aggregator.snapshot();
-    let nlines = fleet.lines().count();
-    out.push_str(&format!("fleet {nlines}\n"));
-    out.push_str(&fleet);
-    if !fleet.ends_with('\n') {
-        out.push('\n');
-    }
-    out.push_str(&format!("end {}\n", closed.len()));
-    out
+/// Seals the checkpoint document: every closed window in the
+/// closed-window codec, then the merge state.
+fn checkpoint_document(aggregator: &Aggregator, closed: &[ClosedWindow]) -> Vec<u8> {
+    persist::seal(DocKind::FleetCheckpoint, |out| {
+        closed
+            .iter()
+            .map(encode_closed)
+            .collect::<Vec<_>>()
+            .put(out);
+        aggregator.encode_state(out);
+    })
 }
 
-/// Parses a checkpoint document back into an aggregator and its closed
-/// windows. Errors are strings because the only caller skips the file
-/// and tries an older one.
-fn parse_checkpoint(
-    text: &str,
+/// Opens a checkpoint document into an aggregator and its closed
+/// windows.
+fn open_checkpoint(
+    doc: &[u8],
     map: MaraudersMap,
     config: FleetConfig,
-) -> Result<(Aggregator, Vec<ClosedWindow>), String> {
-    let lines: Vec<&str> = text.lines().collect();
-    if lines.first().copied() != Some(FLEET_CHECKPOINT_HEADER) {
-        return Err("bad checkpoint header".to_string());
-    }
-    let mut closed = Vec::new();
-    let mut i = 1usize;
-    while i < lines.len() {
-        let line = lines[i];
-        if let Some(rest) = line.strip_prefix("closed ") {
-            closed.push(parse_closed(rest).map_err(|e| format!("line {}: {e}", i + 1))?);
-            i += 1;
-        } else {
-            break;
-        }
-    }
-    let Some(fleet_decl) = lines.get(i) else {
-        return Err("missing fleet block".to_string());
-    };
-    let nlines: usize = fleet_decl
-        .strip_prefix("fleet ")
-        .ok_or_else(|| format!("line {}: expected fleet block", i + 1))?
-        .parse()
-        .map_err(|e| format!("line {}: bad fleet line count: {e}", i + 1))?;
-    i += 1;
-    if i + nlines > lines.len() {
-        return Err("truncated fleet block".to_string());
-    }
-    let fleet_text: String = lines[i..i + nlines]
-        .iter()
-        .map(|l| format!("{l}\n"))
-        .collect();
-    i += nlines;
-    match lines.get(i) {
-        Some(end) if *end == format!("end {}", closed.len()) => {}
-        Some(end) => return Err(format!("bad end sentinel {end:?}")),
-        None => return Err("missing end sentinel".to_string()),
-    }
-    let aggregator =
-        Aggregator::restore(map, config, &fleet_text).map_err(|e| format!("fleet block: {e}"))?;
-    Ok((aggregator, closed))
-}
-
-/// Parses one `closed` record body:
-/// `<window> <start_bits_hex> <mobile> <gamma_csv|->`.
-///
-/// The localization outcome is not persisted — checkpointed campaigns
-/// run with live localization off and refix everything in one batch
-/// pass — so restored windows carry the deferred marker.
-fn parse_closed(rest: &str) -> Result<ClosedWindow, String> {
-    let fields: Vec<&str> = rest.split(' ').collect();
-    if fields.len() != 4 {
-        return Err(format!("expected 4 fields, got {}", fields.len()));
-    }
-    let window: i64 = fields[0]
-        .parse()
-        .map_err(|e| format!("bad window index: {e}"))?;
-    let window_start_s = unhex(fields[1])?;
-    let mobile = MacAddr::from_str(fields[2]).map_err(|e| e.to_string())?;
-    let mut gamma = BTreeSet::new();
-    if fields[3] != "-" {
-        for part in fields[3].split(',') {
-            gamma.insert(MacAddr::from_str(part).map_err(|e| e.to_string())?);
-        }
-    }
-    Ok(ClosedWindow {
-        window,
-        window_start_s,
-        mobile,
-        gamma,
-        outcome: Err(PipelineError::DeferredLocalization),
+) -> Result<(Aggregator, Vec<ClosedWindow>), PersistError> {
+    let window_s = map.config().window_s;
+    persist::open(doc, DocKind::FleetCheckpoint, |r| {
+        let payloads: Vec<Vec<u8>> = r.get()?;
+        let closed = payloads
+            .iter()
+            .map(|p| decode_closed(p, window_s).ok_or_else(|| r.malformed("bad closed window")))
+            .collect::<Result<_, _>>()?;
+        Ok((Aggregator::decode_state(map, config, r)?, closed))
     })
 }
 
@@ -417,7 +349,7 @@ mod tests {
     use marauder_wifi::channel::Channel;
     use marauder_wifi::sniffer::CapturedFrame;
     use marauder_wifi::ssid::Ssid;
-    use marauder_wifi::Frame;
+    use marauder_wifi::{Frame, MacAddr};
 
     fn map() -> MaraudersMap {
         let db: ApDatabase = [
@@ -537,8 +469,8 @@ mod tests {
         cp.checkpoint_now(&agg, &closed).expect("second checkpoint");
         // Truncate the newest file mid-document.
         let newest = dir.join(checkpoint_name(1));
-        let text = std::fs::read_to_string(&newest).expect("read newest");
-        std::fs::write(&newest, &text[..text.len() / 2]).expect("truncate");
+        let doc = std::fs::read(&newest).expect("read newest");
+        std::fs::write(&newest, &doc[..doc.len() / 2]).expect("truncate");
 
         let restored = restore_latest(&dir, &map(), &config())
             .expect("restore")
@@ -556,6 +488,62 @@ mod tests {
             .expect("restore")
             .is_none());
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_directory_where_no_checkpoint_restores_is_a_typed_error() {
+        let dir = temp_dir("unusable");
+        let (agg, closed) = driven_aggregator(40);
+        let mut damaged = checkpoint_document(&agg, &closed);
+        let mid = damaged.len() / 2;
+        damaged[mid] ^= 0x01;
+        // A damaged file, or the text format an older build wrote.
+        let text = b"# marauder fleet checkpoint v1\nfleet 0\nend 0\n".to_vec();
+        for doc in [damaged, text] {
+            std::fs::write(dir.join(checkpoint_name(0)), &doc).expect("write checkpoint");
+            let err = restore_latest(&dir, &map(), &config())
+                .err()
+                .expect("a lone unusable checkpoint must not start a fresh campaign");
+            assert!(
+                matches!(&err, CheckpointError::NoUsableCheckpoint { dir: d, skipped: 1 } if *d == dir),
+                "{err}"
+            );
+            assert!(err.to_string().contains("move them aside"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Every truncation and every single-bit flip of `doc` must be a
+    /// typed error from `open_doc`: never `Ok`, never a panic.
+    fn assert_every_damage_is_typed<T>(
+        doc: &[u8],
+        open_doc: impl Fn(&[u8]) -> Result<T, PersistError>,
+    ) {
+        assert!(open_doc(doc).is_ok(), "the undamaged document opens");
+        for cut in 0..doc.len() {
+            assert!(open_doc(&doc[..cut]).is_err(), "cut to {cut} bytes opened");
+        }
+        let mut damaged = doc.to_vec();
+        for pos in 0..doc.len() {
+            for bit in 0..8 {
+                damaged[pos] ^= 1 << bit;
+                assert!(
+                    open_doc(&damaged).is_err(),
+                    "byte {pos} bit {bit} flipped and the document opened"
+                );
+                damaged[pos] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_fleet_persist_document_is_a_typed_error() {
+        let (agg, closed) = driven_aggregator(40);
+        assert!(!closed.is_empty());
+        assert_every_damage_is_typed(&agg.snapshot(), |d| Aggregator::restore(map(), config(), d));
+        assert_every_damage_is_typed(&checkpoint_document(&agg, &closed), |d| {
+            open_checkpoint(d, map(), config())
+        });
     }
 
     #[test]

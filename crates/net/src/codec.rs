@@ -25,7 +25,7 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// must not be able to request a multi-gigabyte buffer.
 pub const MAX_BODY_LEN: u32 = 1 << 24; // 16 MiB
 
-/// Bytes of snapshot text carried per [`Message::SnapshotChunk`].
+/// Bytes of snapshot document carried per [`Message::SnapshotChunk`].
 pub const SNAPSHOT_CHUNK_LEN: usize = 4096;
 
 const TAG_HELLO: u8 = 1;
@@ -90,8 +90,8 @@ pub enum Message {
         /// Node-local watermark promise, seconds (`+∞` = done).
         watermark_s: f64,
     },
-    /// Aggregator → node: a fleet checkpoint (stream-engine snapshot
-    /// text) follows, in `chunks` chunks totalling `total_len` bytes.
+    /// Aggregator → node: the aggregator's snapshot document follows,
+    /// in `chunks` chunks totalling `total_len` bytes.
     SnapshotOffer {
         /// Receiving node.
         node_id: u32,
@@ -106,7 +106,7 @@ pub enum Message {
         node_id: u32,
         /// Chunk index, `0..chunks`.
         index: u32,
-        /// Chunk bytes (UTF-8 snapshot text).
+        /// Chunk bytes of the sealed snapshot document.
         data: Vec<u8>,
     },
 }
@@ -466,8 +466,7 @@ pub fn decode(bytes: &[u8]) -> Result<(Message, usize), WireError> {
 
 /// Splits a snapshot document into [`Message::SnapshotOffer`] +
 /// [`Message::SnapshotChunk`]s for `node_id`.
-pub fn snapshot_messages(node_id: u32, snapshot: &str) -> Vec<Message> {
-    let bytes = snapshot.as_bytes();
+pub fn snapshot_messages(node_id: u32, bytes: &[u8]) -> Vec<Message> {
     let chunks = bytes.chunks(SNAPSHOT_CHUNK_LEN).count() as u32;
     let mut out = Vec::with_capacity(chunks as usize + 1);
     out.push(Message::SnapshotOffer {
@@ -485,15 +484,15 @@ pub fn snapshot_messages(node_id: u32, snapshot: &str) -> Vec<Message> {
     out
 }
 
-/// Reassembles the text offered by [`snapshot_messages`] from the
-/// offer + chunk sequence.
+/// Reassembles the document offered by [`snapshot_messages`] from the
+/// offer + chunk sequence. The bytes come from the wire: restoring them
+/// checks their seal.
 ///
 /// # Errors
 ///
 /// [`WireError::BadPayload`] when chunks are missing, out of order, or
-/// the total length disagrees with the offer; `BadPayload` with a
-/// UTF-8 context when the bytes are not valid text.
-pub fn reassemble_snapshot(offer: &Message, chunks: &[Message]) -> Result<String, WireError> {
+/// the total length disagrees with the offer.
+pub fn reassemble_snapshot(offer: &Message, chunks: &[Message]) -> Result<Vec<u8>, WireError> {
     let Message::SnapshotOffer {
         total_len,
         chunks: declared,
@@ -509,7 +508,7 @@ pub fn reassemble_snapshot(offer: &Message, chunks: &[Message]) -> Result<String
             what: "snapshot chunk count",
         });
     }
-    let mut bytes = Vec::with_capacity(*total_len as usize);
+    let mut bytes = Vec::new();
     for (i, chunk) in chunks.iter().enumerate() {
         let Message::SnapshotChunk { index, data, .. } = chunk else {
             return Err(WireError::BadPayload {
@@ -528,9 +527,7 @@ pub fn reassemble_snapshot(offer: &Message, chunks: &[Message]) -> Result<String
             what: "snapshot length",
         });
     }
-    String::from_utf8(bytes).map_err(|_| WireError::BadPayload {
-        what: "snapshot utf-8",
-    })
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -656,11 +653,11 @@ mod tests {
 
     #[test]
     fn snapshot_chunking_round_trips() {
-        let text: String = (0..3000).map(|i| (b'a' + (i % 26) as u8) as char).collect();
-        let msgs = snapshot_messages(9, &text);
+        let doc: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
+        let msgs = snapshot_messages(9, &doc);
         assert!(msgs.len() >= 2);
         let back = reassemble_snapshot(&msgs[0], &msgs[1..]).unwrap();
-        assert_eq!(back, text);
+        assert_eq!(back, doc);
         // A missing chunk is a typed error.
         assert!(reassemble_snapshot(&msgs[0], &msgs[1..msgs.len() - 1]).is_err());
     }

@@ -24,10 +24,10 @@
 //!   (min over live nodes, stream-time eviction of the dead), and
 //!   feeds the engine a globally nondecreasing frame sequence.
 //! - [`checkpoint`]: [`Checkpointer`] writes atomic, stream-time-paced
-//!   fleet checkpoints (aggregator snapshot + every closed window), and
-//!   [`restore_latest`] rebuilds the newest valid one after a crash so
-//!   a restarted aggregator resumes mid-campaign with zero windows
-//!   lost.
+//!   fleet checkpoints (merge state + every closed window, sealed by
+//!   [`marauder_stream::persist`]), and [`restore_latest`] rebuilds the
+//!   newest valid one after a crash so a restarted aggregator resumes
+//!   mid-campaign with zero windows lost.
 //! - [`loopback`]: [`LoopbackFleet`] drives everything round-robin on
 //!   one thread for hermetic, bit-exact tests; [`chaos`] runs the
 //!   per-node fault matrix from `crates/fault` over it.
@@ -44,12 +44,8 @@ pub mod node;
 pub mod tcp;
 pub mod transport;
 
-pub use aggregator::{
-    Aggregator, FleetConfig, FleetSnapshotError, FleetStats, Turn, NODE_LAG_BOUNDS_S,
-};
-pub use checkpoint::{
-    restore_latest, CheckpointError, Checkpointer, FleetRestore, FLEET_CHECKPOINT_HEADER,
-};
+pub use aggregator::{Aggregator, FleetConfig, FleetStats, Turn, NODE_LAG_BOUNDS_S};
+pub use checkpoint::{restore_latest, CheckpointError, Checkpointer, FleetRestore};
 pub use codec::{Message, WireError, MAX_BODY_LEN, PROTOCOL_VERSION};
 pub use loopback::{
     corrupt_slice, required_slack_s, split_by_time, split_round_robin, LoopbackFleet,

@@ -1,14 +1,16 @@
 //! Property tests for fleet checkpoint damage tolerance: any
-//! truncation or single-byte corruption of a checkpoint file never
-//! panics [`restore_latest`] — and as long as one intact checkpoint
-//! remains in the directory, restore always finds it.
+//! truncation or single-byte corruption of the newer of two checkpoint
+//! files is skipped — checkpoints are CRC-sealed documents — and
+//! restore falls back to the intact older one, restoring exactly its
+//! state: the same aggregator snapshot bytes and the same closed
+//! windows.
 
 use marauder_core::apdb::{ApDatabase, ApRecord};
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
 use marauder_net::codec::{Message, PROTOCOL_VERSION};
 use marauder_net::{restore_latest, Aggregator, Checkpointer, FleetConfig};
-use marauder_stream::StreamConfig;
+use marauder_stream::{ClosedWindow, StreamConfig};
 use marauder_wifi::channel::Channel;
 use marauder_wifi::frame::Frame;
 use marauder_wifi::mac::MacAddr;
@@ -47,10 +49,31 @@ fn config() -> FleetConfig {
     }
 }
 
-/// One checkpoint file's bytes, produced by a real aggregator run and
-/// cached for every case.
-fn template_checkpoint() -> &'static Vec<u8> {
-    static T: OnceLock<Vec<u8>> = OnceLock::new();
+/// What a restore must reproduce: the aggregator's snapshot bytes and
+/// the closed windows as `(window, start bits, mobile, Γ)`.
+type Restored = (Vec<u8>, Vec<(i64, u64, MacAddr, Vec<MacAddr>)>);
+
+fn restored(aggregator: &Aggregator, closed: &[ClosedWindow]) -> Restored {
+    (
+        aggregator.snapshot(),
+        closed
+            .iter()
+            .map(|c| {
+                (
+                    c.window,
+                    c.window_start_s.to_bits(),
+                    c.mobile,
+                    c.gamma.iter().copied().collect(),
+                )
+            })
+            .collect(),
+    )
+}
+
+/// One checkpoint file's bytes, produced by a real aggregator run, and
+/// the state it holds; cached for every case.
+fn template() -> &'static (Vec<u8>, Restored) {
+    static T: OnceLock<(Vec<u8>, Restored)> = OnceLock::new();
     T.get_or_init(|| {
         let mut agg = Aggregator::new(map(), config());
         let mut closed = Vec::new();
@@ -110,8 +133,12 @@ fn template_checkpoint() -> &'static Vec<u8> {
             .path();
         let bytes = std::fs::read(file).expect("read checkpoint");
         let _ = std::fs::remove_dir_all(&dir);
-        bytes
+        (bytes, restored(&agg, &closed))
     })
+}
+
+fn template_checkpoint() -> &'static Vec<u8> {
+    &template().0
 }
 
 /// A scratch checkpoint directory holding an intact oldest checkpoint
@@ -133,14 +160,28 @@ fn materialize(damaged: &[u8]) -> PathBuf {
     dir
 }
 
-/// Damage must never panic restore, and the intact older checkpoint
-/// guarantees a successful restore no matter what the damage did.
+/// Damage must never panic restore: the damaged newer file is skipped
+/// and the intact older one restores exactly the template's state. A
+/// "cut" at full length leaves the newer file intact, so it restores
+/// with nothing skipped.
 fn check_restore(damaged: &[u8]) -> Result<(), TestCaseError> {
     let dir = materialize(damaged);
     let result = restore_latest(&dir, &map(), &config());
     let verdict = match result {
         Ok(Some(restore)) => {
-            prop_assert!(restore.skipped <= 1, "only the damaged file may be skipped");
+            let intact = damaged == template_checkpoint().as_slice();
+            let want_file = format!("fleet-{:020}.ckpt", u8::from(intact));
+            prop_assert_eq!(restore.skipped, usize::from(!intact));
+            prop_assert!(
+                restore.file.ends_with(&want_file),
+                "restored {:?}, want {}",
+                restore.file,
+                want_file
+            );
+            prop_assert!(
+                restored(&restore.aggregator, &restore.closed) == template().1,
+                "the restore differs from the clean template's state"
+            );
             Ok(())
         }
         Ok(None) => Err(TestCaseError::fail(

@@ -288,7 +288,7 @@ impl BenchClient {
     ///
     /// [`ServeError::Io`] on disconnect, a malformed response, or a
     /// non-200 status.
-    pub fn get_body(&mut self, target: &str) -> Result<String, ServeError> {
+    pub fn get_bytes(&mut self, target: &str) -> Result<Vec<u8>, ServeError> {
         let (status, body) = self.request(target)?;
         if status != 200 {
             return Err(ServeError::Io {
@@ -299,7 +299,16 @@ impl BenchClient {
                 ),
             });
         }
-        String::from_utf8(body).map_err(|e| {
+        Ok(body)
+    }
+
+    /// Like [`get_bytes`](Self::get_bytes) for a text body.
+    ///
+    /// # Errors
+    ///
+    /// As [`get_bytes`](Self::get_bytes), or a body that is not UTF-8.
+    pub fn get_body(&mut self, target: &str) -> Result<String, ServeError> {
+        String::from_utf8(self.get_bytes(target)?).map_err(|e| {
             ServeError::io(
                 "decode body",
                 std::io::Error::new(ErrorKind::InvalidData, e),

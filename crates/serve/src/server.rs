@@ -408,10 +408,10 @@ pub fn route(request: &Request, snapshot: &TrackerSnapshot) -> Response {
         "/healthz" => Response::text(200, "ok\n"),
         "/metrics" => Response::ok("application/json", marauder_obs::global().to_json()),
         "/snapshot" => {
-            if snapshot.engine_text.is_empty() {
+            if snapshot.engine_doc.is_empty() {
                 Response::text(404, "no engine snapshot published yet\n")
             } else {
-                Response::ok("text/plain; charset=utf-8", snapshot.engine_text.as_bytes())
+                Response::ok("application/octet-stream", snapshot.engine_doc.as_slice())
             }
         }
         "/tiles" => match request.query_param("bbox") {
@@ -473,8 +473,11 @@ mod tests {
             route(&get("/track/00:00:00:00:00:01"), &snapshot).status,
             404
         );
-        snapshot.engine_text = Arc::new("# marauder stream snapshot v1\n".to_string());
-        assert_eq!(route(&get("/snapshot"), &snapshot).status, 200);
+        snapshot.engine_doc = Arc::new(b"doc".to_vec());
+        let served = route(&get("/snapshot"), &snapshot);
+        assert_eq!(served.status, 200);
+        assert_eq!(served.content_type, "application/octet-stream");
+        assert_eq!(served.body, b"doc");
         // Tiles on empty state still renders a (featureless) document.
         let tiles = route(&get("/tiles?bbox=0,0,10,10"), &snapshot);
         assert_eq!(tiles.status, 200);
@@ -498,13 +501,13 @@ mod tests {
         let cache = Mutex::new(ResponseCache::new());
         let req = get("/snapshot");
         let mut snap_a = TrackerSnapshot::empty();
-        snap_a.engine_text = Arc::new("# marauder stream snapshot v1\nA\n".to_string());
+        snap_a.engine_doc = Arc::new(b"A".to_vec());
         let body_a = route_cached(&req, &snap_a, 1, &cache).body;
 
         // Same epoch, different snapshot object: the cache answers, so
         // the body must still be A's — this is what proves the hit.
         let mut snap_b = TrackerSnapshot::empty();
-        snap_b.engine_text = Arc::new("# marauder stream snapshot v1\nB\n".to_string());
+        snap_b.engine_doc = Arc::new(b"B".to_vec());
         assert_eq!(route_cached(&req, &snap_b, 1, &cache).body, body_a);
 
         // Epoch moved: the stale entry is invalidated wholesale.

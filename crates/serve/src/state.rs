@@ -8,7 +8,7 @@
 //! what changed: per-device fix vectors are shared `Arc`s updated
 //! copy-on-write (`Arc::make_mut` clones a device's history only when
 //! a published snapshot still references it), the tracks map is an
-//! O(devices) `Arc`-bump clone, and the engine's full text snapshot —
+//! O(devices) `Arc`-bump clone, and the engine's full snapshot document —
 //! the one genuinely expensive artifact — is regenerated only on a
 //! stream-time cadence, not on every publish.
 
@@ -83,10 +83,10 @@ pub struct TrackerSnapshot {
     /// Per-device fix history, oldest first, bounded by
     /// [`PublisherConfig::max_fixes_per_device`].
     pub tracks: BTreeMap<MacAddr, Arc<Vec<TrackFix>>>,
-    /// The engine's text snapshot (the `marauder stream snapshot v1`
-    /// format), regenerated on the publisher's cadence — it may lag
-    /// `tracks` by up to `snapshot_every_s` of stream time.
-    pub engine_text: Arc<String>,
+    /// The engine's [`StreamEngine::snapshot`] document (empty before
+    /// the first publish), regenerated on the publisher's cadence — it
+    /// may lag `tracks` by up to `snapshot_every_s` of stream time.
+    pub engine_doc: Arc<Vec<u8>>,
 }
 
 impl TrackerSnapshot {
@@ -97,7 +97,7 @@ impl TrackerSnapshot {
             watermark_s: None,
             stats: StreamStats::default(),
             tracks: BTreeMap::new(),
-            engine_text: Arc::new(String::new()),
+            engine_doc: Arc::new(Vec::new()),
         }
     }
 
@@ -171,10 +171,10 @@ impl TrackerSnapshot {
 /// Publisher knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PublisherConfig {
-    /// Regenerate the engine text snapshot at most once per this many
-    /// seconds of *stream* time (it is the one publish-path artifact
-    /// whose cost grows with total state, so it is cadenced rather
-    /// than rebuilt per batch).
+    /// Regenerate the engine snapshot document at most once per this
+    /// many seconds of *stream* time (it is the one publish-path
+    /// artifact whose cost grows with total state, so it is cadenced
+    /// rather than rebuilt per batch).
     pub snapshot_every_s: f64,
     /// Per-device history bound: the oldest fixes are dropped beyond
     /// it, so a long campaign cannot grow server memory without bound.
@@ -197,8 +197,8 @@ pub struct TrackerPublisher {
     plane: Arc<SnapshotPlane<TrackerSnapshot>>,
     config: PublisherConfig,
     tracks: BTreeMap<MacAddr, Arc<Vec<TrackFix>>>,
-    engine_text: Arc<String>,
-    last_text_watermark_s: Option<f64>,
+    engine_doc: Arc<Vec<u8>>,
+    last_doc_watermark_s: Option<f64>,
     seq: u64,
 }
 
@@ -212,8 +212,8 @@ impl TrackerPublisher {
                 plane: Arc::clone(&plane),
                 config,
                 tracks: BTreeMap::new(),
-                engine_text: Arc::new(String::new()),
-                last_text_watermark_s: None,
+                engine_doc: Arc::new(Vec::new()),
+                last_doc_watermark_s: None,
                 seq: 0,
             },
             plane,
@@ -246,17 +246,17 @@ impl SnapshotSink for TrackerPublisher {
             history.push(fix);
             fixes_appended += 1;
         }
-        // The text snapshot is cadenced on stream time; `None -> Some`
-        // (first watermark) always regenerates.
+        // The snapshot document is cadenced on stream time; `None ->
+        // Some` (first watermark) always regenerates.
         let watermark = engine.watermark();
-        let due = match (self.last_text_watermark_s, watermark) {
+        let due = match (self.last_doc_watermark_s, watermark) {
             (Some(last), Some(now)) => now - last >= self.config.snapshot_every_s,
             (None, _) => true,
             (Some(_), None) => false,
         };
         if due {
-            self.engine_text = Arc::new(engine.snapshot());
-            self.last_text_watermark_s = watermark.or(Some(f64::NEG_INFINITY));
+            self.engine_doc = Arc::new(engine.snapshot());
+            self.last_doc_watermark_s = watermark.or(Some(f64::NEG_INFINITY));
         }
         self.seq += 1;
         self.plane.publish(TrackerSnapshot {
@@ -264,7 +264,7 @@ impl SnapshotSink for TrackerPublisher {
             watermark_s: watermark,
             stats: engine.stats().clone(),
             tracks: self.tracks.clone(),
-            engine_text: Arc::clone(&self.engine_text),
+            engine_doc: Arc::clone(&self.engine_doc),
         });
         let obs = marauder_obs::global();
         obs.counter_add("serve.publish.snapshots", 1);
@@ -346,10 +346,9 @@ mod tests {
         assert!(json.contains("\"fixes\""));
         assert!(snap.track_csv(&MacAddr::from_index(999)).is_none());
 
-        // The engine text snapshot is a restorable v1 document.
-        assert!(snap
-            .engine_text
-            .starts_with("# marauder stream snapshot v1"));
+        // The engine snapshot document restores.
+        let restored = StreamEngine::restore(test_map(), &snap.engine_doc).expect("restores");
+        assert!(restored.stats().frames_total > 0);
 
         // Tiles: the full-plane bbox holds every fix, a remote bbox none.
         let all = BBox::parse("-1000,-1000,1000,1000").unwrap();

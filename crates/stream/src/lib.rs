@@ -50,7 +50,8 @@
 //! Engine state can be snapshotted mid-stream ([`StreamEngine::snapshot`]),
 //! carried across a process restart, restored
 //! ([`StreamEngine::restore`]) and resumed — with output identical to
-//! the uninterrupted run.
+//! the uninterrupted run. Every persisted state is one CRC-sealed
+//! binary document ([`persist`]).
 //!
 //! # Durability
 //!
@@ -66,6 +67,7 @@
 
 mod engine;
 mod journal;
+pub mod persist;
 mod publish;
 mod replay;
 mod snapshot;
@@ -73,14 +75,14 @@ mod snapshot;
 pub use engine::{ClosedWindow, StreamConfig, StreamEngine, StreamStats};
 pub use journal::{
     record_crc, FlushPolicy, FrameJournal, JournalConfig, JournalError, Recovery, RecoveryError,
-    RecoveryReport, CHECKPOINT_HEADER, CLOSED_LOG, CLOSED_LOG_MAGIC, MAX_RECORD_LEN,
-    RETAINED_CHECKPOINTS, SEGMENT_MAGIC,
+    RecoveryReport, CLOSED_LOG, CLOSED_LOG_MAGIC, MAX_RECORD_LEN, RETAINED_CHECKPOINTS,
+    SEGMENT_MAGIC,
 };
+pub use persist::{write_atomic, PersistError};
 pub use publish::SnapshotSink;
 pub use replay::{
     pacing_gap, replay_database, replay_frames, replay_log, Pacer, PollBackoff, MAX_PACING_GAP_S,
 };
-pub use snapshot::{write_atomic, SnapshotError};
 
 // Re-exported for downstream convenience (CLI, benches).
 pub use marauder_core::pipeline::{MaraudersMap, TrackFix};

@@ -15,7 +15,7 @@
 //! no queue that can fall behind. A sink that does unbounded work per
 //! publish would slow ingestion, so implementations are expected to do
 //! O(changed state) work and defer anything heavier (the serving
-//! layer, for instance, regenerates its full text snapshot only on a
+//! layer, for instance, regenerates its full snapshot document only on a
 //! stream-time cadence).
 
 use crate::engine::{ClosedWindow, StreamEngine};

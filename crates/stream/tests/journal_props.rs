@@ -7,8 +7,10 @@
 //!
 //! Three invariants are pinned exactly:
 //!
-//! * damage to a *checkpoint* is never fatal (the journal is the
-//!   source of truth; the checkpoint is skipped),
+//! * damage to a *checkpoint* is never fatal and changes nothing: a
+//!   checkpoint is a CRC-sealed document, so a damaged one is skipped,
+//!   recovery falls back to an older checkpoint or the segments, and
+//!   the fixes are byte-identical to the undamaged journal's,
 //! * damage to the *final segment* is never fatal (it is
 //!   indistinguishable from a crash mid-append, so it is a torn tail),
 //! * damage to the *closed-window log* is never fatal and changes
@@ -100,6 +102,12 @@ fn template() -> &'static Vec<(String, Vec<u8>)> {
             journal.append(f).expect("append");
             closed.extend(engine.push(f));
             if k == 10 || k == 17 {
+                // Both checkpoints must cover closed windows, or log
+                // damage would never reach a checkpoint.
+                assert!(
+                    !closed.is_empty(),
+                    "checkpoint after frame {k} covers no window"
+                );
                 journal.checkpoint(&engine, &closed).expect("checkpoint");
             }
         }
@@ -118,20 +126,6 @@ fn template() -> &'static Vec<(String, Vec<u8>)> {
         let _ = std::fs::remove_dir_all(&dir);
         files.sort();
         assert!(files.len() >= 3, "template must rotate segments");
-        // Both checkpoints must cover closed windows, or log damage
-        // would never reach a checkpoint.
-        for (name, bytes) in &files {
-            if name.starts_with("checkpoint-") {
-                let text = String::from_utf8_lossy(bytes);
-                let covered: usize = text
-                    .lines()
-                    .find_map(|l| l.strip_prefix("closed "))
-                    .and_then(|rest| rest.split_whitespace().next())
-                    .and_then(|k| k.parse().ok())
-                    .expect("checkpoint has a closed record");
-                assert!(covered >= 1, "{name} covers no closed window");
-            }
-        }
         // The newest checkpoint must leave a non-final segment for
         // recovery to scan, or no segment damage could reach the typed
         // corruption error: recovery skips every segment whose
@@ -221,26 +215,31 @@ fn final_segment_name(files: &[(String, Vec<u8>)]) -> String {
 
 /// Shared verdict: recovery of a journal with one damaged file either
 /// succeeds within bounds or fails with the typed corruption error —
-/// the two protected damage classes always succeed, and closed-window
-/// log damage recovers exactly the undamaged journal's fixes.
+/// the protected damage classes always succeed, and checkpoint or
+/// closed-window log damage recovers exactly the undamaged journal's
+/// fixes.
 fn check_recovery(
     files: &[(String, Vec<u8>)],
     damaged: &str,
     final_segment: &str,
 ) -> Result<(), TestCaseError> {
-    let is_checkpoint = damaged.starts_with("checkpoint-");
     let is_final_segment = damaged == final_segment;
     let dir = materialize(files);
-    if damaged == CLOSED_LOG {
+    if damaged == CLOSED_LOG || damaged.starts_with("checkpoint-") {
         let fixes = recovered_fixes(&dir);
         let _ = std::fs::remove_dir_all(&dir);
         return match fixes {
             Ok(fixes) => {
-                prop_assert_eq!(&fixes, reference_fixes(), "log damage changed the fixes");
+                prop_assert_eq!(
+                    &fixes,
+                    reference_fixes(),
+                    "{} damage changed the fixes",
+                    damaged
+                );
                 Ok(())
             }
             Err(e) => Err(TestCaseError::fail(format!(
-                "closed-window log damage must never fail recovery: {e}"
+                "{damaged} damage must never fail recovery: {e}"
             ))),
         };
     }
@@ -255,10 +254,6 @@ fn check_recovery(
             Ok(())
         }
         Err(RecoveryError::Corrupt { .. }) => {
-            prop_assert!(
-                !is_checkpoint,
-                "checkpoint damage must be skipped, never fatal"
-            );
             prop_assert!(
                 !is_final_segment,
                 "final-segment damage is a torn tail, never fatal"
@@ -304,34 +299,52 @@ proptest! {
     }
 }
 
-/// Every truncation and every single-bit flip of the closed-window log,
-/// exhaustively: the per-record CRC makes each one detectable, so each
-/// must recover the undamaged journal's fixes exactly.
-#[test]
-fn every_closed_log_truncation_and_bit_flip_recovers_exactly() {
+/// Every truncation and every single-bit flip of one file, exhaustively:
+/// each must recover the undamaged journal's fixes exactly.
+fn every_truncation_and_bit_flip_recovers_exactly(name: &str) {
     let files = template();
     let final_segment = final_segment_name(files);
-    let li = files
+    let fi = files
         .iter()
-        .position(|(name, _)| name == CLOSED_LOG)
-        .expect("template has a closed-window log");
-    let len = files[li].1.len();
+        .position(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("template has {name}"));
+    let len = files[fi].1.len();
     let mut cases = 0;
     for cut in 0..len {
         let mut damaged = files.clone();
-        damaged[li].1.truncate(cut);
-        check_recovery(&damaged, CLOSED_LOG, &final_segment)
-            .unwrap_or_else(|e| panic!("log cut to {cut} bytes: {e}"));
+        damaged[fi].1.truncate(cut);
+        check_recovery(&damaged, name, &final_segment)
+            .unwrap_or_else(|e| panic!("{name} cut to {cut} bytes: {e}"));
         cases += 1;
     }
     for pos in 0..len {
         for bit in 0..8 {
             let mut damaged = files.clone();
-            damaged[li].1[pos] ^= 1 << bit;
-            check_recovery(&damaged, CLOSED_LOG, &final_segment)
-                .unwrap_or_else(|e| panic!("log byte {pos} bit {bit} flipped: {e}"));
+            damaged[fi].1[pos] ^= 1 << bit;
+            check_recovery(&damaged, name, &final_segment)
+                .unwrap_or_else(|e| panic!("{name} byte {pos} bit {bit} flipped: {e}"));
             cases += 1;
         }
     }
     assert_eq!(cases, 9 * len);
+}
+
+/// The per-record CRC makes every damage to the closed-window log
+/// detectable.
+#[test]
+fn every_closed_log_truncation_and_bit_flip_recovers_exactly() {
+    every_truncation_and_bit_flip_recovers_exactly(CLOSED_LOG);
+}
+
+/// The document CRC makes every damage to the newest checkpoint
+/// detectable: recovery falls back to the older one.
+#[test]
+fn every_newest_checkpoint_truncation_and_bit_flip_recovers_exactly() {
+    let newest = template()
+        .iter()
+        .map(|(n, _)| n)
+        .filter(|n| n.starts_with("checkpoint-"))
+        .max()
+        .expect("template has checkpoints");
+    every_truncation_and_bit_flip_recovers_exactly(newest);
 }

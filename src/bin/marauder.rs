@@ -372,7 +372,7 @@ const USAGE: &str = "usage:
   serve ingests a capture log through the live tracking engine and
   exposes the evolving tracker state over HTTP: /track/<mac> (CSV, or
   ?format=json), /tiles?bbox=x0,y0,x1,y1 (GeoJSON), /snapshot (engine
-  text snapshot), /metrics, /healthz. Readers never block ingestion —
+  snapshot document), /metrics, /healthz. Readers never block ingestion —
   the engine publishes immutable snapshots onto a lock-free-reader
   plane. --listen defaults to 127.0.0.1:8646 (use :0 for an ephemeral
   port; the bound address is printed first on stdout); --speed paces

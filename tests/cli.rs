@@ -761,8 +761,21 @@ fn serve_announces_and_answers_http() {
     assert_eq!(health, "ok\n");
     let metrics = client.get_body("/metrics").expect("/metrics");
     assert!(metrics.contains("serve.requests"));
-    let snapshot = client.get_body("/snapshot").expect("/snapshot");
-    assert!(snapshot.starts_with("# marauder stream snapshot v1"));
+    // The served engine document restores over the map built from the
+    // same knowledge file.
+    let doc = client.get_bytes("/snapshot").expect("/snapshot");
+    let db = marauders_map::core::apdb::ApDatabase::from_csv(
+        &std::fs::read_to_string(dir.join("aps.csv")).expect("read aps.csv"),
+    )
+    .expect("parse aps.csv");
+    let map = marauders_map::core::MaraudersMap::new(
+        db,
+        marauders_map::core::KnowledgeLevel::Full,
+        marauders_map::core::AttackConfig::default(),
+    );
+    let engine =
+        marauders_map::stream::StreamEngine::restore(map, &doc).expect("/snapshot restores");
+    assert!(engine.stats().frames_total > 0);
     assert_eq!(client.get("/nope").expect("/nope"), 404);
 
     child.kill().expect("stop serve");
