@@ -1,20 +1,26 @@
-//! LP-layer microbenches: the sparse revised simplex against the
-//! retained dense reference, and warm re-solves against cold ones on
-//! incrementally grown programs — the two claims the `marauder-lp`
-//! rewrite makes.
+//! LP-layer microbenches: the min-cost-flow pair-program solver and
+//! the sparse revised simplex against the retained dense reference,
+//! and warm re-solves against cold ones on incrementally grown
+//! programs.
 //!
 //! Run with `CRITERION_JSON_OUT=results/BENCH_lp.json` to record the
 //! machine-readable baseline committed in `results/`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use marauder_geo::montecarlo::SplitMix64;
-use marauder_lp::{dense, solve_with_basis, BasisHint, Problem, Relation, WarmStart};
+use marauder_lp::{dense, solve_with_basis, BasisHint, PairProgram, Problem, Relation, WarmStart};
 
 /// An AP-Rad-shaped program over `n` jittered grid sites: per-variable
 /// caps plus pairwise `r_i + r_j ≤ d` budgets for near pairs. Pure-`≤`
 /// (the shape the streaming engine re-solves incrementally, and the
 /// only shape the warm path accepts).
 fn city_lp(n: usize, seed: u64) -> Problem {
+    city_pairs(n, seed).to_problem()
+}
+
+/// [`city_lp`] as a pair program: the same caps and rows in the same
+/// order.
+fn city_pairs(n: usize, seed: u64) -> PairProgram {
     let mut rng = SplitMix64::new(seed);
     let side = (n as f64).sqrt().ceil() as usize;
     let pts: Vec<(f64, f64)> = (0..n)
@@ -29,25 +35,24 @@ fn city_lp(n: usize, seed: u64) -> Problem {
         let (dx, dy) = (pts[i].0 - pts[j].0, pts[i].1 - pts[j].1);
         (dx * dx + dy * dy).sqrt()
     };
-    let mut p = Problem::maximize(&vec![1.0; n]);
-    for i in 0..n {
-        p.add_upper_bound(i, 400.0);
-    }
+    let mut p = PairProgram::new(&vec![400.0; n]);
     for i in 0..n {
         for j in (i + 1)..n {
             let d = dist(i, j);
             if d < 250.0 {
-                p.add_constraint(&[(i, 1.0), (j, 1.0)], Relation::Le, d - 1e-3);
+                p.add_row(i, j, Relation::Le, d - 1e-3);
             }
         }
     }
     p
 }
 
-/// Sparse revised simplex vs the dense two-phase tableau it replaced,
-/// cold solves, growing program sizes. Dense cost scales with the full
-/// `rows × columns` tableau; the sparse tableau only touches the 1–2
-/// nonzeros per row, which is where the headroom comes from.
+/// Cold solves of growing programs: the min-cost flow on the doubled
+/// graph, the sparse revised simplex, and the dense two-phase tableau
+/// the simplex replaced. Dense cost scales with the full `rows ×
+/// columns` tableau; the sparse tableau only touches the 1–2 nonzeros
+/// per row; the flow never pivots at all, it runs shortest paths over
+/// `2n + 3` nodes.
 fn bench_sparse_vs_dense(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp/cold_solve");
     group.sample_size(10);
@@ -58,6 +63,10 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("dense", n), &p, |b, p| {
             b.iter(|| black_box(dense::solve(p)))
+        });
+        let pairs = city_pairs(n, 7);
+        group.bench_with_input(BenchmarkId::new("flow", n), &pairs, |b, p| {
+            b.iter(|| black_box(p.solve()))
         });
     }
     group.finish();

@@ -16,10 +16,16 @@
 //! happens the negative constraints are dropped, tightest first, until
 //! the system becomes feasible — the paper's "highly likely" hedge made
 //! operational.
+//!
+//! Every row has two variables with unit coefficients, so each LP round
+//! is a pair program that [`marauder_lp::flow`] solves as a min-cost
+//! flow ([`LpMethod::Flow`], the default). The simplex stays selectable
+//! as the reference solver ([`LpMethod::Simplex`]) and always serves
+//! the warm-started live path.
 
 use super::{CoverageDisc, Estimate, MLoc};
 use marauder_geo::{GridIndex, Point};
-use marauder_lp::{solve_with_basis, BasisHint, Outcome, Problem, Relation, WarmStart};
+use marauder_lp::{solve_with_basis, BasisHint, Outcome, PairProgram, Relation, WarmStart};
 use marauder_wifi::mac::MacAddr;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -114,6 +120,23 @@ pub enum PairPruning {
     /// and fan the per-AP queries out across worker threads.
     #[default]
     Grid,
+}
+
+/// Which solver runs the cold LP rounds.
+///
+/// Both reach the same optimum, but where the optimal face holds more
+/// than one point they may report different ones, so radii can differ
+/// between the two. Either choice is a pure function of its input. The
+/// warm-started live path ([`ApRadSolver::set_warm_start`]) always uses
+/// the simplex.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LpMethod {
+    /// Min-cost flow on the doubled difference-constraint graph
+    /// ([`marauder_lp::flow`]).
+    #[default]
+    Flow,
+    /// The sparse two-phase simplex: the reference solver.
+    Simplex,
 }
 
 /// Order-independent sufficient statistics of a set of observation
@@ -242,6 +265,8 @@ pub struct ApRad {
     pub min_observations_for_negative: usize,
     /// Candidate-pair enumeration strategy.
     pub pruning: PairPruning,
+    /// Solver of the cold LP rounds.
+    pub lp: LpMethod,
     /// The M-Loc instance used after radii are estimated.
     pub mloc: MLoc,
 }
@@ -254,6 +279,7 @@ impl Default for ApRad {
             max_negative_per_ap: 12,
             min_observations_for_negative: 3,
             pruning: PairPruning::default(),
+            lp: LpMethod::default(),
             mloc: MLoc::default(),
         }
     }
@@ -318,9 +344,10 @@ impl ApRad {
     /// `grid` optionally supplies a prebuilt [`LocationsGrid`] (the
     /// incremental solver reuses one across windows); when absent or
     /// stale, a fresh one is built per call. `mode` selects plain cold
-    /// solves or warm starts from a basis memory — the *constraint
-    /// set* is identical either way, only the LP starting point (and
-    /// therefore possibly which optimal vertex is reported) differs.
+    /// solves (by [`ApRad::lp`]) or simplex warm starts from a basis
+    /// memory — the *constraint set* is identical either way, only the
+    /// solver (and therefore possibly which optimal point is reported)
+    /// differs.
     fn solve_impl(
         &self,
         locations: &BTreeMap<MacAddr, Point>,
@@ -508,32 +535,28 @@ impl ApRad {
         // Key structural insight: under `maximize Σ r`, the co-observation
         // constraints `r_i + r_j >= d_ij` can never lower the optimum —
         // they are either satisfied by the unconstrained maximum or make
-        // the program infeasible. So solve WITHOUT them first (slack-only
-        // LP: phase 1 is free), then verify and only materialize the
-        // violated ones. This keeps the tableau small on real campuses
-        // where co-pairs vastly outnumber binding constraints.
+        // the program infeasible. So solve WITHOUT them first, then
+        // verify and only materialize the violated ones. This keeps the
+        // program small on real campuses where co-pairs vastly outnumber
+        // binding constraints. Forcing every co-pair from the first round
+        // instead changes the radii wherever the round cap below binds
+        // (see DESIGN.md, "Why the lazy loop stays").
         let mut forced: BTreeSet<(usize, usize)> = BTreeSet::new();
         let mut active_from = 0usize; // negative[..active_from] dropped
         let mut best: Option<Vec<f64>> = None;
         let warm_capable = matches!(mode, SolveMode::Warm(_));
+        let caps: Vec<f64> = lo.iter().map(|l| self.max_radius - l).collect();
         for _round in 0..12 {
-            let mut p = Problem::maximize(&vec![1.0; vars.len()]);
+            let mut p = PairProgram::new(&caps);
             // Row identities in BSSID terms, parallel to the rows added
             // below — only materialized on the warm path, where they key
             // the basis memory across solves.
             let mut keys: Vec<RowKey> = Vec::new();
-            for (i, l) in lo.iter().enumerate() {
-                p.add_upper_bound(i, self.max_radius - l);
-                if warm_capable {
-                    keys.push(RowKey::Bound(vars[i]));
-                }
+            if warm_capable {
+                keys.extend(vars.iter().map(|m| RowKey::Bound(*m)));
             }
             for &(i, j, d) in &negative[active_from..] {
-                p.add_constraint(
-                    &[(i, 1.0), (j, 1.0)],
-                    Relation::Le,
-                    d - self.epsilon - lo[i] - lo[j],
-                );
+                p.add_row(i, j, Relation::Le, d - self.epsilon - lo[i] - lo[j]);
                 if warm_capable {
                     keys.push(RowKey::Neg(vars[i], vars[j]));
                 }
@@ -541,15 +564,19 @@ impl ApRad {
             for &(i, j) in &forced {
                 let rhs = dist(i, j) - lo[i] - lo[j];
                 if rhs > 0.0 {
-                    p.add_constraint(&[(i, 1.0), (j, 1.0)], Relation::Ge, rhs);
+                    p.add_row(i, j, Relation::Ge, rhs);
                     if warm_capable {
                         keys.push(RowKey::Forced(vars[i], vars[j]));
                     }
                 }
             }
             let outcome = match &mut mode {
-                SolveMode::Cold => p.solve(),
+                SolveMode::Cold => match self.lp {
+                    LpMethod::Flow => p.solve(),
+                    LpMethod::Simplex => p.to_problem().solve(),
+                },
                 SolveMode::Warm(memory) => {
+                    let p = p.to_problem();
                     // Translate the remembered basis into this solve's
                     // row/variable indices. Rows with no memory (newly
                     // appeared constraints) default to their slack —

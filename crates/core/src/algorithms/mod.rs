@@ -15,7 +15,7 @@ mod baselines;
 mod mloc;
 
 pub use aploc::ApLoc;
-pub use aprad::{ApRad, ApRadSolver, ObservationStats, PairPruning};
+pub use aprad::{ApRad, ApRadSolver, LpMethod, ObservationStats, PairPruning};
 pub use baselines::{Centroid, NearestAp};
 pub use mloc::{CentroidMode, MLoc};
 

@@ -5,16 +5,22 @@
 //! subject to `rᵢ + rⱼ ≥ dᵢⱼ` for co-observed AP pairs and
 //! `rᵢ + rⱼ < dᵢⱼ` for pairs never observed together (Section III-C2).
 //! No LP solver exists in the allowed dependency set, so this crate
-//! implements a two-phase simplex with Bland's anti-cycling rule. The
-//! hot-path solver ([`simplex`]) works on a **sparse row
-//! representation** (AP-Rad constraints touch only 1–2 variables) and
-//! supports **warm starts** from a previous optimal basis; the
-//! original dense tableau is retained in [`dense`] as a bit-exact
-//! reference oracle for the differential test suite.
+//! implements two:
 //!
-//! The model is: maximize (or minimize) `cᵀx` subject to linear
-//! constraints `aᵀx {≤,≥,=} b` and `x ≥ 0`. Upper bounds are expressed
-//! as ordinary `≤` constraints.
+//! * [`flow`] solves **pair programs** — every row has two variables
+//!   with unit coefficients, AP-Rad's exact shape — as a min-cost flow
+//!   on the doubled difference-constraint graph. It is the solver of
+//!   every cold AP-Rad round.
+//! * [`simplex`] is a general two-phase simplex with Bland's
+//!   anti-cycling rule over a **sparse row representation**, with
+//!   **warm starts** from a previous optimal basis. It serves the
+//!   warm-started live path and is the flow solver's reference oracle.
+//!   The original dense tableau is retained in [`dense`] as a bit-exact
+//!   reference for the simplex itself.
+//!
+//! The general model is: maximize (or minimize) `cᵀx` subject to
+//! linear constraints `aᵀx {≤,≥,=} b` and `x ≥ 0`. Upper bounds are
+//! expressed as ordinary `≤` constraints.
 //!
 //! # Example
 //!
@@ -32,8 +38,10 @@
 #![forbid(unsafe_code)]
 
 pub mod dense;
+pub mod flow;
 pub mod problem;
 pub mod simplex;
 
+pub use flow::PairProgram;
 pub use problem::{Constraint, Problem, Relation};
 pub use simplex::{solve_with_basis, BasisHint, Outcome, Solution, SolveReport, WarmStart};

@@ -102,6 +102,7 @@ fn run(db: &ApDatabase, frames: &[CapturedFrame], warm: bool) -> BTreeMap<&'stat
     // Caps below the site pitch: only adjacent sites form negative
     // rows, farther pairs are provably unbindable and pruned.
     attack.aprad.max_radius = 200.0;
+    attack.aprad.lp = marauders_map::core::algorithms::LpMethod::Simplex;
     let map = MaraudersMap::new(db.clone(), KnowledgeLevel::LocationsOnly, attack);
     let config = StreamConfig {
         warm_start: warm,
