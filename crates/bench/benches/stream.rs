@@ -1,6 +1,9 @@
 //! Streaming-engine benchmarks: frame-ingestion and fix throughput of
 //! the live tracking engine over the fig. 13 campaign, across worker
-//! counts (the final localization pass fans out through marauder-par).
+//! counts (the final localization pass fans out through marauder-par),
+//! the cost of publishing closed windows to the serving layer at
+//! several history depths, and the render cost of the serving layer's
+//! `/tiles` and `/track` endpoints.
 //!
 //! Run with `CRITERION_JSON_OUT=results/BENCH_stream.json` to record
 //! the machine-readable baseline committed in `results/`.
@@ -9,8 +12,10 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use marauder_bench::common::{link_for, measured_knowledge, victim_scenario};
 use marauder_core::algorithms::ApRad;
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
+use marauder_serve::{parse_request, route, Parsed, PublisherConfig, TrackerPublisher};
 use marauder_sim::scenario::{SimulationResult, WorldModel};
-use marauder_stream::{replay_database, StreamConfig, StreamEngine};
+use marauder_stream::{replay_database, ClosedWindow, SnapshotSink, StreamConfig, StreamEngine};
+use marauder_wifi::mac::MacAddr;
 
 fn campaign() -> SimulationResult {
     let (result, _) = victim_scenario(3, WorldModel::FreeSpace);
@@ -95,5 +100,100 @@ fn bench_replay(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_replay);
+/// The campaign's attacker map and every window it locates, in the
+/// order the engine closes them.
+fn located_windows() -> (MaraudersMap, Vec<ClosedWindow>) {
+    let result = campaign();
+    let link = link_for(&result, WorldModel::FreeSpace, 3);
+    let db = measured_knowledge(&result, &link);
+    let map = MaraudersMap::new(db, KnowledgeLevel::Full, attack_config());
+    let mut engine = StreamEngine::new(map.clone(), StreamConfig::default());
+    let located = result
+        .captures
+        .iter()
+        .flat_map(|frame| engine.push(frame))
+        .filter(|window| window.estimate().is_some())
+        .collect();
+    (map, located)
+}
+
+/// Publish cost against history depth: each iteration publishes one
+/// closed window for each of 200 devices. The bound equals the depth,
+/// so every device stays at that depth and each publish also drops its
+/// oldest fix. The engine's watermark never moves, so the snapshot
+/// document is rendered once, before timing.
+fn bench_publish(c: &mut Criterion) {
+    const DEVICES: u64 = 200;
+    let (map, located) = located_windows();
+    let template = located.first().expect("the campaign locates a window");
+    let batch: Vec<ClosedWindow> = (0..DEVICES)
+        .map(|device| ClosedWindow {
+            mobile: MacAddr::from_index(device),
+            ..template.clone()
+        })
+        .collect();
+    let idle = StreamEngine::new(map, StreamConfig::default());
+
+    let mut group = c.benchmark_group("stream/publish");
+    group.throughput(Throughput::Elements(DEVICES));
+    for depth in [16usize, 256, 2048] {
+        let (mut publisher, _plane) = TrackerPublisher::new(PublisherConfig {
+            max_fixes_per_device: depth,
+            ..PublisherConfig::default()
+        });
+        for _ in 0..depth {
+            publisher.publish(&batch, &idle);
+        }
+        group.bench_function(BenchmarkId::new("depth", depth), |b| {
+            b.iter(|| publisher.publish(black_box(&batch), &idle))
+        });
+    }
+    group.finish();
+}
+
+/// Render cost of the two endpoints that walk stored fixes, over one
+/// fixed snapshot at the scale a `fleet-serve` pass ends at: 200
+/// devices of 54 fixes, cycled from the campaign's located windows.
+/// `/tiles` asks for the load generator's bbox.
+fn bench_route(c: &mut Criterion) {
+    const DEVICES: u64 = 200;
+    const FIXES_PER_DEVICE: usize = 54;
+    let (map, located) = located_windows();
+    let idle = StreamEngine::new(map, StreamConfig::default());
+    let (mut publisher, plane) = TrackerPublisher::new(PublisherConfig::default());
+    let mut windows = located.iter().cycle();
+    for _ in 0..FIXES_PER_DEVICE {
+        let batch: Vec<ClosedWindow> = (1..=DEVICES)
+            .zip(&mut windows)
+            .map(|(device, window)| ClosedWindow {
+                mobile: MacAddr::from_index(device),
+                ..window.clone()
+            })
+            .collect();
+        publisher.publish(&batch, &idle);
+    }
+    let snapshot = plane.load();
+
+    let mut group = c.benchmark_group("serve/route");
+    let track = format!("/track/{}", MacAddr::from_index(1));
+    for (name, path) in [
+        ("tiles", "/tiles?bbox=-50,-50,150,150"),
+        ("track", track.as_str()),
+    ] {
+        let wire = format!("GET {path} HTTP/1.1\r\nhost: bench\r\n\r\n");
+        let Ok(Parsed::Complete { request, .. }) = parse_request(wire.as_bytes()) else {
+            panic!("GET {path} did not parse");
+        };
+        group.bench_function(name, |b| b.iter(|| route(black_box(&request), &snapshot)));
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ingest,
+    bench_replay,
+    bench_publish,
+    bench_route
+);
 criterion_main!(benches);

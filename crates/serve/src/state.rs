@@ -4,20 +4,26 @@
 //! [`TrackerPublisher`] is a [`SnapshotSink`]: the stream engine hands
 //! it every batch of closed windows, it folds the resulting fixes into
 //! per-device histories, and it publishes a fresh [`TrackerSnapshot`]
-//! onto the [`SnapshotPlane`]. Publish cost is kept proportional to
-//! what changed: per-device fix vectors are shared `Arc`s updated
-//! copy-on-write (`Arc::make_mut` clones a device's history only when
-//! a published snapshot still references it), the tracks map is an
-//! O(devices) `Arc`-bump clone, and the engine's full snapshot document —
-//! the one genuinely expensive artifact — is regenerated only on a
-//! stream-time cadence, not on every publish.
+//! onto the [`SnapshotPlane`].
+//!
+//! A history is a shared deque of fix pointers: each fix is stored
+//! once, behind its own `Arc`, and never copied. The plane's current
+//! snapshot always holds every device's history, so the first append
+//! to a device in a publish copies that history's pointers
+//! (`Arc::make_mut`; the `serve.publish.fix_refs_copied` counter). A
+//! publish therefore costs one pointer per stored fix of each device
+//! it touches, plus an O(devices) `Arc` bump of the tracks map. The
+//! bound is exact: a history holds the newest
+//! [`PublisherConfig::max_fixes_per_device`] fixes. The engine's
+//! snapshot document, the one artifact whose cost grows with total
+//! state, is regenerated only on a stream-time cadence.
 
 use crate::plane::SnapshotPlane;
 use marauder_core::pipeline::TrackFix;
 use marauder_geo::Point;
 use marauder_stream::{ClosedWindow, SnapshotSink, StreamEngine, StreamStats};
 use marauder_wifi::mac::MacAddr;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// An axis-aligned bounding box in campus coordinates, as parsed from
@@ -68,6 +74,26 @@ impl BBox {
     }
 }
 
+/// One device's fixes, oldest first, each stored once.
+type History = VecDeque<Arc<TrackFix>>;
+
+/// Appends `fix` to `history`, dropping the oldest fix if more than
+/// `max` (at least 1) would be held. Returns how many fix pointers were
+/// copied to unshare `history` from the snapshots that hold it.
+fn append(history: &mut Arc<History>, fix: TrackFix, max: usize) -> u64 {
+    let copied = if Arc::get_mut(history).is_some() {
+        0
+    } else {
+        history.len() as u64
+    };
+    let fixes = Arc::make_mut(history);
+    if fixes.len() >= max.max(1) {
+        fixes.pop_front();
+    }
+    fixes.push_back(Arc::new(fix));
+    copied
+}
+
 /// One immutable, internally consistent view of tracker state. Cheap
 /// to hold (readers keep it alive across a publish with zero effect on
 /// the writer) and cheap to publish (shared per-device histories).
@@ -80,9 +106,12 @@ pub struct TrackerSnapshot {
     pub watermark_s: Option<f64>,
     /// Engine ingestion counters at publish time.
     pub stats: StreamStats,
-    /// Per-device fix history, oldest first, bounded by
-    /// [`PublisherConfig::max_fixes_per_device`].
-    pub tracks: BTreeMap<MacAddr, Arc<Vec<TrackFix>>>,
+    /// Per-device fix history: exactly the newest
+    /// [`PublisherConfig::max_fixes_per_device`] fixes, oldest first.
+    /// Every snapshot shares the stored fixes; a publish copies the fix
+    /// pointers of the devices it touches, never a fix, so a held
+    /// snapshot keeps reading what it read when taken.
+    pub tracks: BTreeMap<MacAddr, Arc<VecDeque<Arc<TrackFix>>>>,
     /// The engine's [`StreamEngine::snapshot`] document (empty before
     /// the first publish), regenerated on the publisher's cadence — it
     /// may lag `tracks` by up to `snapshot_every_s` of stream time.
@@ -196,7 +225,7 @@ impl Default for PublisherConfig {
 pub struct TrackerPublisher {
     plane: Arc<SnapshotPlane<TrackerSnapshot>>,
     config: PublisherConfig,
-    tracks: BTreeMap<MacAddr, Arc<Vec<TrackFix>>>,
+    tracks: BTreeMap<MacAddr, Arc<History>>,
     engine_doc: Arc<Vec<u8>>,
     last_doc_watermark_s: Option<f64>,
     seq: u64,
@@ -228,22 +257,13 @@ impl TrackerPublisher {
 
 impl SnapshotSink for TrackerPublisher {
     fn publish(&mut self, closed: &[ClosedWindow], engine: &StreamEngine) {
-        let mut fixes_appended = 0u64;
+        let (mut fixes_appended, mut refs_copied) = (0u64, 0u64);
         for window in closed {
             let Some(fix) = window.clone().into_fix() else {
                 continue;
             };
-            let history = self
-                .tracks
-                .entry(fix.mobile)
-                .or_insert_with(|| Arc::new(Vec::new()));
-            // Copy-on-write: clones this device's vector only when a
-            // published snapshot still holds the same Arc.
-            let history = Arc::make_mut(history);
-            if history.len() >= self.config.max_fixes_per_device.max(1) {
-                history.remove(0);
-            }
-            history.push(fix);
+            let history = self.tracks.entry(fix.mobile).or_default();
+            refs_copied += append(history, fix, self.config.max_fixes_per_device);
             fixes_appended += 1;
         }
         // The snapshot document is cadenced on stream time; `None ->
@@ -269,19 +289,32 @@ impl SnapshotSink for TrackerPublisher {
         let obs = marauder_obs::global();
         obs.counter_add("serve.publish.snapshots", 1);
         obs.counter_add("serve.publish.fixes", fixes_appended);
+        obs.counter_add("serve.publish.fix_refs_copied", refs_copied);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marauder_core::algorithms::Estimate;
     use marauder_core::apdb::{ApDatabase, ApRecord};
-    use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
+    use marauder_core::pipeline::{AttackConfig, FixProvenance, KnowledgeLevel, MaraudersMap};
+    use marauder_geo::{Circle, DiscIntersection};
     use marauder_stream::StreamConfig;
     use marauder_wifi::channel::Channel;
     use marauder_wifi::frame::Frame;
     use marauder_wifi::sniffer::CapturedFrame;
     use marauder_wifi::ssid::Ssid;
+    use std::collections::BTreeSet;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Held by every test that publishes, so that one test can read the
+    /// process-wide publish counters without another test's deltas.
+    static PUBLISHING: Mutex<()> = Mutex::new(());
+
+    fn publishing() -> MutexGuard<'static, ()> {
+        PUBLISHING.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn test_map() -> MaraudersMap {
         let db: ApDatabase = (0..4)
@@ -309,6 +342,7 @@ mod tests {
     }
 
     fn ingest_demo() -> (Arc<SnapshotPlane<TrackerSnapshot>>, MacAddr) {
+        let _publishing = publishing();
         let (mut publisher, plane) = TrackerPublisher::new(PublisherConfig::default());
         let mut engine = StreamEngine::new(test_map(), StreamConfig::default());
         for k in 0..30 {
@@ -361,6 +395,7 @@ mod tests {
 
     #[test]
     fn history_is_bounded_and_copy_on_write() {
+        let _publishing = publishing();
         let (mut publisher, plane) = TrackerPublisher::new(PublisherConfig {
             max_fixes_per_device: 5,
             ..PublisherConfig::default()
@@ -383,8 +418,113 @@ mod tests {
         // The snapshot held mid-campaign was not mutated by later
         // publishes: it still ends at the fix it ended at.
         let held = held.expect("mid-campaign snapshot");
-        let held_last = held.tracks[&mac].last().unwrap().time_s;
-        let final_last = last.tracks[&mac].last().unwrap().time_s;
+        let held_last = held.tracks[&mac].back().unwrap().time_s;
+        let final_last = last.tracks[&mac].back().unwrap().time_s;
         assert!(held_last < final_last);
+    }
+
+    /// Fix number `n`: its time and x coordinate are `n`.
+    fn numbered_fix(n: usize) -> TrackFix {
+        let position = Point::new(n as f64, 0.0);
+        TrackFix {
+            time_s: n as f64,
+            mobile: MacAddr::from_index(1),
+            gamma: BTreeSet::from([MacAddr::from_index(100)]),
+            estimate: Estimate {
+                position,
+                region: DiscIntersection::new(&[Circle::new(position, 10.0)]),
+                k: 1,
+                inflation: 1.0,
+            },
+            provenance: FixProvenance::MLoc,
+        }
+    }
+
+    fn numbers(history: &History) -> Vec<usize> {
+        history.iter().map(|fix| fix.time_s as usize).collect()
+    }
+
+    #[test]
+    fn history_matches_a_bounded_deque_model() {
+        for max in [1, 2, 15, 16, 17, 33, 4096] {
+            let mut history = Arc::new(History::new());
+            let mut model = VecDeque::new();
+            let mut held: Vec<(Arc<History>, Vec<usize>)> = Vec::new();
+            for n in 0..300 {
+                let shared = held
+                    .last()
+                    .is_some_and(|(clone, _)| Arc::ptr_eq(clone, &history));
+                let before = history.len() as u64;
+                let copied = append(&mut history, numbered_fix(n), max);
+                assert_eq!(copied, if shared { before } else { 0 }, "bound {max}");
+                model.push_back(n);
+                if model.len() > max {
+                    model.pop_front();
+                }
+                let expected: Vec<usize> = model.iter().copied().collect();
+                assert_eq!(numbers(&history), expected, "bound {max}, fix {n}");
+                assert_eq!(history.len(), model.len(), "bound {max}, fix {n}");
+                assert_eq!(
+                    history.back().map(|fix| fix.time_s as usize),
+                    model.back().copied()
+                );
+                if n % 7 == 0 {
+                    held.push((Arc::clone(&history), expected));
+                }
+            }
+            let oldest = history[0].time_s as usize;
+            for (clone, expected) in &held {
+                assert_eq!(numbers(clone), *expected, "bound {max}: a held clone moved");
+                // A fix the clone still shares with the history is the
+                // same allocation: unsharing copied its pointer only.
+                for fix in clone.iter().filter(|fix| fix.time_s as usize >= oldest) {
+                    let current = &history[fix.time_s as usize - oldest];
+                    assert!(Arc::ptr_eq(fix, current), "bound {max}: a fix was copied");
+                }
+            }
+        }
+    }
+
+    const DEVICES: u64 = 8;
+    const PUBLISHES: usize = 16;
+
+    /// `serve.publish.fix_refs_copied` over `PUBLISHES` publishes of one
+    /// window per device, once every device holds `depth` fixes under a
+    /// bound of `depth`.
+    fn refs_copied_at_depth(depth: usize) -> u64 {
+        let (mut publisher, _plane) = TrackerPublisher::new(PublisherConfig {
+            max_fixes_per_device: depth,
+            ..PublisherConfig::default()
+        });
+        let engine = StreamEngine::new(test_map(), StreamConfig::default());
+        let mut publish = |n: usize| {
+            let batch: Vec<ClosedWindow> = (0..DEVICES)
+                .map(|device| {
+                    let fix = numbered_fix(n);
+                    ClosedWindow {
+                        window: n as i64,
+                        window_start_s: fix.time_s,
+                        mobile: MacAddr::from_index(device),
+                        gamma: fix.gamma,
+                        outcome: Ok((fix.estimate, fix.provenance)),
+                    }
+                })
+                .collect();
+            publisher.publish(&batch, &engine);
+        };
+        (0..depth).for_each(&mut publish);
+        let obs = marauder_obs::global();
+        let before = obs.counter("serve.publish.fix_refs_copied");
+        (depth..depth + PUBLISHES).for_each(&mut publish);
+        obs.counter("serve.publish.fix_refs_copied") - before
+    }
+
+    #[test]
+    fn publish_copies_one_pointer_per_stored_fix_it_touches() {
+        let _publishing = publishing();
+        for depth in [48, 480] {
+            let expected = PUBLISHES as u64 * DEVICES * depth as u64;
+            assert_eq!(refs_copied_at_depth(depth), expected, "depth {depth}");
+        }
     }
 }
