@@ -10,6 +10,7 @@
 use crate::apdb::ApRecord;
 use crate::pipeline::TrackFix;
 use marauder_geo::{EnuFrame, Point};
+use marauder_obs::json_string;
 use std::fmt::Write as _;
 
 /// Builds a GeoJSON document feature by feature.
@@ -146,27 +147,6 @@ impl MapBuilder {
             self.features.join(",")
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -44,14 +44,16 @@
 //! count.
 
 use crate::harness::ChaosScenario;
+use marauder_obs::json_string;
+use marauder_stream::persist::DocKind;
 use marauder_stream::{
-    FlushPolicy, FrameJournal, JournalConfig, JournalError, RecoveryError, StreamConfig,
-    StreamEngine, TrackFix, CLOSED_LOG, CLOSED_LOG_MAGIC,
+    list_checkpoints, list_numbered, FlushPolicy, FrameJournal, JournalConfig, JournalError,
+    RecoveryError, StreamConfig, StreamEngine, TrackFix, CLOSED_LOG, CLOSED_LOG_MAGIC,
 };
 use marauder_wifi::sniffer::CapturedFrame;
 use std::fmt;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Sweep knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,7 +235,7 @@ impl CrashReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"scenario\": \"{}\",", self.scenario);
+        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
         let _ = writeln!(out, "  \"sim_seed\": {},", self.sim_seed);
         let _ = writeln!(out, "  \"frames\": {},", self.frames);
         let _ = writeln!(out, "  \"stride\": {},", self.stride);
@@ -386,46 +388,41 @@ fn recover_and_resume(
     Ok((render_fixes(&engine.batch_fixes(closed)), rec.report))
 }
 
-/// `(path, name)` of the journal files in `dir` whose names start with
-/// `prefix` and end with `suffix`, sorted by name (= by number: the
-/// names are zero-padded).
-fn journal_files(dir: &Path, prefix: &str, suffix: &str) -> Result<Vec<PathBuf>, SweepError> {
-    let io = |source| SweepError::Io {
-        op: format!("scan journal dir {}", dir.display()),
-        source,
-    };
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(dir).map_err(io)? {
-        let entry = entry.map_err(io)?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with(prefix) && name.ends_with(suffix) {
-            files.push(entry.path());
-        }
-    }
-    files.sort();
-    Ok(files)
-}
-
 /// Truncates the final journal segment in `dir` to `bytes` bytes into
 /// its last record — the on-disk signature of dying mid-append.
 /// Returns `false` when there is nothing to tear (no segments, no
 /// records, or the record is shorter than `bytes`).
 pub fn tear_last_record(dir: &Path, bytes: usize) -> Result<bool, SweepError> {
-    match journal_files(dir, "segment-", ".wal")?.last() {
+    match list_numbered(dir, "segment-", ".wal")
+        .map_err(scan_error(dir))?
+        .last()
+    {
         // 16-byte segment header, then length-prefixed records.
-        Some(path) => tear_final_record(path, 16, bytes),
+        Some((_, name)) => tear_final_record(&dir.join(name), 16, bytes),
         None => Ok(false),
+    }
+}
+
+fn scan_error(dir: &Path) -> impl FnOnce(std::io::Error) -> SweepError + '_ {
+    move |source| SweepError::Io {
+        op: format!("scan {}", dir.display()),
+        source,
     }
 }
 
 /// Simulates a kill after a checkpoint synced the closed-window log but
 /// before its document was renamed into place: deletes the newest
-/// checkpoint in `dir`, then tears the log's final record `bytes` bytes
-/// in (0 = no tear). Returns whether a log record was torn.
-fn lose_newest_checkpoint(dir: &Path, bytes: usize) -> Result<bool, SweepError> {
-    if let Some(newest) = journal_files(dir, "checkpoint-", ".ckpt")?.last() {
-        std::fs::remove_file(newest).map_err(|source| SweepError::Io {
+/// `kind` checkpoint in `dir`, then tears the log's final record
+/// `bytes` bytes in (0 = no tear). Returns whether a log record was
+/// torn.
+///
+/// # Errors
+///
+/// [`SweepError::Io`] when the directory cannot be read or changed.
+pub fn lose_newest_checkpoint(dir: &Path, kind: DocKind, bytes: usize) -> Result<bool, SweepError> {
+    if let Some((_, name)) = list_checkpoints(dir, kind).map_err(scan_error(dir))?.last() {
+        let newest = dir.join(name);
+        std::fs::remove_file(&newest).map_err(|source| SweepError::Io {
             op: format!("remove {}", newest.display()),
             source,
         })?;
@@ -572,7 +569,11 @@ pub fn crash_sweep(
                 // and the rename of the newest checkpoint.
                 let _ = std::fs::remove_dir_all(&cell_dir);
                 run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
-                let log_torn = lose_newest_checkpoint(&cell_dir, config.torn_write_bytes)?;
+                let log_torn = lose_newest_checkpoint(
+                    &cell_dir,
+                    DocKind::JournalCheckpoint,
+                    config.torn_write_bytes,
+                )?;
                 let (rendered, report) =
                     recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
                 // The resumed run journaled the remaining frames and,
@@ -621,6 +622,7 @@ pub fn crash_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -26,6 +26,7 @@ use marauder_core::pipeline::{
 };
 use marauder_core::PipelineError;
 use marauder_geo::Point;
+use marauder_obs::{json_f64, json_string};
 use marauder_sim::mobility::CircuitWalk;
 use marauder_sim::scenario::{CampusScenario, GroundTruthFix, SimulationResult, WorldModel};
 use marauder_wifi::device::{MobileStation, OsProfile, ScanBehavior};
@@ -496,33 +497,6 @@ impl DegradationReport {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
     }
 }
 

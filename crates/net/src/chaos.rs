@@ -17,6 +17,7 @@ use crate::loopback::{corrupt_slice, required_slack_s, split_round_robin, Loopba
 use crate::node::NodeConfig;
 use crate::transport::NetError;
 use marauder_fault::{ChaosScenario, Fault, FaultPlan};
+use marauder_obs::json_string;
 use marauder_par::sub_seed;
 use marauder_stream::{replay_frames, StreamConfig};
 use marauder_wifi::sniffer::CapturedFrame;
@@ -77,7 +78,7 @@ impl FleetChaosReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"scenario\": \"{}\",", self.scenario);
+        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
         let _ = writeln!(out, "  \"sim_seed\": {},", self.sim_seed);
         let _ = writeln!(out, "  \"fault_seed\": {},", self.fault_seed);
         let _ = writeln!(out, "  \"nodes\": {},", self.nodes);
@@ -87,13 +88,13 @@ impl FleetChaosReport {
             let sep = if i + 1 == self.cells.len() { "" } else { "," };
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"plan\": \"{}\", \"nodes\": {}, \
+                "    {{\"name\": {}, \"plan\": {}, \"nodes\": {}, \
                  \"frames_in\": {}, \"frames_relayed\": {}, \"frames_late\": {}, \
                  \"frames_forced\": {}, \"duplicate_batches\": {}, \
                  \"windows_closed\": {}, \"fixes\": {}, \
                  \"matches_single_stream\": {}}}{}",
-                c.name,
-                c.plan,
+                json_string(&c.name),
+                json_string(&c.plan),
                 c.nodes,
                 c.frames_in,
                 c.frames_relayed,

@@ -1,14 +1,16 @@
 //! Periodic fleet checkpoints and supervised restart.
 //!
 //! A long campaign must survive an aggregator crash without losing a
-//! single closed window. This module writes the aggregator's full
-//! merge state — engine, per-node sequence cursors, release gate, and
-//! every window closed so far — to an atomically-renamed checkpoint
-//! file on a *stream-time* cadence, and restores the newest valid one
-//! on restart. Rejoining nodes fast-forward through the aggregator's
-//! `resume_seq`, replaying exactly the frames the checkpoint had not
-//! yet absorbed, so the resumed run closes every window the interrupted
-//! run would have.
+//! single closed window. The fleet's checkpoint directory is a
+//! [`DurableDir`], the one the frame journal keeps its closed windows
+//! and checkpoints in: each checkpoint appends the windows closed since
+//! the previous one to the closed-window log and writes the
+//! aggregator's merge state — engine, per-node sequence cursors,
+//! release gate — to `fleet-<n>.ckpt`, on a *stream-time* cadence.
+//! [`restore_latest`] restores the newest valid one on restart.
+//! Rejoining nodes fast-forward through the aggregator's `resume_seq`,
+//! replaying exactly the frames the checkpoint had not yet absorbed, so
+//! the resumed run closes every window the interrupted run would have.
 //!
 //! Cadence is keyed on [`Aggregator::fleet_watermark`] rather than the
 //! wall clock: identical message sequences checkpoint at identical
@@ -16,13 +18,10 @@
 
 use crate::aggregator::{Aggregator, FleetConfig};
 use marauder_core::MaraudersMap;
-use marauder_stream::persist::{self, decode_closed, encode_closed, DocKind, Field, PersistError};
-use marauder_stream::{write_atomic, ClosedWindow, RETAINED_CHECKPOINTS};
+use marauder_stream::persist::DocKind;
+use marauder_stream::{ClosedWindow, DurableDir, JournalError, RecoveryError};
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// Filename extension of checkpoint files in a checkpoint directory.
-const CHECKPOINT_SUFFIX: &str = ".ckpt";
 
 /// Errors from writing or restoring fleet checkpoints.
 ///
@@ -31,16 +30,15 @@ const CHECKPOINT_SUFFIX: &str = ".ckpt";
 /// newest-first.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// An underlying filesystem operation failed.
-    Io {
-        /// What the checkpointer was doing.
-        op: &'static str,
-        /// The OS error.
-        source: std::io::Error,
-    },
+    /// Creating the directory or writing a checkpoint failed, or
+    /// [`Checkpointer::new`] found durable state already there.
+    Write(JournalError),
+    /// Reading the directory failed.
+    Read(RecoveryError),
     /// The directory holds checkpoint files and none of them restores.
     /// Starting fresh here would silently drop every window they
-    /// carried, so the operator must move them aside to do that.
+    /// carried, so the operator must move the directory aside to do
+    /// that.
     NoUsableCheckpoint {
         /// The checkpoint directory.
         dir: PathBuf,
@@ -52,13 +50,13 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Io { op, source } => {
-                write!(f, "fleet checkpoint {op}: {source}")
-            }
+            CheckpointError::Write(e) => write!(f, "fleet checkpoint: {e}"),
+            CheckpointError::Read(e) => write!(f, "fleet restore: {e}"),
             CheckpointError::NoUsableCheckpoint { dir, skipped } => write!(
                 f,
                 "none of the {skipped} fleet checkpoint file(s) in {} restores (damaged, or \
-                 written by another format version); move them aside to start a fresh campaign",
+                 written by another format version); move the whole directory aside, closed.wal \
+                 included, to start a fresh campaign",
                 dir.display()
             ),
         }
@@ -68,32 +66,22 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CheckpointError::Io { source, .. } => Some(source),
+            CheckpointError::Write(e) => Some(e),
+            CheckpointError::Read(e) => Some(e),
             CheckpointError::NoUsableCheckpoint { .. } => None,
         }
     }
 }
 
-fn io_err(op: &'static str) -> impl FnOnce(std::io::Error) -> CheckpointError {
-    move |source| CheckpointError::Io { op, source }
-}
-
-/// Writes periodic checkpoints of an [`Aggregator`] plus the closed
-/// windows accumulated so far.
+/// Writes periodic checkpoints of an [`Aggregator`] plus the windows
+/// closed since the previous checkpoint.
 ///
-/// Files are named `fleet-<n>.ckpt` with a zero-padded monotone
-/// counter, so lexicographic order is write order; each is produced
-/// with [`write_atomic`], so a crash mid-write leaves either the old
-/// file set or the new one, never a torn checkpoint.
-///
-/// Every checkpoint is a *full-state* sealed document — the merge and
-/// engine state plus the complete closed-window list — so its size
-/// grows with campaign length. To keep a long campaign's directory (and
-/// summed write cost) bounded, only the newest [`RETAINED_CHECKPOINTS`]
-/// files are kept; older ones are pruned after each successful write.
+/// Checkpoint files are named `fleet-<n>.ckpt` with a zero-padded
+/// monotone counter as their key; the directory keeps the newest
+/// [`RETAINED_CHECKPOINTS`](marauder_stream::RETAINED_CHECKPOINTS).
 #[derive(Debug)]
 pub struct Checkpointer {
-    dir: PathBuf,
+    durable: DurableDir,
     every_s: f64,
     /// Fleet watermark at the last checkpoint; `-inf` before the first.
     last_mark: f64,
@@ -101,33 +89,34 @@ pub struct Checkpointer {
 }
 
 impl Checkpointer {
-    /// Opens (creating if needed) a checkpoint directory, continuing
-    /// the file counter past any checkpoints already present.
+    /// Opens a fresh checkpoint directory, creating it if needed.
     ///
     /// `every_s` is the minimum *stream-time* advance of the fleet
     /// watermark between checkpoints.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the directory cannot be created or
-    /// listed.
+    /// [`CheckpointError::Write`] when the directory cannot be created
+    /// or already holds checkpoints or a closed-window log (open it
+    /// with [`restore_latest`] instead).
     pub fn new(dir: &Path, every_s: f64) -> Result<Self, CheckpointError> {
-        std::fs::create_dir_all(dir).map_err(io_err("create checkpoint dir"))?;
-        let next_index = match list_checkpoints(dir)?.last() {
-            Some((n, _)) => n + 1,
-            None => 0,
-        };
-        Ok(Checkpointer {
-            dir: dir.to_path_buf(),
+        let durable =
+            DurableDir::create(dir, DocKind::FleetCheckpoint).map_err(CheckpointError::Write)?;
+        Ok(Checkpointer::resume(durable, every_s, 0))
+    }
+
+    fn resume(durable: DurableDir, every_s: f64, next_index: u64) -> Self {
+        Checkpointer {
+            durable,
             every_s,
             last_mark: f64::NEG_INFINITY,
             next_index,
-        })
+        }
     }
 
     /// The directory checkpoints are written to.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.durable.dir()
     }
 
     /// Checkpoints if the fleet watermark has advanced by at least the
@@ -137,7 +126,7 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the checkpoint cannot be written.
+    /// [`CheckpointError::Write`] when the checkpoint cannot be written.
     pub fn maybe_checkpoint(
         &mut self,
         aggregator: &Aggregator,
@@ -151,20 +140,22 @@ impl Checkpointer {
         Ok(true)
     }
 
-    /// Unconditionally writes a checkpoint capturing `aggregator` and
-    /// the complete list of windows closed so far.
+    /// Unconditionally writes a checkpoint capturing `aggregator`;
+    /// `closed` is the complete list of windows closed so far, of which
+    /// only those not yet in the closed-window log are written.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] when the checkpoint cannot be written.
+    /// [`CheckpointError::Write`] when the checkpoint cannot be written.
     pub fn checkpoint_now(
         &mut self,
         aggregator: &Aggregator,
         closed: &[ClosedWindow],
     ) -> Result<(), CheckpointError> {
-        let doc = checkpoint_document(aggregator, closed);
-        let name = checkpoint_name(self.next_index);
-        write_atomic(&self.dir.join(name), &doc).map_err(io_err("write checkpoint"))?;
+        let written = self
+            .durable
+            .checkpoint(self.next_index, closed, |out| aggregator.encode_state(out))
+            .map_err(CheckpointError::Write)?;
         self.next_index += 1;
         // A NaN watermark must never be stored: with `last_mark = NaN`
         // both the `is_finite` and `< 0.0` cadence arms go false, which
@@ -176,24 +167,11 @@ impl Checkpointer {
         }
         let reg = marauder_obs::global();
         reg.counter_add("fleet.checkpoints", 1);
-        reg.counter_add("fleet.checkpoint_bytes", doc.len() as u64);
-        self.prune();
-        Ok(())
-    }
-
-    /// Removes checkpoint files older than the newest
-    /// [`RETAINED_CHECKPOINTS`]. Best-effort: a failed unlink never
-    /// fails the checkpoint that just succeeded.
-    fn prune(&self) {
-        let Ok(files) = list_checkpoints(&self.dir) else {
-            return;
-        };
-        let excess = files.len().saturating_sub(RETAINED_CHECKPOINTS);
-        for (_, path) in &files[..excess] {
-            if std::fs::remove_file(path).is_ok() {
-                marauder_obs::global().counter_add("fleet.checkpoints_pruned", 1);
-            }
+        reg.counter_add("fleet.checkpoint_bytes", written.bytes);
+        if written.pruned > 0 {
+            reg.counter_add("fleet.checkpoints_pruned", written.pruned);
         }
+        Ok(())
     }
 }
 
@@ -221,120 +199,76 @@ fn checkpoint_due(last_mark: f64, wm: f64, every_s: f64) -> bool {
 
 /// What [`restore_latest`] recovered.
 pub struct FleetRestore {
-    /// The aggregator, rebuilt at checkpoint state; rejoining nodes
-    /// fast-forward through its `resume_seq` handshake.
+    /// The aggregator, rebuilt at checkpoint state (fresh when nothing
+    /// restored); rejoining nodes fast-forward through its `resume_seq`
+    /// handshake.
     pub aggregator: Aggregator,
     /// Every window the interrupted run had closed by checkpoint time.
     /// Feed these plus the resumed run's windows to
-    /// [`Aggregator::batch_fixes`].
+    /// [`Aggregator::batch_fixes`], and keep passing the whole list to
+    /// `checkpointer`.
     pub closed: Vec<ClosedWindow>,
-    /// The checkpoint file that was restored.
-    pub file: PathBuf,
+    /// A checkpointer positioned after the restored checkpoint.
+    pub checkpointer: Checkpointer,
+    /// The restored checkpoint's key; `None` when the directory held no
+    /// checkpoint file and the campaign starts fresh.
+    pub key: Option<u64>,
     /// Newer checkpoint files that were skipped as damaged.
     pub skipped: usize,
 }
 
-/// Restores the newest valid checkpoint in `dir`, skipping damaged
-/// files (truncated, corrupted, or from a different format version)
-/// newest-first. Returns `None` when the directory holds no checkpoint
-/// file — the caller starts a fresh campaign.
+/// Opens the checkpoint directory `dir` (created if missing) for a
+/// campaign checkpointed every `every_s` seconds of stream time:
+/// restores the newest valid checkpoint, skipping damaged files
+/// (truncated, corrupted, or from a different format version)
+/// newest-first. A directory holding no checkpoint file starts a fresh
+/// campaign; the first checkpoint then overwrites whatever log records
+/// a checkpoint that never reached its rename left behind.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Io`] when the directory itself cannot be listed,
-/// and [`CheckpointError::NoUsableCheckpoint`] when it holds checkpoint
+/// [`CheckpointError::Write`] when the directory cannot be created,
+/// [`CheckpointError::Read`] when it cannot be read, and
+/// [`CheckpointError::NoUsableCheckpoint`] when it holds checkpoint
 /// files but none restores.
 pub fn restore_latest(
     dir: &Path,
     map: &MaraudersMap,
     config: &FleetConfig,
-) -> Result<Option<FleetRestore>, CheckpointError> {
-    let reg = marauder_obs::global();
-    let mut skipped = 0usize;
-    let files = list_checkpoints(dir)?;
-    for (_, path) in files.iter().rev() {
-        let Ok(doc) = std::fs::read(path) else {
-            skipped += 1;
-            continue;
-        };
-        match open_checkpoint(&doc, map.clone(), config.clone()) {
-            Ok((aggregator, closed)) => {
-                reg.counter_add("fleet.restores", 1);
-                reg.counter_add("fleet.checkpoints_skipped", skipped as u64);
-                return Ok(Some(FleetRestore {
-                    aggregator,
-                    closed,
-                    file: path.clone(),
-                    skipped,
-                }));
-            }
-            Err(_) => skipped += 1,
-        }
-    }
-    reg.counter_add("fleet.checkpoints_skipped", skipped as u64);
-    if skipped > 0 {
-        return Err(CheckpointError::NoUsableCheckpoint {
-            dir: dir.to_path_buf(),
-            skipped,
-        });
-    }
-    Ok(None)
-}
-
-fn checkpoint_name(index: u64) -> String {
-    format!("fleet-{index:020}{CHECKPOINT_SUFFIX}")
-}
-
-/// Numbered checkpoint files in `dir`, sorted ascending by index.
-fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
-    let mut out = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(io_err("list checkpoint dir"))?;
-    for entry in entries {
-        let entry = entry.map_err(io_err("list checkpoint dir"))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("fleet-")
-            .and_then(|s| s.strip_suffix(CHECKPOINT_SUFFIX))
-        else {
-            continue;
-        };
-        if let Ok(n) = stem.parse::<u64>() {
-            out.push((n, entry.path()));
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// Seals the checkpoint document: every closed window in the
-/// closed-window codec, then the merge state.
-fn checkpoint_document(aggregator: &Aggregator, closed: &[ClosedWindow]) -> Vec<u8> {
-    persist::seal(DocKind::FleetCheckpoint, |out| {
-        closed
-            .iter()
-            .map(encode_closed)
-            .collect::<Vec<_>>()
-            .put(out);
-        aggregator.encode_state(out);
+    every_s: f64,
+) -> Result<FleetRestore, CheckpointError> {
+    std::fs::create_dir_all(dir).map_err(|source| {
+        CheckpointError::Write(JournalError::Io {
+            op: format!("create dir {}", dir.display()),
+            source,
+        })
+    })?;
+    let restored = DurableDir::restore(dir, DocKind::FleetCheckpoint, map.config().window_s, |r| {
+        Aggregator::decode_state(map.clone(), config.clone(), r)
     })
-}
-
-/// Opens a checkpoint document into an aggregator and its closed
-/// windows.
-fn open_checkpoint(
-    doc: &[u8],
-    map: MaraudersMap,
-    config: FleetConfig,
-) -> Result<(Aggregator, Vec<ClosedWindow>), PersistError> {
-    let window_s = map.config().window_s;
-    persist::open(doc, DocKind::FleetCheckpoint, |r| {
-        let payloads: Vec<Vec<u8>> = r.get()?;
-        let closed = payloads
-            .iter()
-            .map(|p| decode_closed(p, window_s).ok_or_else(|| r.malformed("bad closed window")))
-            .collect::<Result<_, _>>()?;
-        Ok((Aggregator::decode_state(map, config, r)?, closed))
+    .map_err(CheckpointError::Read)?;
+    let reg = marauder_obs::global();
+    reg.counter_add("fleet.checkpoints_skipped", restored.skipped as u64);
+    let (key, aggregator) = match restored.checkpoint {
+        Some((key, aggregator)) => {
+            reg.counter_add("fleet.restores", 1);
+            (Some(key), aggregator)
+        }
+        None if restored.skipped > 0 => {
+            return Err(CheckpointError::NoUsableCheckpoint {
+                dir: dir.to_path_buf(),
+                skipped: restored.skipped,
+            })
+        }
+        None => (None, Aggregator::new(map.clone(), config.clone())),
+    };
+    let next_index = key.map_or(0, |k| k + 1);
+    Ok(FleetRestore {
+        aggregator,
+        closed: restored.closed,
+        checkpointer: Checkpointer::resume(restored.durable, every_s, next_index),
+        key,
+        skipped: restored.skipped,
     })
 }
 
@@ -346,6 +280,7 @@ mod tests {
     use marauder_core::pipeline::{AttackConfig, KnowledgeLevel};
     use marauder_geo::Point;
     use marauder_stream::StreamConfig;
+    use marauder_stream::{list_checkpoints, PersistError, RETAINED_CHECKPOINTS};
     use marauder_wifi::channel::Channel;
     use marauder_wifi::sniffer::CapturedFrame;
     use marauder_wifi::ssid::Ssid;
@@ -429,6 +364,10 @@ mod tests {
         (agg, closed)
     }
 
+    fn checkpoint_name(index: u64) -> String {
+        format!("fleet-{index:020}.ckpt")
+    }
+
     fn temp_dir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("marauder-fleet-ckpt-{name}-{}", std::process::id()));
@@ -445,10 +384,8 @@ mod tests {
         let mut cp = Checkpointer::new(&dir, 30.0).expect("checkpointer");
         cp.checkpoint_now(&agg, &closed).expect("checkpoint");
 
-        let restored = restore_latest(&dir, &map(), &config())
-            .expect("restore")
-            .expect("a checkpoint exists");
-        assert_eq!(restored.skipped, 0);
+        let restored = restore_latest(&dir, &map(), &config(), 30.0).expect("restore");
+        assert_eq!((restored.key, restored.skipped), (Some(0), 0));
         assert_eq!(restored.closed.len(), closed.len());
         for (a, b) in restored.closed.iter().zip(&closed) {
             assert_eq!(a.window, b.window);
@@ -472,11 +409,9 @@ mod tests {
         let doc = std::fs::read(&newest).expect("read newest");
         std::fs::write(&newest, &doc[..doc.len() / 2]).expect("truncate");
 
-        let restored = restore_latest(&dir, &map(), &config())
-            .expect("restore")
-            .expect("older checkpoint survives");
-        assert_eq!(restored.skipped, 1);
-        assert_eq!(restored.file, dir.join(checkpoint_name(0)));
+        let restored = restore_latest(&dir, &map(), &config(), 30.0).expect("restore");
+        assert_eq!((restored.key, restored.skipped), (Some(0), 1));
+        assert_eq!(restored.closed.len(), closed.len());
         assert_eq!(restored.aggregator.snapshot(), agg.snapshot());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -484,9 +419,46 @@ mod tests {
     #[test]
     fn empty_directory_restores_nothing() {
         let dir = temp_dir("empty");
-        assert!(restore_latest(&dir, &map(), &config())
-            .expect("restore")
-            .is_none());
+        std::fs::remove_dir_all(&dir).expect("remove");
+        // A missing directory is created; it and an empty one start a
+        // fresh campaign.
+        for _ in 0..2 {
+            let restored = restore_latest(&dir, &map(), &config(), 30.0).expect("restore");
+            assert_eq!((restored.key, restored.skipped), (None, 0));
+            assert!(restored.closed.is_empty());
+            assert_eq!(
+                restored.aggregator.snapshot(),
+                Aggregator::new(map(), config()).snapshot()
+            );
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_log_without_a_checkpoint_starts_fresh_over_it() {
+        // A kill between the first checkpoint's log append and its
+        // document's rename leaves the log alone in the directory.
+        let dir = temp_dir("lone-log");
+        let (agg, closed) = driven_aggregator(40);
+        Checkpointer::new(&dir, 30.0)
+            .expect("checkpointer")
+            .checkpoint_now(&agg, &closed)
+            .expect("checkpoint");
+        std::fs::remove_file(dir.join(checkpoint_name(0))).expect("lose the document");
+
+        let mut restored = restore_latest(&dir, &map(), &config(), 30.0).expect("restore");
+        assert_eq!((restored.key, restored.skipped), (None, 0));
+        assert!(restored.closed.is_empty());
+        let (agg, fewer) = driven_aggregator(20);
+        assert!(!fewer.is_empty() && fewer.len() < closed.len());
+        restored
+            .checkpointer
+            .checkpoint_now(&agg, &fewer)
+            .expect("the fresh campaign checkpoints over the stale log");
+        let again = restore_latest(&dir, &map(), &config(), 30.0).expect("restore again");
+        assert_eq!((again.key, again.skipped), (Some(0), 0));
+        assert_eq!(again.closed.len(), fewer.len());
+        assert_eq!(again.aggregator.snapshot(), agg.snapshot());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -494,21 +466,28 @@ mod tests {
     fn a_directory_where_no_checkpoint_restores_is_a_typed_error() {
         let dir = temp_dir("unusable");
         let (agg, closed) = driven_aggregator(40);
-        let mut damaged = checkpoint_document(&agg, &closed);
+        Checkpointer::new(&dir, 30.0)
+            .expect("checkpointer")
+            .checkpoint_now(&agg, &closed)
+            .expect("checkpoint");
+        let mut damaged = std::fs::read(dir.join(checkpoint_name(0))).expect("read");
         let mid = damaged.len() / 2;
         damaged[mid] ^= 0x01;
         // A damaged file, or the text format an older build wrote.
         let text = b"# marauder fleet checkpoint v1\nfleet 0\nend 0\n".to_vec();
         for doc in [damaged, text] {
             std::fs::write(dir.join(checkpoint_name(0)), &doc).expect("write checkpoint");
-            let err = restore_latest(&dir, &map(), &config())
+            let err = restore_latest(&dir, &map(), &config(), 30.0)
                 .err()
                 .expect("a lone unusable checkpoint must not start a fresh campaign");
             assert!(
                 matches!(&err, CheckpointError::NoUsableCheckpoint { dir: d, skipped: 1 } if *d == dir),
                 "{err}"
             );
-            assert!(err.to_string().contains("move them aside"), "{err}");
+            assert!(
+                err.to_string().contains("move the whole directory aside"),
+                "{err}"
+            );
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -541,9 +520,6 @@ mod tests {
         let (agg, closed) = driven_aggregator(40);
         assert!(!closed.is_empty());
         assert_every_damage_is_typed(&agg.snapshot(), |d| Aggregator::restore(map(), config(), d));
-        assert_every_damage_is_typed(&checkpoint_document(&agg, &closed), |d| {
-            open_checkpoint(d, map(), config())
-        });
     }
 
     #[test]
@@ -585,13 +561,12 @@ mod tests {
         for _ in 0..RETAINED_CHECKPOINTS + 3 {
             cp.checkpoint_now(&agg, &closed).expect("checkpoint");
         }
-        let files = list_checkpoints(&dir).expect("list");
+        let files = list_checkpoints(&dir, DocKind::FleetCheckpoint).expect("list");
         assert_eq!(files.len(), RETAINED_CHECKPOINTS);
         // The newest survive, and restore still works.
         assert_eq!(files.last().unwrap().0, RETAINED_CHECKPOINTS as u64 + 2);
-        let restored = restore_latest(&dir, &map(), &config())
-            .expect("restore")
-            .expect("a checkpoint exists");
+        let restored = restore_latest(&dir, &map(), &config(), 30.0).expect("restore");
+        assert_eq!(restored.key, Some(RETAINED_CHECKPOINTS as u64 + 2));
         assert_eq!(restored.aggregator.snapshot(), agg.snapshot());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -606,9 +581,20 @@ mod tests {
         assert!(cp.maybe_checkpoint(&agg, &closed).expect("first"));
         assert!(!cp.maybe_checkpoint(&agg, &closed).expect("second"));
 
-        // A new checkpointer over the same directory keeps counting.
-        let mut cp2 = Checkpointer::new(&dir, 1e9).expect("reopen");
-        cp2.checkpoint_now(&agg, &closed).expect("checkpoint");
+        // A directory holding durable state is refused; the
+        // checkpointer restore hands back keeps counting.
+        let err = Checkpointer::new(&dir, 1e9).expect_err("directory is not empty");
+        assert!(
+            matches!(err, CheckpointError::Write(JournalError::NotEmpty { .. })),
+            "{err}"
+        );
+        let mut restored = restore_latest(&dir, &map(), &config(), 1e9).expect("restore");
+        assert_eq!(restored.key, Some(0));
+        // It checkpoints at its first finite watermark, then keeps the
+        // cadence it was restored with.
+        let cp = &mut restored.checkpointer;
+        assert!(cp.maybe_checkpoint(&agg, &closed).expect("first"));
+        assert!(!cp.maybe_checkpoint(&agg, &closed).expect("second"));
         assert!(dir.join(checkpoint_name(1)).exists());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

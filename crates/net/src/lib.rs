@@ -23,11 +23,13 @@
 //!   buffers bounded out-of-order arrival against the fleet watermark
 //!   (min over live nodes, stream-time eviction of the dead), and
 //!   feeds the engine a globally nondecreasing frame sequence.
-//! - [`checkpoint`]: [`Checkpointer`] writes atomic, stream-time-paced
-//!   fleet checkpoints (merge state + every closed window, sealed by
-//!   [`marauder_stream::persist`]), and [`restore_latest`] rebuilds the
-//!   newest valid one after a crash so a restarted aggregator resumes
-//!   mid-campaign with zero windows lost.
+//! - [`checkpoint`]: [`Checkpointer`] writes stream-time-paced fleet
+//!   checkpoints into a [`DurableDir`](marauder_stream::DurableDir), the
+//!   frame journal's durable-state directory: each appends the windows
+//!   closed since the previous one to the closed-window log and seals
+//!   the merge state in a small document. [`restore_latest`] rebuilds
+//!   the newest valid one after a crash so a restarted aggregator
+//!   resumes mid-campaign with zero windows lost.
 //! - [`loopback`]: [`LoopbackFleet`] drives everything round-robin on
 //!   one thread for hermetic, bit-exact tests; [`chaos`] runs the
 //!   per-node fault matrix from `crates/fault` over it.

@@ -1,16 +1,29 @@
-//! Property tests for fleet checkpoint damage tolerance: any
-//! truncation or single-byte corruption of the newer of two checkpoint
-//! files is skipped — checkpoints are CRC-sealed documents — and
-//! restore falls back to the intact older one, restoring exactly its
-//! state: the same aggregator snapshot bytes and the same closed
-//! windows.
+//! Property tests for fleet checkpoint damage tolerance. The template
+//! directory holds two checkpoints of one aggregator run and the
+//! closed-window log they share; the older covers fewer windows.
+//!
+//! * Any truncation or single-bit flip of the newer checkpoint file is
+//!   skipped — checkpoints are CRC-sealed documents — and restore falls
+//!   back to the intact older one, restoring exactly its state: the
+//!   same aggregator snapshot bytes and the same closed windows.
+//! * Any truncation or single-bit flip of the closed-window log either
+//!   restores exactly the newer checkpoint's state (the log is intact),
+//!   falls back to exactly the older one's (the damage lies past the
+//!   older one's windows), or — when the older one's windows are
+//!   damaged too — is the typed `NoUsableCheckpoint`. Which of the
+//!   three is fixed by where the damage lies.
+//!
+//! A checkpoint directory written by an earlier build, whose fleet
+//! checkpoints embedded every closed window (document kind 4), is
+//! refused with `NoUsableCheckpoint`.
 
 use marauder_core::apdb::{ApDatabase, ApRecord};
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
 use marauder_net::codec::{Message, PROTOCOL_VERSION};
-use marauder_net::{restore_latest, Aggregator, Checkpointer, FleetConfig};
-use marauder_stream::{ClosedWindow, StreamConfig};
+use marauder_net::{restore_latest, Aggregator, CheckpointError, Checkpointer, FleetConfig};
+use marauder_stream::persist::encode_closed;
+use marauder_stream::{ClosedWindow, StreamConfig, CLOSED_LOG, CLOSED_LOG_MAGIC};
 use marauder_wifi::channel::Channel;
 use marauder_wifi::frame::Frame;
 use marauder_wifi::mac::MacAddr;
@@ -20,6 +33,9 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+const OLDER: &str = "fleet-00000000000000000000.ckpt";
+const NEWER: &str = "fleet-00000000000000000001.ckpt";
 
 fn map() -> MaraudersMap {
     let db: ApDatabase = [
@@ -70,11 +86,61 @@ fn restored(aggregator: &Aggregator, closed: &[ClosedWindow]) -> Restored {
     )
 }
 
-/// One checkpoint file's bytes, produced by a real aggregator run, and
-/// the state it holds; cached for every case.
-fn template() -> &'static (Vec<u8>, Restored) {
-    static T: OnceLock<(Vec<u8>, Restored)> = OnceLock::new();
+/// The template directory's files, the older and newer checkpoints'
+/// states, and the byte offset where each of the log's records ends.
+struct Template {
+    files: Vec<(String, Vec<u8>)>,
+    older: Restored,
+    newer: Restored,
+    /// `record_ends[k]`: bytes of the log's first `k + 1` records,
+    /// header included.
+    record_ends: Vec<usize>,
+    /// Log records the older checkpoint covers.
+    older_windows: usize,
+}
+
+/// Feeds frames `range` through the aggregator, then a heartbeat at the
+/// last frame's time, collecting the windows that close.
+fn feed(
+    agg: &mut Aggregator,
+    seq: u64,
+    range: std::ops::Range<u64>,
+    closed: &mut Vec<ClosedWindow>,
+) {
+    let frames: Vec<CapturedFrame> = range
+        .clone()
+        .map(|k| CapturedFrame {
+            time_s: k as f64 * 7.0,
+            card: 0,
+            frame: Frame::probe_response(
+                MacAddr::from_index(100 + (k % 3)),
+                MacAddr::from_index(0x50 + (k % 2)),
+                Ssid::new("x").expect("short ssid"),
+                Channel::bg(6).expect("bg channel"),
+            ),
+        })
+        .collect();
+    for msg in [
+        Message::FrameBatch {
+            node_id: 1,
+            seq,
+            frames,
+        },
+        Message::Heartbeat {
+            node_id: 1,
+            watermark_s: (range.end - 1) as f64 * 7.0,
+        },
+    ] {
+        closed.extend(agg.on_message(&msg).expect("merge").closed);
+    }
+}
+
+/// One real aggregator run checkpointed twice; cached for every case.
+fn template() -> &'static Template {
+    static T: OnceLock<Template> = OnceLock::new();
     T.get_or_init(|| {
+        let dir = scratch();
+        let mut cp = Checkpointer::new(&dir, 1.0).expect("checkpointer");
         let mut agg = Aggregator::new(map(), config());
         let mut closed = Vec::new();
         closed.extend(
@@ -87,132 +153,178 @@ fn template() -> &'static (Vec<u8>, Restored) {
             .expect("hello")
             .closed,
         );
-        let frames: Vec<CapturedFrame> = (0..40)
-            .map(|k| CapturedFrame {
-                time_s: k as f64 * 7.0,
-                card: 0,
-                frame: Frame::probe_response(
-                    MacAddr::from_index(100 + (k % 3)),
-                    MacAddr::from_index(0x50 + (k % 2)),
-                    Ssid::new("x").expect("short ssid"),
-                    Channel::bg(6).expect("bg channel"),
-                ),
+        feed(&mut agg, 0, 0..20, &mut closed);
+        cp.checkpoint_now(&agg, &closed).expect("older checkpoint");
+        let older = restored(&agg, &closed);
+        let older_windows = closed.len();
+        feed(&mut agg, 1, 20..40, &mut closed);
+        cp.checkpoint_now(&agg, &closed).expect("newer checkpoint");
+        let newer = restored(&agg, &closed);
+        assert!(
+            older_windows > 0 && closed.len() > older_windows,
+            "both checkpoints must cover windows, the newer more"
+        );
+        let mut record_ends = Vec::new();
+        let mut end = CLOSED_LOG_MAGIC.len();
+        for c in &closed {
+            end += 8 + encode_closed(c).len();
+            record_ends.push(end);
+        }
+        let files: Vec<(String, Vec<u8>)> = [OLDER, NEWER, CLOSED_LOG]
+            .iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(name)).expect("read template file");
+                (name.to_string(), bytes)
             })
             .collect();
-        closed.extend(
-            agg.on_message(&Message::FrameBatch {
-                node_id: 1,
-                seq: 0,
-                frames,
-            })
-            .expect("batch")
-            .closed,
-        );
-        closed.extend(
-            agg.on_message(&Message::Heartbeat {
-                node_id: 1,
-                watermark_s: 39.0 * 7.0,
-            })
-            .expect("heartbeat")
-            .closed,
-        );
-        assert!(!closed.is_empty(), "template run must close windows");
-
-        let dir = std::env::temp_dir().join(format!(
-            "marauder-ckpt-props-template-{}",
-            std::process::id()
-        ));
+        assert_eq!(files[2].1.len(), end, "the log holds each window once");
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cp = Checkpointer::new(&dir, 1.0).expect("checkpointer");
-        cp.checkpoint_now(&agg, &closed).expect("checkpoint");
-        let file = std::fs::read_dir(&dir)
-            .expect("list")
-            .next()
-            .expect("one file")
-            .expect("entry")
-            .path();
-        let bytes = std::fs::read(file).expect("read checkpoint");
-        let _ = std::fs::remove_dir_all(&dir);
-        (bytes, restored(&agg, &closed))
+        Template {
+            files,
+            older,
+            newer,
+            record_ends,
+            older_windows,
+        }
     })
 }
 
-fn template_checkpoint() -> &'static Vec<u8> {
-    &template().0
-}
-
-/// A scratch checkpoint directory holding an intact oldest checkpoint
-/// and one damaged newer copy.
-fn materialize(damaged: &[u8]) -> PathBuf {
+fn scratch() -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
         "marauder-ckpt-props-{}-{}",
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    std::fs::write(
-        dir.join(format!("fleet-{:020}.ckpt", 0)),
-        template_checkpoint(),
-    )
-    .expect("write intact");
-    std::fs::write(dir.join(format!("fleet-{:020}.ckpt", 1)), damaged).expect("write damaged");
+    let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// Damage must never panic restore: the damaged newer file is skipped
-/// and the intact older one restores exactly the template's state. A
-/// "cut" at full length leaves the newer file intact, so it restores
-/// with nothing skipped.
-fn check_restore(damaged: &[u8]) -> Result<(), TestCaseError> {
-    let dir = materialize(damaged);
-    let result = restore_latest(&dir, &map(), &config());
-    let verdict = match result {
-        Ok(Some(restore)) => {
-            let intact = damaged == template_checkpoint().as_slice();
-            let want_file = format!("fleet-{:020}.ckpt", u8::from(intact));
-            prop_assert_eq!(restore.skipped, usize::from(!intact));
+fn file(name: &str) -> &'static [u8] {
+    let files = &template().files;
+    &files[files
+        .iter()
+        .position(|(n, _)| n == name)
+        .expect("template file")]
+    .1
+}
+
+/// What restoring one damaged directory must give.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Want {
+    Newer,
+    Older,
+    Unusable,
+}
+
+/// Restores the template with file `name` replaced by `damaged` and
+/// checks the outcome against `want`. Nothing may panic.
+fn check_restore(name: &str, damaged: &[u8], want: Want) -> Result<(), TestCaseError> {
+    let dir = scratch();
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for (n, bytes) in &template().files {
+        let bytes = if n == name { damaged } else { bytes };
+        std::fs::write(dir.join(n), bytes).expect("write file");
+    }
+    let result = restore_latest(&dir, &map(), &config(), 1.0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let t = template();
+    match (result, want) {
+        (Ok(r), Want::Newer | Want::Older) => {
+            let (state, key, skipped) = match want {
+                Want::Newer => (&t.newer, 1, 0),
+                _ => (&t.older, 0, 1),
+            };
+            prop_assert_eq!((r.key, r.skipped), (Some(key), skipped));
             prop_assert!(
-                restore.file.ends_with(&want_file),
-                "restored {:?}, want {}",
-                restore.file,
-                want_file
-            );
-            prop_assert!(
-                restored(&restore.aggregator, &restore.closed) == template().1,
-                "the restore differs from the clean template's state"
+                restored(&r.aggregator, &r.closed) == *state,
+                "the restore differs from the {:?} checkpoint's state",
+                want
             );
             Ok(())
         }
-        Ok(None) => Err(TestCaseError::fail(
-            "restore missed the intact checkpoint".to_string(),
-        )),
-        Err(e) => Err(TestCaseError::fail(format!(
-            "directory-level error from file damage: {e}"
+        (Err(CheckpointError::NoUsableCheckpoint { skipped: 2, .. }), Want::Unusable) => Ok(()),
+        (Ok(r), want) => Err(TestCaseError::fail(format!(
+            "restored {:?} with {} skipped, want {want:?}",
+            r.key, r.skipped
         ))),
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    verdict
+        (Err(e), want) => Err(TestCaseError::fail(format!("{e}, want {want:?}"))),
+    }
+}
+
+/// The outcome of log damage that leaves the first `intact` bytes
+/// untouched: the checkpoints whose records all lie inside them restore.
+fn log_outcome(intact: usize) -> Want {
+    let t = template();
+    if intact >= *t.record_ends.last().expect("log records") {
+        Want::Newer
+    } else if intact >= t.record_ends[t.older_windows - 1] {
+        Want::Older
+    } else {
+        Want::Unusable
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn any_truncation_is_skipped_never_fatal(cut in any::<usize>()) {
-        let template = template_checkpoint();
-        let cut = cut % (template.len() + 1);
-        check_restore(&template[..cut])?;
+    fn any_checkpoint_truncation_is_skipped_never_fatal(cut in any::<usize>()) {
+        let doc = file(NEWER);
+        let cut = cut % (doc.len() + 1);
+        let want = if cut == doc.len() { Want::Newer } else { Want::Older };
+        check_restore(NEWER, &doc[..cut], want)?;
     }
 
     #[test]
-    fn any_single_byte_corruption_is_skipped_never_fatal(
-        pos in any::<usize>(),
-        bit in 0u8..8,
-    ) {
-        let mut bytes = template_checkpoint().clone();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= 1 << bit;
-        check_restore(&bytes)?;
+    fn any_checkpoint_bit_flip_is_skipped_never_fatal(pos in any::<usize>(), bit in 0u8..8) {
+        let mut doc = file(NEWER).to_vec();
+        let pos = pos % doc.len();
+        doc[pos] ^= 1 << bit;
+        check_restore(NEWER, &doc, Want::Older)?;
     }
+
+    #[test]
+    fn any_log_truncation_falls_back_exactly(cut in any::<usize>()) {
+        let log = file(CLOSED_LOG);
+        let cut = cut % (log.len() + 1);
+        check_restore(CLOSED_LOG, &log[..cut], log_outcome(cut))?;
+    }
+
+    #[test]
+    fn any_log_bit_flip_falls_back_exactly(pos in any::<usize>(), bit in 0u8..8) {
+        let mut log = file(CLOSED_LOG).to_vec();
+        let pos = pos % log.len();
+        log[pos] ^= 1 << bit;
+        // The record holding `pos` is damaged, and so is everything
+        // after it; a damaged header loses the whole log.
+        let intact = std::iter::once(CLOSED_LOG_MAGIC.len())
+            .chain(template().record_ends.iter().copied())
+            .take_while(|&end| end <= pos)
+            .last()
+            .unwrap_or(0);
+        check_restore(CLOSED_LOG, &log, log_outcome(intact))?;
+    }
+}
+
+/// A fleet checkpoint written by an earlier build (document kind 4,
+/// every closed window embedded), alone in its directory, is refused.
+#[test]
+fn a_kind_4_fleet_checkpoint_is_refused() {
+    let doc = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fleet-kind4.ckpt"),
+    )
+    .expect("read fixture");
+    assert_eq!(&doc[..9], b"MRDRDOC\x01\x04", "a version-1 kind-4 document");
+    let dir = scratch();
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    std::fs::write(dir.join(OLDER), &doc).expect("write fixture");
+    let err = restore_latest(&dir, &map(), &config(), 1.0)
+        .err()
+        .expect("a kind-4 checkpoint must not restore");
+    assert!(
+        matches!(&err, CheckpointError::NoUsableCheckpoint { skipped: 1, .. }),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

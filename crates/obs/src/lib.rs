@@ -28,7 +28,7 @@ pub mod clock;
 pub mod registry;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use registry::{Histogram, MetricsRegistry, Span, SpanStats};
+pub use registry::{json_f64, json_string, Histogram, MetricsRegistry, Span, SpanStats};
 
 use std::sync::OnceLock;
 

@@ -382,7 +382,9 @@ fn render_u64_map(
     let _ = writeln!(out, "{pad}}}{sep}");
 }
 
-fn json_string(s: &str) -> String {
+/// Renders `s` as a JSON string literal: quotes, backslashes and
+/// control characters escaped.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -390,6 +392,7 @@ fn json_string(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
@@ -401,7 +404,8 @@ fn json_string(s: &str) -> String {
     out
 }
 
-fn json_f64(x: f64) -> String {
+/// Renders `x` as a JSON number, or `null` when it is not finite.
+pub fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -413,6 +417,15 @@ fn json_f64(x: f64) -> String {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+
+    #[test]
+    fn json_writers_escape_strings_and_null_non_finite_numbers() {
+        assert_eq!(json_string("a\"b\\c"), r#""a\"b\\c""#);
+        assert_eq!(json_string("\n\r\t\u{1}"), r#""\n\r\t\u0001""#);
+        assert_eq!(json_f64(0.25), "0.25");
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::NEG_INFINITY), "null");
+    }
 
     #[test]
     fn counters_accumulate_and_read_back() {

@@ -8,65 +8,22 @@
 //! be rebuilt exactly — restore the newest checkpoint, then replay the
 //! journal tail.
 //!
-//! # On-disk layout
+//! A journal directory is a [`DurableDir`] — the closed-window log and
+//! `checkpoint-<seq>.ckpt` documents keyed by the frames they cover,
+//! with the engine as their state — plus the frame segments,
+//! `segment-<first_seq>.wal`, rotated every
+//! [`JournalConfig::segment_frames`] records:
 //!
-//! A journal is one flat directory holding three kinds of files:
+//! ```text
+//! segment := "MRDRWAL\x01" first_seq:u64be record*
+//! record  := len:u32be crc:u32be payload[len]      (CRC-32 of payload)
+//! payload := seq:u64be time_bits:u64be card:u32be frame-bytes
+//! ```
 //!
-//! * **Segments** (`segment-<first_seq>.wal`): append-only binary
-//!   record logs, rotated every [`JournalConfig::segment_frames`]
-//!   records. Each segment opens with a 16-byte header — an 8-byte
-//!   magic (`MRDRWAL` + format version byte) and the big-endian `u64`
-//!   sequence number of its first record. Records are length-prefixed
-//!   and checksummed:
-//!
-//!   ```text
-//!   record  := len:u32be  crc:u32be  payload[len]
-//!   payload := seq:u64be  time_bits:u64be  card:u32be  frame-bytes
-//!   ```
-//!
-//!   `crc` is CRC-32 (IEEE) over the payload; `time_bits` is the
-//!   frame timestamp's IEEE-754 bits, so replay is bit-exact.
-//!
-//! * **The closed-window log** ([`CLOSED_LOG`]): every window the
-//!   engine closed, in emission order, appended at checkpoints. It
-//!   opens with its own 8-byte magic (`MRDRCLW` + format version byte)
-//!   and uses the segment record framing with the payload of
-//!   [`persist::encode_closed`]:
-//!
-//!   ```text
-//!   payload := window:i64be  mobile:6 bytes  ap:6 bytes × |Γ|
-//!   ```
-//!
-//!   Γ is written in `BTreeSet` order; a record with an empty Γ is
-//!   rejected.
-//!
-//! * **Checkpoints** (`checkpoint-<seq>.ckpt`): small sealed
-//!   [`DocKind::JournalCheckpoint`] documents (see [`persist`]) written
-//!   atomically ([`write_atomic`]): the frames covered (`<seq>` —
-//!   recovery replays journal records with `seq >= <seq>`), how many
-//!   closed-window log records are covered (`K`) with the running
-//!   CRC-32 of those records, and the engine state inline. A
-//!   checkpoint's size follows the engine state, not the campaign's
-//!   length.
-//!
-//! A checkpoint syncs the open segment, appends only the windows closed
-//! since the previous checkpoint to the closed-window log and syncs it,
-//! and only then writes the checkpoint document. Its cost is the engine
-//! state plus the new windows, however long the campaign has run.
-//!
-//! # Recovery
-//!
-//! [`FrameJournal::recover`] reads the closed-window log up to its
-//! first damaged record, then scans checkpoints newest-first and takes
-//! the first one that opens, agrees with its file name, and whose `K`
-//! log records are intact with a matching running CRC. Other
-//! checkpoints are skipped and counted, never fatal: the segments are
-//! the source of truth and are never pruned, so with zero valid
-//! checkpoints recovery simply replays the whole journal from a fresh
-//! engine. It then walks the segments, verifying each record's length
-//! and CRC, pushing the tail through the engine — windows past `K`
-//! close again during that replay — and finally cuts the log back to
-//! exactly `K` records and reopens it for append.
+//! `time_bits` is the frame timestamp's IEEE-754 bits, so replay is
+//! bit-exact. The segments are the source of truth and are never
+//! pruned, so a checkpoint that does not restore only costs replay
+//! time.
 //!
 //! **Torn tails are not errors.** A crash mid-append leaves a partial
 //! final record; recovery detects it (short header, short payload, or
@@ -76,21 +33,16 @@
 //! re-feeds it and the resumed run stays byte-identical to an
 //! uninterrupted one. The same damage in a *non-final* segment cannot
 //! be a crash artifact and is reported as [`RecoveryError::Corrupt`].
-//! Damage to the closed-window log is never fatal: at worst it makes
-//! recovery fall back to an older checkpoint.
-//!
-//! # Crash equivalence
 //!
 //! The invariant pinned by `crates/fault`'s kill-at-every-boundary
 //! sweep: for any crash point, crash → recover → resume produces fixes
-//! byte-identical to the clean run (with [`FlushPolicy::EveryRecord`],
-//! which is the default).
+//! byte-identical to the clean run.
 
-use crate::engine::{ClosedWindow, StreamConfig, StreamEngine};
-use crate::persist::{
-    self, crc32, crc32_update, decode_closed, encode_closed, sync_dir, write_atomic, DocKind,
-    Field, PersistError, MIN_CLOSED_LEN,
+use crate::durable::{
+    list_numbered, push_record, sync_dir, DurableDir, Records, RECORD_HEADER_LEN,
 };
+use crate::engine::{ClosedWindow, StreamConfig, StreamEngine};
+use crate::persist::{crc32, DocKind};
 use marauder_core::pipeline::MaraudersMap;
 use marauder_wifi::frame::Frame;
 use marauder_wifi::sniffer::CapturedFrame;
@@ -106,48 +58,25 @@ pub const SEGMENT_MAGIC: [u8; 8] = *b"MRDRWAL\x01";
 /// Bytes of segment header preceding the first record.
 const SEGMENT_HEADER_LEN: u64 = 16;
 
-/// Bytes of record header (length prefix + CRC) preceding the payload.
-const RECORD_HEADER_LEN: u64 = 8;
-
 /// Fixed payload bytes before the encoded frame (seq + time + card).
 const PAYLOAD_PREFIX_LEN: usize = 20;
 
-/// Upper bound on a record payload. Real records are tens of bytes; a
-/// length prefix beyond this is corruption, and capping it keeps a
-/// flipped length byte from asking the reader to allocate gigabytes.
-pub const MAX_RECORD_LEN: u32 = 1 << 20;
-
-/// File name of the closed-window log inside the journal directory.
-pub const CLOSED_LOG: &str = "closed.wal";
-
-/// Magic bytes opening the closed-window log (its whole header); the
-/// trailing byte is the binary format version.
-pub const CLOSED_LOG_MAGIC: [u8; 8] = *b"MRDRCLW\x01";
-
-/// Checkpoint files retained after each new one is written; older ones
-/// are pruned. Recovery only ever needs the newest valid checkpoint;
-/// the older survivors are fallback against a torn or lost newest one.
-/// Every checkpoint is about the size of the engine state, so this
-/// bounds the directory's checkpoint bytes whatever the campaign's
-/// length.
-pub const RETAINED_CHECKPOINTS: usize = 4;
-
 /// When appended records are pushed to the OS.
 ///
-/// Durability is what the crash-equivalence invariant rides on: with
-/// [`EveryRecord`](FlushPolicy::EveryRecord) every acknowledged append
-/// survives a process kill, so recovery loses nothing. The batched
-/// policies trade that completeness for fewer `write(2)` calls — after
-/// a kill, at most the unflushed suffix is gone, which recovery
-/// reports as a (clean) torn tail.
+/// Durability is what the crash-equivalence invariant rides on. Under
+/// [`EveryRecord`](FlushPolicy::EveryRecord) an acknowledged append has
+/// been written and synced, so it survives a process kill and a power
+/// loss. Under [`OnRotate`](FlushPolicy::OnRotate) an acknowledged
+/// append has been written but not synced: it survives a process kill,
+/// and only a power loss can take back the records appended since the
+/// last rotation or checkpoint, which recovery then reports as a
+/// (clean) torn tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Flush after every record (default; required for exact crash
-    /// equivalence at arbitrary kill points).
+    /// Sync after every record (default; required for exact crash
+    /// equivalence at arbitrary power-loss points).
     EveryRecord,
-    /// Flush after every `n` records and on rotation.
-    EveryN(usize),
-    /// Flush only when a segment rotates (and on checkpoint).
+    /// Sync only when a segment rotates (and on checkpoint).
     OnRotate,
 }
 
@@ -179,16 +108,16 @@ pub enum JournalError {
         /// The underlying failure.
         source: std::io::Error,
     },
-    /// [`FrameJournal::create`] found existing journal files: a
-    /// non-empty journal must be opened through
-    /// [`FrameJournal::recover`], never blindly overwritten.
+    /// [`FrameJournal::create`] or [`DurableDir::create`] found durable
+    /// state already in the directory: it must be restored, never
+    /// blindly overwritten.
     NotEmpty {
         /// The offending directory.
         dir: PathBuf,
     },
-    /// [`FrameJournal::checkpoint`] was handed fewer closed windows
-    /// than the closed-window log already holds: the caller lost
-    /// windows the journal had made durable.
+    /// A checkpoint was handed fewer closed windows than the
+    /// closed-window log already holds: the caller lost windows that
+    /// were already durable.
     ClosedWindowsLost {
         /// Windows already durable in the closed-window log.
         persisted: usize,
@@ -198,7 +127,7 @@ pub enum JournalError {
 }
 
 impl JournalError {
-    fn io(op: impl Into<String>) -> impl FnOnce(std::io::Error) -> JournalError {
+    pub(crate) fn io(op: impl Into<String>) -> impl FnOnce(std::io::Error) -> JournalError {
         let op = op.into();
         move |source| JournalError::Io { op, source }
     }
@@ -210,14 +139,13 @@ impl fmt::Display for JournalError {
             JournalError::Io { op, source } => write!(f, "journal {op}: {source}"),
             JournalError::NotEmpty { dir } => write!(
                 f,
-                "journal directory {} already holds journal files; recover it instead of \
-                 creating over it",
+                "{} already holds durable state; recover it instead of creating over it",
                 dir.display()
             ),
             JournalError::ClosedWindowsLost { persisted, given } => write!(
                 f,
-                "journal checkpoint was handed {given} closed windows, but {persisted} are \
-                 already durable"
+                "checkpoint was handed {given} closed windows, but {persisted} are already \
+                 durable"
             ),
         }
     }
@@ -256,7 +184,7 @@ pub enum RecoveryError {
 }
 
 impl RecoveryError {
-    fn io(op: impl Into<String>) -> impl FnOnce(std::io::Error) -> RecoveryError {
+    pub(crate) fn io(op: impl Into<String>) -> impl FnOnce(std::io::Error) -> RecoveryError {
         let op = op.into();
         move |source| RecoveryError::Io { op, source }
     }
@@ -287,13 +215,6 @@ impl std::error::Error for RecoveryError {
     }
 }
 
-/// Appends one `len crc payload` record to `out`.
-fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    out.extend_from_slice(payload);
-}
-
 /// Encodes one record payload: sequence, timestamp bits, card index,
 /// then the frame's wire bytes.
 fn encode_payload(seq: u64, frame: &CapturedFrame) -> Vec<u8> {
@@ -316,18 +237,6 @@ pub fn record_crc(seq: u64, frame: &CapturedFrame) -> u32 {
 
 fn segment_name(first_seq: u64) -> String {
     format!("segment-{first_seq:020}.wal")
-}
-
-fn checkpoint_name(seq: u64) -> String {
-    format!("checkpoint-{seq:020}.ckpt")
-}
-
-/// Parses `prefix-<u64>.suffix` file names back to their number.
-fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
 }
 
 /// What [`FrameJournal::recover`] found and rebuilt.
@@ -378,7 +287,6 @@ pub struct RecoveryReport {
 /// See the [module docs](self) for the format and recovery contract.
 #[derive(Debug)]
 pub struct FrameJournal {
-    dir: PathBuf,
     config: JournalConfig,
     /// The open segment, if any (`None` until the first append after
     /// creation or a rotation boundary).
@@ -387,18 +295,13 @@ pub struct FrameJournal {
     segment_records: usize,
     /// Sequence number the next append receives.
     next_seq: u64,
-    /// Appends since the last flush, for [`FlushPolicy::EveryN`].
-    unflushed: usize,
+    /// Whether appends have been written since the last sync.
+    unsynced: bool,
     /// Frames covered by the newest checkpoint written through this
     /// handle (or carried in at recovery).
     checkpointed_seq: u64,
-    /// The closed-window log, opened for append (`None` until a
-    /// checkpoint first has a window to persist).
-    closed_log: Option<File>,
-    /// Windows durable in the closed-window log.
-    closed_persisted: usize,
-    /// Running CRC-32 of the closed-window log's records.
-    closed_crc: u32,
+    /// The closed-window log and the checkpoints.
+    durable: DurableDir,
 }
 
 impl FrameJournal {
@@ -410,32 +313,28 @@ impl FrameJournal {
     /// checkpoints or a closed-window log (recover those instead), or
     /// [`JournalError::Io`].
     pub fn create(dir: &Path, config: JournalConfig) -> Result<FrameJournal, JournalError> {
-        std::fs::create_dir_all(dir)
-            .map_err(JournalError::io(format!("create dir {}", dir.display())))?;
-        let (segments, checkpoints) =
-            list_journal_files(dir).map_err(JournalError::io(format!("scan {}", dir.display())))?;
-        if !segments.is_empty() || !checkpoints.is_empty() || dir.join(CLOSED_LOG).exists() {
+        let durable = DurableDir::create(dir, DocKind::JournalCheckpoint)?;
+        let segments = list_numbered(dir, "segment-", ".wal")
+            .map_err(JournalError::io(format!("scan {}", dir.display())))?;
+        if !segments.is_empty() {
             return Err(JournalError::NotEmpty {
                 dir: dir.to_path_buf(),
             });
         }
         Ok(FrameJournal {
-            dir: dir.to_path_buf(),
             config,
             segment: None,
             segment_records: 0,
             next_seq: 0,
-            unflushed: 0,
+            unsynced: false,
             checkpointed_seq: 0,
-            closed_log: None,
-            closed_persisted: 0,
-            closed_crc: 0,
+            durable,
         })
     }
 
     /// The directory this journal lives in.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.durable.dir()
     }
 
     /// Sequence number the next append will receive (= frames durably
@@ -458,7 +357,7 @@ impl FrameJournal {
         }
         let seq = self.next_seq;
         let payload = encode_payload(seq, frame);
-        let mut record = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
+        let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
         push_record(&mut record, &payload);
         let file = self.segment.as_mut().ok_or_else(|| JournalError::Io {
             op: "open segment".into(),
@@ -468,13 +367,8 @@ impl FrameJournal {
             .map_err(JournalError::io("append record"))?;
         self.next_seq += 1;
         self.segment_records += 1;
-        self.unflushed += 1;
-        let flush_now = match self.config.flush {
-            FlushPolicy::EveryRecord => true,
-            FlushPolicy::EveryN(n) => self.unflushed >= n.max(1),
-            FlushPolicy::OnRotate => false,
-        };
-        if flush_now {
+        self.unsynced = true;
+        if self.config.flush == FlushPolicy::EveryRecord {
             self.sync()?;
         }
         let reg = marauder_obs::global();
@@ -492,10 +386,10 @@ impl FrameJournal {
         if let Some(file) = self.segment.as_mut() {
             file.sync_data().map_err(JournalError::io("sync segment"))?;
         }
-        if self.unflushed > 0 {
+        if self.unsynced {
             marauder_obs::global().counter_add("journal.flushes", 1);
         }
-        self.unflushed = 0;
+        self.unsynced = false;
         Ok(())
     }
 
@@ -505,7 +399,8 @@ impl FrameJournal {
         self.sync()?;
         self.segment = None;
         self.segment_records = 0;
-        let path = self.dir.join(segment_name(self.next_seq));
+        let dir = self.durable.dir();
+        let path = dir.join(segment_name(self.next_seq));
         let mut file = OpenOptions::new()
             .create_new(true)
             .write(true)
@@ -516,21 +411,17 @@ impl FrameJournal {
         header.extend_from_slice(&self.next_seq.to_be_bytes());
         file.write_all(&header)
             .map_err(JournalError::io("write segment header"))?;
-        sync_dir(&self.dir).map_err(JournalError::io(format!("sync {}", self.dir.display())))?;
+        sync_dir(dir).map_err(JournalError::io(format!("sync {}", dir.display())))?;
         self.segment = Some(file);
         marauder_obs::global().counter_add("journal.segments", 1);
         Ok(())
     }
 
-    /// Writes a checkpoint covering everything ingested so far. In
-    /// order: the segment is synced, so a checkpoint never claims
-    /// frames that are not yet durable; the windows of `closed` not
-    /// yet in the closed-window log are appended to it and the log is
-    /// synced; then the checkpoint document goes to
-    /// `checkpoint-<next_seq>.ckpt` via the atomic temp-file + rename
-    /// helper. After a successful write, checkpoints older than the
-    /// newest [`RETAINED_CHECKPOINTS`] are pruned (best-effort: a
-    /// failed unlink never fails the checkpoint that just succeeded).
+    /// Writes a checkpoint covering everything ingested so far: the
+    /// segment is synced, so a checkpoint never claims frames that are
+    /// not yet durable, then [`DurableDir::checkpoint`] appends the new
+    /// windows of `closed` to the closed-window log and writes
+    /// `checkpoint-<next_seq>.ckpt` with the engine state.
     ///
     /// `closed` is every window closed so far, in emission order — the
     /// list [`Recovery::closed`] starts, extended by each push.
@@ -545,73 +436,17 @@ impl FrameJournal {
         closed: &[ClosedWindow],
     ) -> Result<(), JournalError> {
         self.sync()?;
-        let fresh = closed
-            .get(self.closed_persisted..)
-            .ok_or(JournalError::ClosedWindowsLost {
-                persisted: self.closed_persisted,
-                given: closed.len(),
-            })?;
-        let mut log_bytes = 0;
-        if !fresh.is_empty() {
-            let mut records = Vec::new();
-            for c in fresh {
-                push_record(&mut records, &encode_closed(c));
-            }
-            log_bytes = self.append_closed(&records)?;
-            self.closed_crc = crc32_update(self.closed_crc, &records);
-            self.closed_persisted = closed.len();
-        }
-        let doc = checkpoint_document(
-            engine,
-            self.next_seq,
-            self.closed_persisted,
-            self.closed_crc,
-        );
-        let path = self.dir.join(checkpoint_name(self.next_seq));
-        write_atomic(&path, &doc).map_err(JournalError::io(format!("write {}", path.display())))?;
+        let written = self
+            .durable
+            .checkpoint(self.next_seq, closed, |out| engine.encode_state(out))?;
         self.checkpointed_seq = self.next_seq;
         let reg = marauder_obs::global();
         reg.counter_add("journal.checkpoints", 1);
-        reg.counter_add("journal.checkpoint_bytes", (log_bytes + doc.len()) as u64);
-        if let Ok((_, checkpoints)) = list_journal_files(&self.dir) {
-            let excess = checkpoints.len().saturating_sub(RETAINED_CHECKPOINTS);
-            for (_, name) in &checkpoints[..excess] {
-                if std::fs::remove_file(self.dir.join(name)).is_ok() {
-                    reg.counter_add("journal.checkpoints_pruned", 1);
-                }
-            }
+        reg.counter_add("journal.checkpoint_bytes", written.bytes);
+        if written.pruned > 0 {
+            reg.counter_add("journal.checkpoints_pruned", written.pruned);
         }
         Ok(())
-    }
-
-    /// Appends encoded records to the closed-window log, creating it
-    /// (header written, directory synced) on first use, and syncs it.
-    /// Returns the bytes written.
-    fn append_closed(&mut self, records: &[u8]) -> Result<usize, JournalError> {
-        let mut written = records.len();
-        let log = match self.closed_log.take() {
-            Some(log) => log,
-            None => {
-                let path = self.dir.join(CLOSED_LOG);
-                let mut log = OpenOptions::new()
-                    .create_new(true)
-                    .append(true)
-                    .open(&path)
-                    .map_err(JournalError::io(format!("create {}", path.display())))?;
-                log.write_all(&CLOSED_LOG_MAGIC)
-                    .map_err(JournalError::io("write closed-window log header"))?;
-                sync_dir(&self.dir)
-                    .map_err(JournalError::io(format!("sync {}", self.dir.display())))?;
-                written += CLOSED_LOG_MAGIC.len();
-                log
-            }
-        };
-        let log = self.closed_log.insert(log);
-        log.write_all(records)
-            .map_err(JournalError::io("append closed-window log"))?;
-        log.sync_data()
-            .map_err(JournalError::io("sync closed-window log"))?;
-        Ok(written)
     }
 
     /// Frames covered by the newest checkpoint this handle wrote.
@@ -620,13 +455,11 @@ impl FrameJournal {
     }
 
     /// Rebuilds engine state from the journal in `dir`: restores the
-    /// newest checkpoint that opens and agrees with the closed-window
-    /// log (skipping, not failing on, the others — the journal itself
-    /// is authoritative) and replays the journal tail through the
-    /// engine. A partial final record — the signature of a crash
-    /// mid-append — is truncated away and reported, not an error. The
-    /// closed-window log is cut back to the windows the restored
-    /// checkpoint covers; the replay closes the rest again.
+    /// newest usable checkpoint (skipping, not failing on, the others —
+    /// the journal itself is authoritative) and replays the journal
+    /// tail through the engine. A partial final record — the signature
+    /// of a crash mid-append — is truncated away and reported, not an
+    /// error.
     ///
     /// `config`'s `live_localization`/`warm_start` are applied to the
     /// rebuilt engine (they are process configuration, never
@@ -643,44 +476,24 @@ impl FrameJournal {
         map: MaraudersMap,
         config: StreamConfig,
     ) -> Result<Recovery, RecoveryError> {
-        let (segments, mut checkpoints) = list_journal_files(dir)
+        let segments = list_numbered(dir, "segment-", ".wal")
             .map_err(RecoveryError::io(format!("scan {}", dir.display())))?;
-        let mut report = RecoveryReport::default();
-        let log = scan_closed_log(&dir.join(CLOSED_LOG), map.config().window_s)?;
-
-        // Newest checkpoint that opens and whose closed-window records
-        // are intact wins; the rest are skipped.
-        let mut restored: Option<Checkpoint> = None;
-        checkpoints.reverse();
-        for (seq, name) in &checkpoints {
-            let path = dir.join(name);
-            let Ok(doc) = std::fs::read(&path) else {
-                report.checkpoints_skipped += 1;
-                continue;
-            };
-            match open_checkpoint(&doc, map.clone()) {
-                // A checkpoint whose file name disagrees with its
-                // `covers` field, or whose log records are damaged or
-                // gone, is as untrustworthy as one that fails to open.
-                Ok(ckpt)
-                    if ckpt.covers == *seq
-                        && log.prefix.get(ckpt.closed).map(|&(_, crc)| crc)
-                            == Some(ckpt.closed_crc) =>
-                {
-                    report.checkpoint_seq = Some(ckpt.covers);
-                    restored = Some(ckpt);
-                    break;
-                }
-                Ok(_) | Err(_) => report.checkpoints_skipped += 1,
-            }
-        }
-        let (mut engine, closed_persisted, closed_crc, start_seq) = match restored {
-            Some(c) => (c.engine, c.closed, c.closed_crc, c.covers),
-            None => (StreamEngine::new(map, config.clone()), 0, 0, 0),
+        let restored = DurableDir::restore(
+            dir,
+            DocKind::JournalCheckpoint,
+            map.config().window_s,
+            |r| StreamEngine::decode_state(map.clone(), r),
+        )?;
+        let mut report = RecoveryReport {
+            checkpoint_seq: restored.checkpoint.as_ref().map(|c| c.0),
+            checkpoints_skipped: restored.skipped,
+            ..RecoveryReport::default()
         };
+        let (start_seq, mut engine) = restored
+            .checkpoint
+            .unwrap_or_else(|| (0, StreamEngine::new(map, config.clone())));
         engine.set_mode(config.live_localization, config.warm_start);
-        let mut closed = log.windows;
-        closed.truncate(closed_persisted);
+        let mut closed = restored.closed;
 
         // Replay the tail: walk segments in order, skipping any whose
         // entire range the checkpoint already covers.
@@ -763,23 +576,6 @@ impl FrameJournal {
             None => (None, 0),
         };
 
-        // Cut the closed-window log back to exactly the restored
-        // checkpoint's records: the tail replay closed the windows past
-        // them again, and the next checkpoint appends them anew.
-        let closed_log = match log.prefix.get(closed_persisted) {
-            Some(&(len, _)) if log.intact => {
-                let path = dir.join(CLOSED_LOG);
-                let file = OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .map_err(RecoveryError::io(format!("reopen {}", path.display())))?;
-                file.set_len(len)
-                    .map_err(RecoveryError::io(format!("truncate {}", path.display())))?;
-                Some(file)
-            }
-            _ => None,
-        };
-
         let reg = marauder_obs::global();
         reg.counter_add("recovery.runs", 1);
         reg.counter_add("recovery.records_replayed", report.records_replayed);
@@ -795,16 +591,13 @@ impl FrameJournal {
 
         Ok(Recovery {
             journal: FrameJournal {
-                dir: dir.to_path_buf(),
                 config: JournalConfig::default(),
                 segment,
                 segment_records,
                 next_seq,
-                unflushed: 0,
+                unsynced: false,
                 checkpointed_seq: start_seq,
-                closed_log,
-                closed_persisted,
-                closed_crc,
+                durable: restored.durable,
             },
             engine,
             closed,
@@ -813,96 +606,11 @@ impl FrameJournal {
             report,
         })
     }
-}
 
-impl FrameJournal {
     /// Replaces the journal's rotation/flush configuration (used after
     /// [`recover`](Self::recover), which resumes with the defaults).
     pub fn set_config(&mut self, config: JournalConfig) {
         self.config = config;
-    }
-}
-
-/// `(number, file_name)` pairs, ascending by number: segments first,
-/// checkpoints second.
-type JournalFiles = (Vec<(u64, String)>, Vec<(u64, String)>);
-
-/// Lists `(number, file_name)` for segments and checkpoints in `dir`,
-/// each sorted ascending by number. Foreign files are ignored.
-fn list_journal_files(dir: &Path) -> std::io::Result<JournalFiles> {
-    let mut segments = Vec::new();
-    let mut checkpoints = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = match entry.file_name().into_string() {
-            Ok(n) => n,
-            Err(_) => continue,
-        };
-        if let Some(seq) = parse_numbered(&name, "segment-", ".wal") {
-            segments.push((seq, name));
-        } else if let Some(seq) = parse_numbered(&name, "checkpoint-", ".ckpt") {
-            checkpoints.push((seq, name));
-        }
-    }
-    segments.sort();
-    checkpoints.sort();
-    Ok((segments, checkpoints))
-}
-
-/// Walks `len:u32be crc:u32be payload[len]` records — the framing of
-/// segments and the closed-window log alike — yielding
-/// `(offset, crc, payload)` for each intact one. The walk ends at the
-/// end of the bytes or at the first record that is short, has an
-/// implausible length, or fails its CRC; `pos` is then the offset just
-/// past the last intact record and `damage` says what stopped it.
-struct Records<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Smallest plausible payload length.
-    min_len: usize,
-    damage: Option<String>,
-}
-
-impl<'a> Records<'a> {
-    fn new(bytes: &'a [u8], start: usize, min_len: usize) -> Self {
-        Records {
-            bytes,
-            pos: start,
-            min_len,
-            damage: None,
-        }
-    }
-}
-
-impl<'a> Iterator for Records<'a> {
-    type Item = (usize, u32, &'a [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let rest = &self.bytes[self.pos..];
-        if rest.is_empty() || self.damage.is_some() {
-            return None; // clean end on a record boundary, or stopped
-        }
-        let Some((header, body)) = rest.split_first_chunk::<8>() else {
-            self.damage = Some("short record header".into());
-            return None;
-        };
-        let len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
-        let crc = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-        if len > MAX_RECORD_LEN || (len as usize) < self.min_len {
-            self.damage = Some(format!("implausible record length {len}"));
-            return None;
-        }
-        let Some(payload) = body.get(..len as usize) else {
-            self.damage = Some("record extends past end of file".into());
-            return None;
-        };
-        if crc32(payload) != crc {
-            self.damage = Some("checksum mismatch".into());
-            return None;
-        }
-        let offset = self.pos;
-        self.pos += RECORD_HEADER_LEN as usize + payload.len();
-        Some((offset, crc, payload))
     }
 }
 
@@ -1001,96 +709,15 @@ fn scan_segment(
     })
 }
 
-/// The intact prefix of the closed-window log.
-struct ClosedLogScan {
-    /// Whether a log with an intact header exists.
-    intact: bool,
-    /// Its intact records, decoded, in log order.
-    windows: Vec<ClosedWindow>,
-    /// `prefix[k]`: the byte length and running CRC-32 of the log's
-    /// first `k` records (`prefix[0]` is the bare header).
-    prefix: Vec<(u64, u32)>,
-}
-
-/// Reads the closed-window log up to its first damaged record. Damage
-/// is never an error: a checkpoint that needs records past it is
-/// skipped. A log whose header is torn holds nothing usable and is
-/// deleted, as a headerless final segment is; the next checkpoint
-/// creates a fresh one.
-fn scan_closed_log(path: &Path, window_s: f64) -> Result<ClosedLogScan, RecoveryError> {
-    let header_len = CLOSED_LOG_MAGIC.len();
-    let mut scan = ClosedLogScan {
-        intact: false,
-        windows: Vec::new(),
-        prefix: vec![(header_len as u64, 0)],
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(scan),
-        Err(e) => return Err(RecoveryError::io(format!("read {}", path.display()))(e)),
-    };
-    if !bytes.starts_with(&CLOSED_LOG_MAGIC) {
-        std::fs::remove_file(path)
-            .map_err(RecoveryError::io(format!("remove {}", path.display())))?;
-        return Ok(scan);
-    }
-    scan.intact = true;
-    let mut crc = 0;
-    for (offset, _, payload) in Records::new(&bytes, header_len, MIN_CLOSED_LEN) {
-        let Some(window) = decode_closed(payload, window_s) else {
-            break;
-        };
-        let end = offset + RECORD_HEADER_LEN as usize + payload.len();
-        crc = crc32_update(crc, &bytes[offset..end]);
-        scan.windows.push(window);
-        scan.prefix.push((end as u64, crc));
-    }
-    Ok(scan)
-}
-
-/// Seals the checkpoint document: `covers`, the closed-window log
-/// records covered and their running CRC, then the engine state.
-pub(crate) fn checkpoint_document(
-    engine: &StreamEngine,
-    covers: u64,
-    closed: usize,
-    crc: u32,
-) -> Vec<u8> {
-    persist::seal(DocKind::JournalCheckpoint, |out| {
-        covers.put(out);
-        closed.put(out);
-        crc.put(out);
-        engine.encode_state(out);
-    })
-}
-
-/// An opened checkpoint document.
-pub(crate) struct Checkpoint {
-    engine: StreamEngine,
-    /// Frames covered.
-    covers: u64,
-    /// Closed-window log records covered.
-    closed: usize,
-    /// Running CRC-32 of those records.
-    closed_crc: u32,
-}
-
-/// Opens a checkpoint document, restoring its engine over `map`.
-pub(crate) fn open_checkpoint(doc: &[u8], map: MaraudersMap) -> Result<Checkpoint, PersistError> {
-    persist::open(doc, DocKind::JournalCheckpoint, |r| {
-        Ok(Checkpoint {
-            covers: r.get()?,
-            closed: r.get()?,
-            closed_crc: r.get()?,
-            engine: StreamEngine::decode_state(map, r)?,
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{
+        list_checkpoints, open_checkpoint, seal_checkpoint, CLOSED_LOG, CLOSED_LOG_MAGIC,
+        RETAINED_CHECKPOINTS,
+    };
     use crate::engine::StreamConfig;
+    use crate::persist::encode_closed;
     use marauder_core::apdb::{ApDatabase, ApRecord};
     use marauder_core::pipeline::{AttackConfig, KnowledgeLevel};
     use marauder_geo::Point;
@@ -1137,6 +764,14 @@ mod tests {
         (0..n)
             .map(|k| response(k as f64 * 7.0, 100 + (k % 3) as u64, 1 + (k % 2) as u64))
             .collect()
+    }
+
+    fn checkpoint_name(seq: u64) -> String {
+        format!("checkpoint-{seq:020}.ckpt")
+    }
+
+    fn segments(dir: &Path) -> Vec<(u64, String)> {
+        list_numbered(dir, "segment-", ".wal").unwrap()
     }
 
     fn lazy() -> StreamConfig {
@@ -1238,7 +873,7 @@ mod tests {
         drop(journal);
 
         // Tear 3 bytes into the final record.
-        let (segments, _) = list_journal_files(&dir).unwrap();
+        let segments = segments(&dir);
         let (_, name) = segments.last().unwrap();
         let path = dir.join(name);
         let len = std::fs::metadata(&path).unwrap().len();
@@ -1339,7 +974,7 @@ mod tests {
                 journal.checkpoint(&engine, &closed).unwrap();
             }
         }
-        let (_, checkpoints) = list_journal_files(&dir).unwrap();
+        let checkpoints = list_checkpoints(&dir, DocKind::JournalCheckpoint).unwrap();
         assert_eq!(checkpoints.len(), RETAINED_CHECKPOINTS);
         // The survivors are the NEWEST ones, and recovery still works.
         assert_eq!(checkpoints.last().unwrap().0, 40);
@@ -1394,7 +1029,7 @@ mod tests {
         drop(journal);
 
         // Flip a byte in the newest checkpoint.
-        let (_, checkpoints) = list_journal_files(&dir).unwrap();
+        let checkpoints = list_checkpoints(&dir, DocKind::JournalCheckpoint).unwrap();
         let newest = dir.join(&checkpoints.last().unwrap().1);
         let mut bytes = std::fs::read(&newest).unwrap();
         let mid = bytes.len() / 2;
@@ -1427,7 +1062,7 @@ mod tests {
             journal.append(&f).unwrap();
         }
         drop(journal);
-        let (segments, _) = list_journal_files(&dir).unwrap();
+        let segments = segments(&dir);
         assert!(segments.len() >= 3);
         let first = dir.join(&segments[0].1);
         let mut bytes = std::fs::read(&first).unwrap();
@@ -1451,8 +1086,7 @@ mod tests {
         let err = FrameJournal::create(&dir, JournalConfig::default()).unwrap_err();
         assert!(matches!(err, JournalError::NotEmpty { .. }), "{err}");
         // A closed-window log alone makes a journal too.
-        let (segments, _) = list_journal_files(&dir).unwrap();
-        for (_, name) in segments {
+        for (_, name) in segments(&dir) {
             std::fs::remove_file(dir.join(name)).unwrap();
         }
         std::fs::write(dir.join(CLOSED_LOG), CLOSED_LOG_MAGIC).unwrap();
@@ -1492,11 +1126,13 @@ mod tests {
         assert!(log_lens[0].0 > 0 && log_lens[1].0 > log_lens[0].0);
         // The checkpoint document carries counts, not the windows.
         let doc = std::fs::read(dir.join(checkpoint_name(30))).unwrap();
-        let ckpt = open_checkpoint(&doc, map()).unwrap();
-        assert_eq!((ckpt.covers, ckpt.closed), (30, closed.len()));
+        let kind = DocKind::JournalCheckpoint;
+        let (covers, count, crc, _) =
+            open_checkpoint(&doc, kind, |r| StreamEngine::decode_state(map(), r)).unwrap();
+        assert_eq!((covers, count), (30, closed.len()));
         assert_eq!(
             doc,
-            checkpoint_document(&engine, 30, closed.len(), ckpt.closed_crc)
+            seal_checkpoint(kind, 30, count, crc, |out| engine.encode_state(out))
         );
         // Handing in fewer windows than are durable is a typed error.
         let err = journal.checkpoint(&engine, &closed[..1]).unwrap_err();
@@ -1531,10 +1167,6 @@ mod tests {
         let rec = FrameJournal::recover(&dir, map(), lazy()).unwrap();
         assert_eq!(rec.report.checkpoint_seq, Some(10));
         assert_eq!(rec.next_seq, 30);
-        assert!(
-            std::fs::metadata(dir.join(CLOSED_LOG)).unwrap().len() < logged,
-            "the log must be cut back to the restored checkpoint"
-        );
         // Resume with a checkpoint; the next recovery restores it.
         let mut journal = rec.journal;
         let mut recovered = rec.engine;
@@ -1545,6 +1177,14 @@ mod tests {
         }
         journal.checkpoint(&recovered, &closed).unwrap();
         drop(journal);
+        // The checkpoint's append cut the log back to the restored
+        // checkpoint first: it holds each window once.
+        let mut records = CLOSED_LOG_MAGIC.to_vec();
+        for c in &closed {
+            push_record(&mut records, &encode_closed(c));
+        }
+        assert_eq!(std::fs::read(dir.join(CLOSED_LOG)).unwrap(), records);
+        assert!(logged > 0);
         let rec2 = FrameJournal::recover(&dir, map(), lazy()).unwrap();
         assert_eq!(rec2.report.checkpoint_seq, Some(40));
         assert_eq!(rec2.report.records_replayed, 0);
@@ -1630,7 +1270,7 @@ mod tests {
 
     #[test]
     fn flush_policies_accept_appends() {
-        for flush in [FlushPolicy::EveryN(4), FlushPolicy::OnRotate] {
+        for flush in [FlushPolicy::EveryRecord, FlushPolicy::OnRotate] {
             let dir = scratch(&format!("flush-{flush:?}"));
             let mut journal = FrameJournal::create(
                 &dir,
@@ -1649,5 +1289,42 @@ mod tests {
             assert_eq!(rec.next_seq, 20);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn partial_closed_log_append_does_not_disable_later_checkpoints() {
+        // A checkpoint's log append fails part-way, leaving 3 stray
+        // bytes after the records of the checkpoint at frame 21. The
+        // next append must overwrite them, or the log scan stops there
+        // and every later checkpoint fails its running CRC.
+        let dir = scratch("partial-append");
+        let all = frames(64);
+        let mut journal = FrameJournal::create(&dir, JournalConfig::default()).unwrap();
+        let mut engine = StreamEngine::new(map(), lazy());
+        let mut closed = Vec::new();
+        for (k, f) in all.iter().enumerate() {
+            journal.append(f).unwrap();
+            closed.extend(engine.push(f));
+            if k == 20 || k == 40 || k == 60 {
+                journal.checkpoint(&engine, &closed).unwrap();
+            }
+            if k == 20 {
+                let mut log = OpenOptions::new()
+                    .append(true)
+                    .open(dir.join(CLOSED_LOG))
+                    .unwrap();
+                log.write_all(&[0xAB; 3]).unwrap();
+            }
+        }
+        drop(journal);
+        let rec = FrameJournal::recover(&dir, map(), lazy()).unwrap();
+        assert_eq!(rec.report.checkpoint_seq, Some(61));
+        assert_eq!(rec.report.checkpoints_skipped, 0);
+        assert_eq!(rec.report.records_replayed, 3);
+        let mut recovered = rec.engine;
+        let mut closed = rec.closed;
+        closed.extend(recovered.finish());
+        assert_eq!(render(&recovered.batch_fixes(closed)), clean_fixes(64));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

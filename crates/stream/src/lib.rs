@@ -60,11 +60,13 @@
 //! frame is appended to a checksummed write-ahead log before it is
 //! pushed, so [`FrameJournal::recover`] can rebuild the engine (newest
 //! checkpoint + journal-tail replay, torn tails truncated) with state
-//! byte-identical to the uninterrupted run. See
-//! DESIGN.md "Durability & crash recovery".
+//! byte-identical to the uninterrupted run. Its closed-window log and
+//! checkpoints are a [`DurableDir`], which the fleet aggregator's
+//! checkpoints share. See DESIGN.md "Durability & crash recovery".
 
 #![forbid(unsafe_code)]
 
+mod durable;
 mod engine;
 mod journal;
 pub mod persist;
@@ -72,13 +74,16 @@ mod publish;
 mod replay;
 mod snapshot;
 
+pub use durable::{
+    list_checkpoints, list_numbered, DurableDir, Restored, Written, CLOSED_LOG, CLOSED_LOG_MAGIC,
+    MAX_RECORD_LEN, RETAINED_CHECKPOINTS,
+};
 pub use engine::{ClosedWindow, StreamConfig, StreamEngine, StreamStats};
 pub use journal::{
     record_crc, FlushPolicy, FrameJournal, JournalConfig, JournalError, Recovery, RecoveryError,
-    RecoveryReport, CLOSED_LOG, CLOSED_LOG_MAGIC, MAX_RECORD_LEN, RETAINED_CHECKPOINTS,
-    SEGMENT_MAGIC,
+    RecoveryReport, SEGMENT_MAGIC,
 };
-pub use persist::{write_atomic, PersistError};
+pub use persist::PersistError;
 pub use publish::SnapshotSink;
 pub use replay::{
     pacing_gap, replay_database, replay_frames, replay_log, Pacer, PollBackoff, MAX_PACING_GAP_S,

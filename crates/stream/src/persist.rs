@@ -19,7 +19,6 @@ use marauder_wifi::mac::MacAddr;
 use marauder_wifi::sniffer::window_start;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::path::Path;
 
 /// Magic bytes opening every sealed document.
 pub const DOC_MAGIC: [u8; 7] = *b"MRDRDOC";
@@ -42,8 +41,9 @@ pub enum DocKind {
     JournalCheckpoint = 2,
     /// The fleet aggregator's snapshot.
     FleetSnapshot = 3,
-    /// A fleet `fleet-<n>.ckpt`.
-    FleetCheckpoint = 4,
+    /// A fleet `fleet-<n>.ckpt`. Kind 4 was the fleet checkpoint that
+    /// embedded every closed window; it is neither written nor accepted.
+    FleetCheckpoint = 5,
 }
 
 /// Why a sealed document was refused.
@@ -390,8 +390,7 @@ impl<K: Field + Ord, V: Field> Field for BTreeMap<K, V> {
 }
 
 /// Encodes a closed window as `window:i64be mobile:6B` plus 6 bytes per
-/// Γ entry in ascending order — the payload of a `closed.wal` record
-/// and of each window in a fleet checkpoint.
+/// Γ entry in ascending order — the payload of a `closed.wal` record.
 pub fn encode_closed(c: &ClosedWindow) -> Vec<u8> {
     let mut payload = Vec::new();
     c.window.put(&mut payload);
@@ -424,61 +423,10 @@ pub fn decode_closed(payload: &[u8], window_s: f64) -> Option<ClosedWindow> {
     })
 }
 
-/// Writes `contents` to `path` atomically: the bytes go to a temporary
-/// file in the same directory, which is then renamed over the target.
-/// A crash mid-write leaves either the old file or the new one — never
-/// a torn hybrid — because the rename is the only mutation of `path`
-/// and renames within one directory are atomic on every platform the
-/// workspace targets.
-///
-/// The temporary name is derived from the target name (`.{name}.tmp`),
-/// so concurrent writers of *different* files never collide; the
-/// workspace's checkpoint writers are single-threaded per target.
-///
-/// The rename is made durable too: the parent directory is synced
-/// after it, so a power loss cannot take the new entry back.
-///
-/// # Errors
-///
-/// Any I/O failure creating, writing, syncing, or renaming the
-/// temporary file, or syncing the directory. On failure before the
-/// rename the target is untouched.
-pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
-    let name = path
-        .file_name()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no name"))?;
-    let mut tmp_name = std::ffi::OsString::from(".");
-    tmp_name.push(name);
-    tmp_name.push(".tmp");
-    let tmp = dir.join(tmp_name);
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(contents)?;
-    // The data must be durable before the rename publishes it: a
-    // rename that survives a crash while the bytes behind it did not
-    // would be exactly the torn checkpoint this helper exists to
-    // prevent.
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)?;
-    sync_dir(dir)
-}
-
-/// Syncs a directory, making the entries created or renamed in it
-/// durable: fsync(2) on a file does not cover the directory entry that
-/// names it.
-pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::File::open(dir)?.sync_all()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{checkpoint_document, open_checkpoint};
+    use crate::durable::{open_checkpoint, seal_checkpoint};
     use crate::{StreamConfig, StreamEngine};
     use marauder_core::apdb::{ApDatabase, ApRecord};
     use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
@@ -715,7 +663,13 @@ mod tests {
         let engine = engine();
         let snapshot = engine.snapshot();
         assert_every_damage_is_typed(&snapshot, |d| StreamEngine::restore(map(), d));
-        let checkpoint = checkpoint_document(&engine, 25, 3, 0x1234_5678);
-        assert_every_damage_is_typed(&checkpoint, |d| open_checkpoint(d, map()));
+        let checkpoint = seal_checkpoint(DocKind::JournalCheckpoint, 25, 3, 0x1234_5678, |out| {
+            engine.encode_state(out)
+        });
+        assert_every_damage_is_typed(&checkpoint, |d| {
+            open_checkpoint(d, DocKind::JournalCheckpoint, |r| {
+                StreamEngine::decode_state(map(), r)
+            })
+        });
     }
 }

@@ -39,7 +39,7 @@ use marauders_map::net::chaos::run_default_matrix;
 use marauders_map::net::tcp::{run_node, serve_with, RetryConfig};
 use marauders_map::net::{
     required_slack_s, restore_latest, split_by_time, split_round_robin, Aggregator,
-    CheckpointError, Checkpointer, FleetConfig, LoopbackFleet, NetError, NodeConfig, SnifferNode,
+    CheckpointError, FleetConfig, LoopbackFleet, NetError, NodeConfig, SnifferNode,
 };
 use marauders_map::serve::{
     chaos::{run_chaos, ChaosConfig},
@@ -1146,6 +1146,34 @@ fn fleet_listen(opts: &Opts) -> Result<(), CliError> {
         ));
     }
     let (map, level) = build_map(opts)?;
+    let config = FleetConfig {
+        expected_nodes: nodes,
+        ..FleetConfig::default()
+    };
+    // Supervised-restart mode: with --checkpoint-dir the aggregator
+    // restores its newest valid checkpoint before listening (nodes
+    // fast-forward past everything it absorbed via resume_seq) and
+    // checkpoints every --checkpoint-every seconds of stream time; a
+    // directory without a checkpoint file starts a fresh campaign.
+    let (aggregator, initial_closed, mut checkpointer) = match opts.get("checkpoint-dir") {
+        Some(dir) => {
+            let restored = restore_latest(Path::new(dir), &map, &config, every)?;
+            if restored.key.is_some() {
+                eprintln!(
+                    "restored {dir} ({} closed window(s) carried over, {} damaged \
+                     checkpoint(s) skipped)",
+                    restored.closed.len(),
+                    restored.skipped
+                );
+            }
+            (
+                restored.aggregator,
+                restored.closed,
+                Some(restored.checkpointer),
+            )
+        }
+        None => (Aggregator::new(map, config), Vec::new(), None),
+    };
     let listener = std::net::TcpListener::bind(addr)
         .map_err(|e| CliError::Io(format!("cannot listen on {addr}"), e))?;
     eprintln!(
@@ -1155,34 +1183,6 @@ fn fleet_listen(opts: &Opts) -> Result<(), CliError> {
             .map(|a| a.to_string())
             .unwrap_or_else(|_| addr.clone())
     );
-    let config = FleetConfig {
-        expected_nodes: nodes,
-        ..FleetConfig::default()
-    };
-    // Supervised-restart mode: with --checkpoint-dir the aggregator
-    // restores its newest valid checkpoint before listening (nodes
-    // fast-forward past everything it absorbed via resume_seq) and
-    // checkpoints every --checkpoint-every seconds of stream time.
-    let (aggregator, initial_closed, mut checkpointer) = match opts.get("checkpoint-dir") {
-        Some(dir) => {
-            let dir = PathBuf::from(dir);
-            let cp = Checkpointer::new(&dir, every)?;
-            match restore_latest(&dir, &map, &config)? {
-                Some(restored) => {
-                    eprintln!(
-                        "restored {} ({} closed window(s) carried over, {} damaged \
-                         checkpoint(s) skipped)",
-                        restored.file.display(),
-                        restored.closed.len(),
-                        restored.skipped
-                    );
-                    (restored.aggregator, restored.closed, Some(cp))
-                }
-                None => (Aggregator::new(map, config), Vec::new(), Some(cp)),
-            }
-        }
-        None => (Aggregator::new(map, config), Vec::new(), None),
-    };
     let outcome = serve_with(
         listener,
         aggregator,
