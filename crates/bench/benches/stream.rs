@@ -1,9 +1,10 @@
 //! Streaming-engine benchmarks: frame-ingestion and fix throughput of
 //! the live tracking engine over the fig. 13 campaign, across worker
 //! counts (the final localization pass fans out through marauder-par),
-//! the cost of publishing closed windows to the serving layer at
-//! several history depths, and the render cost of the serving layer's
-//! `/tiles` and `/track` endpoints.
+//! the per-frame cost of the durable ingest path (parsing a capture-log
+//! line, appending a journal record), the cost of publishing closed
+//! windows to the serving layer at several history depths, and the
+//! render cost of the serving layer's `/tiles` and `/track` endpoints.
 //!
 //! Run with `CRITERION_JSON_OUT=results/BENCH_stream.json` to record
 //! the machine-readable baseline committed in `results/`.
@@ -14,7 +15,11 @@ use marauder_core::algorithms::ApRad;
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_serve::{parse_request, route, Parsed, PublisherConfig, TrackerPublisher};
 use marauder_sim::scenario::{SimulationResult, WorldModel};
-use marauder_stream::{replay_database, ClosedWindow, SnapshotSink, StreamConfig, StreamEngine};
+use marauder_stream::{
+    replay_database, ClosedWindow, FlushPolicy, FrameJournal, JournalConfig, SnapshotSink,
+    StreamConfig, StreamEngine,
+};
+use marauder_wifi::capture_log::{parse_capture_line, write_capture_log};
 use marauder_wifi::mac::MacAddr;
 
 fn campaign() -> SimulationResult {
@@ -98,6 +103,56 @@ fn bench_replay(c: &mut Criterion) {
         );
     }
     group.finish();
+}
+
+/// Capture-log parsing: each iteration decodes every body line of the
+/// campaign's log, the call every log reader makes per line.
+fn bench_parse_line(c: &mut Criterion) {
+    let log = write_capture_log(&campaign().captures);
+    let lines: Vec<&str> = log.lines().skip(1).collect();
+
+    let mut group = c.benchmark_group("wifi/capture_log");
+    group.throughput(Throughput::Elements(lines.len() as u64));
+    group.bench_function("parse_line", |b| {
+        b.iter(|| {
+            for line in &lines {
+                black_box(parse_capture_line(black_box(line)).expect("valid line"));
+            }
+        })
+    });
+    group.finish();
+}
+
+/// Journal append as the durable replay journals: `OnRotate` with
+/// 4096-frame segments, so a segment rotation (and its sync) lands in
+/// every 4096th iteration. Each iteration appends the campaign's next
+/// frame to one journal in a temporary directory; the first append,
+/// which creates the first segment, runs before timing so that it does
+/// not skew the calibration.
+fn bench_append(c: &mut Criterion) {
+    let frames: Vec<_> = campaign().captures.iter().cloned().collect();
+    let dir = std::env::temp_dir().join(format!("marauder-bench-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = JournalConfig {
+        segment_frames: 4096,
+        flush: FlushPolicy::OnRotate,
+    };
+    let mut journal = FrameJournal::create(&dir, config).expect("fresh journal directory");
+    let mut next = frames.iter().cycle();
+    journal
+        .append(next.next().expect("the campaign captures frames"))
+        .expect("append");
+
+    let mut group = c.benchmark_group("stream/journal");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("append", |b| {
+        b.iter(|| {
+            let frame = next.next().expect("the campaign captures frames");
+            journal.append(black_box(frame)).expect("append")
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The campaign's attacker map and every window it locates, in the
@@ -193,6 +248,8 @@ criterion_group!(
     benches,
     bench_ingest,
     bench_replay,
+    bench_parse_line,
+    bench_append,
     bench_publish,
     bench_route
 );

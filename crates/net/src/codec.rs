@@ -277,9 +277,13 @@ pub fn encode_body(msg: &Message) -> Vec<u8> {
             for f in frames {
                 out.extend_from_slice(&f.time_s.to_bits().to_be_bytes());
                 out.extend_from_slice(&(f.card as u32).to_be_bytes());
-                let bytes = f.frame.encode();
-                out.extend_from_slice(&(bytes.len() as u16).to_be_bytes());
-                out.extend_from_slice(&bytes);
+                // The length goes in front of the frame once it is
+                // encoded in place.
+                let len_at = out.len();
+                out.extend_from_slice(&[0; 2]);
+                f.frame.encode_into(&mut out);
+                let len = (out.len() - len_at - 2) as u16;
+                out[len_at..len_at + 2].copy_from_slice(&len.to_be_bytes());
             }
         }
         Message::Heartbeat {

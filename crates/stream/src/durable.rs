@@ -96,11 +96,15 @@ pub fn list_checkpoints(dir: &Path, kind: DocKind) -> std::io::Result<Vec<(u64, 
     list_numbered(dir, checkpoint_prefix(kind), CHECKPOINT_SUFFIX)
 }
 
-/// Appends one `len crc payload` record to `out`.
-pub(crate) fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    out.extend_from_slice(payload);
+/// Appends one `len crc payload` record to `out`: a header slot, the
+/// payload `payload` writes in place after it, then the header.
+pub(crate) fn push_record(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    payload(out);
+    let (header, body) = out[start..].split_at_mut(RECORD_HEADER_LEN);
+    header[..4].copy_from_slice(&(body.len() as u32).to_be_bytes());
+    header[4..].copy_from_slice(&crc32(body).to_be_bytes());
 }
 
 /// Walks `len:u32be crc:u32be payload[len]` records — the framing of
@@ -272,7 +276,7 @@ impl DurableDir {
         if !fresh.is_empty() {
             let mut records = Vec::new();
             for c in fresh {
-                push_record(&mut records, &encode_closed(c));
+                push_record(&mut records, |out| out.extend_from_slice(&encode_closed(c)));
             }
             bytes += self.append_log(&records)?;
             self.crc = crc32_update(self.crc, &records);
@@ -529,7 +533,7 @@ mod tests {
     fn log_records(closed: &[ClosedWindow]) -> Vec<u8> {
         let mut log = CLOSED_LOG_MAGIC.to_vec();
         for c in closed {
-            push_record(&mut log, &encode_closed(c));
+            push_record(&mut log, |out| out.extend_from_slice(&encode_closed(c)));
         }
         log
     }

@@ -38,9 +38,7 @@
 //! sweep: for any crash point, crash → recover → resume produces fixes
 //! byte-identical to the clean run.
 
-use crate::durable::{
-    list_numbered, push_record, sync_dir, DurableDir, Records, RECORD_HEADER_LEN,
-};
+use crate::durable::{list_numbered, push_record, sync_dir, DurableDir, Records};
 use crate::engine::{ClosedWindow, StreamConfig, StreamEngine};
 use crate::persist::{crc32, DocKind};
 use marauder_core::pipeline::MaraudersMap;
@@ -215,16 +213,13 @@ impl std::error::Error for RecoveryError {
     }
 }
 
-/// Encodes one record payload: sequence, timestamp bits, card index,
-/// then the frame's wire bytes.
-fn encode_payload(seq: u64, frame: &CapturedFrame) -> Vec<u8> {
-    let frame_bytes = frame.frame.encode();
-    let mut payload = Vec::with_capacity(PAYLOAD_PREFIX_LEN + frame_bytes.len());
-    payload.extend_from_slice(&seq.to_be_bytes());
-    payload.extend_from_slice(&frame.time_s.to_bits().to_be_bytes());
-    payload.extend_from_slice(&(frame.card as u32).to_be_bytes());
-    payload.extend_from_slice(&frame_bytes);
-    payload
+/// Appends one record payload to `out`: sequence, timestamp bits, card
+/// index, then the frame's wire bytes.
+fn put_payload(out: &mut Vec<u8>, seq: u64, frame: &CapturedFrame) {
+    out.extend_from_slice(&seq.to_be_bytes());
+    out.extend_from_slice(&frame.time_s.to_bits().to_be_bytes());
+    out.extend_from_slice(&(frame.card as u32).to_be_bytes());
+    frame.frame.encode_into(out);
 }
 
 /// CRC-32 of the record payload `(seq, frame)` journals as — the same
@@ -232,7 +227,9 @@ fn encode_payload(seq: u64, frame: &CapturedFrame) -> Vec<u8> {
 /// resuming replay uses this with [`Recovery::tail_crcs`] to detect a
 /// capture log that diverges from what the interrupted run journaled.
 pub fn record_crc(seq: u64, frame: &CapturedFrame) -> u32 {
-    crc32(&encode_payload(seq, frame))
+    let mut payload = Vec::with_capacity(PAYLOAD_PREFIX_LEN + 64);
+    put_payload(&mut payload, seq, frame);
+    crc32(&payload)
 }
 
 fn segment_name(first_seq: u64) -> String {
@@ -297,6 +294,9 @@ pub struct FrameJournal {
     next_seq: u64,
     /// Whether appends have been written since the last sync.
     unsynced: bool,
+    /// The record an append encodes in place and writes, kept so an
+    /// append allocates nothing.
+    record: Vec<u8>,
     /// Frames covered by the newest checkpoint written through this
     /// handle (or carried in at recovery).
     checkpointed_seq: u64,
@@ -327,6 +327,7 @@ impl FrameJournal {
             segment_records: 0,
             next_seq: 0,
             unsynced: false,
+            record: Vec::new(),
             checkpointed_seq: 0,
             durable,
         })
@@ -356,14 +357,13 @@ impl FrameJournal {
             self.rotate()?;
         }
         let seq = self.next_seq;
-        let payload = encode_payload(seq, frame);
-        let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        push_record(&mut record, &payload);
+        self.record.clear();
+        push_record(&mut self.record, |out| put_payload(out, seq, frame));
         let file = self.segment.as_mut().ok_or_else(|| JournalError::Io {
             op: "open segment".into(),
             source: std::io::Error::new(std::io::ErrorKind::NotFound, "no open segment"),
         })?;
-        file.write_all(&record)
+        file.write_all(&self.record)
             .map_err(JournalError::io("append record"))?;
         self.next_seq += 1;
         self.segment_records += 1;
@@ -373,7 +373,7 @@ impl FrameJournal {
         }
         let reg = marauder_obs::global();
         reg.counter_add("journal.appends", 1);
-        reg.counter_add("journal.bytes", record.len() as u64);
+        reg.counter_add("journal.bytes", self.record.len() as u64);
         Ok(seq)
     }
 
@@ -596,6 +596,7 @@ impl FrameJournal {
                 segment_records,
                 next_seq,
                 unsynced: false,
+                record: Vec::new(),
                 checkpointed_seq: start_seq,
                 durable: restored.durable,
             },
@@ -1119,7 +1120,7 @@ mod tests {
         for (count, len) in &log_lens {
             let mut records = CLOSED_LOG_MAGIC.to_vec();
             for c in &closed[..*count] {
-                push_record(&mut records, &encode_closed(c));
+                push_record(&mut records, |out| out.extend_from_slice(&encode_closed(c)));
             }
             assert_eq!(*len, records.len() as u64);
         }
@@ -1181,7 +1182,7 @@ mod tests {
         // checkpoint first: it holds each window once.
         let mut records = CLOSED_LOG_MAGIC.to_vec();
         for c in &closed {
-            push_record(&mut records, &encode_closed(c));
+            push_record(&mut records, |out| out.extend_from_slice(&encode_closed(c)));
         }
         assert_eq!(std::fs::read(dir.join(CLOSED_LOG)).unwrap(), records);
         assert!(logged > 0);

@@ -94,23 +94,65 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`. Bitwise —
-/// no table — because the workspace is std-only and its inputs are
-/// journal records and documents of a few kilobytes.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0, bytes)
 }
 
-/// Extends `crc`, the CRC-32 of some bytes, to the CRC-32 of those
-/// bytes followed by `bytes`.
-pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
-    let mut crc = !crc;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slice-by-8 lookup tables: `CRC_TABLES[0][b]` is the CRC register
+/// after shifting byte `b` through it, and `CRC_TABLES[k][b]` after
+/// shifting `b` followed by `k` zero bytes. Built at compile time.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Extends `crc`, the CRC-32 of some bytes, to the CRC-32 of those
+/// bytes followed by `bytes`: eight table lookups per 8-byte block,
+/// then one per remaining byte.
+pub(crate) fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |v: u32, shift: u32| ((v >> shift) & 0xFF) as usize;
+    let mut crc = !crc;
+    let (blocks, tail) = bytes.as_chunks::<8>();
+    for block in blocks {
+        let [a, b, c, d, e, f, g, h] = *block;
+        let lo = crc ^ u32::from_le_bytes([a, b, c, d]);
+        let hi = u32::from_le_bytes([e, f, g, h]);
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
     }
     !crc
 }
@@ -435,6 +477,8 @@ mod tests {
     use marauder_wifi::frame::Frame;
     use marauder_wifi::sniffer::CapturedFrame;
     use marauder_wifi::ssid::Ssid;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// Magic + version + kind.
     const HEADER_LEN: usize = DOC_MAGIC.len() + 2;
@@ -502,6 +546,41 @@ mod tests {
         assert_eq!(format!("{back:?}"), format!("{:?}", primitives()));
         assert_eq!(r.get::<BTreeSet<MacAddr>>()?.len(), 2);
         Ok(())
+    }
+
+    /// The bitwise CRC-32: the reference the table-driven one must
+    /// equal.
+    fn crc32_bitwise(crc: u32, bytes: &[u8]) -> u32 {
+        let mut crc = !crc;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn table_crc32_equals_the_bitwise_reference_at_every_split(
+            bytes in vec(any::<u8>(), 256),
+            start in any::<u32>(),
+        ) {
+            for len in 0..=bytes.len() {
+                let input = &bytes[..len];
+                let whole = crc32_bitwise(start, input);
+                prop_assert_eq!(crc32_update(start, input), whole, "length {}", len);
+                for split in 0..=len {
+                    let (a, b) = input.split_at(split);
+                    let joined = crc32_update(crc32_update(start, a), b);
+                    prop_assert_eq!(joined, whole, "length {} split at {}", len, split);
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,16 @@
 //! # marauder capture v1
 //! 12.340 1 40000000ffffff...
 //! ```
+//!
+//! A body line is three whitespace-separated fields: the timestamp, the
+//! card index, and the frame bytes as exactly `[0-9a-fA-F]` pairs. The
+//! writer emits lowercase; the reader decodes the hex field in one pass
+//! over its bytes.
 
 use crate::frame::Frame;
 use crate::sniffer::{CaptureDatabase, CapturedFrame};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Magic first line of the format.
 pub const HEADER: &str = "# marauder capture v1";
@@ -53,14 +59,73 @@ pub fn write_capture_log(db: &CaptureDatabase) -> String {
     let mut out = String::with_capacity(db.len() * 80 + HEADER.len() + 1);
     out.push_str(HEADER);
     out.push('\n');
+    let mut bytes = Vec::with_capacity(64);
     for rec in db.iter() {
-        out.push_str(&format!("{:.6} {} ", rec.time_s, rec.card));
-        for b in rec.frame.encode() {
-            out.push_str(&format!("{b:02x}"));
-        }
+        let _ = write!(out, "{:.6} {} ", rec.time_s, rec.card);
+        bytes.clear();
+        rec.frame.encode_into(&mut bytes);
+        push_hex(&mut out, &bytes);
         out.push('\n');
     }
     out
+}
+
+/// Lowercase hex digits, indexed by nibble.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a hex digit in [`NIBBLES`].
+const NOT_HEX: u8 = 0xFF;
+
+/// The value of each hex digit byte (either case); [`NOT_HEX`] for
+/// every other byte.
+static NIBBLES: [u8; 256] = nibbles();
+
+const fn nibbles() -> [u8; 256] {
+    let mut table = [NOT_HEX; 256];
+    let mut v = 0;
+    while v < 16 {
+        table[HEX_DIGITS[v] as usize] = v as u8;
+        table[HEX_DIGITS[v].to_ascii_uppercase() as usize] = v as u8;
+        v += 1;
+    }
+    table
+}
+
+/// Appends `bytes` to `out` as lowercase hex pairs.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xF)]));
+    }
+}
+
+/// Decodes the hex pairs that open `text`, up to the first pair that
+/// is not two hex digits.
+fn decode_hex(text: &[u8]) -> Vec<u8> {
+    let (pairs, _) = text.as_chunks::<2>();
+    let mut bytes = vec![0; pairs.len()];
+    let mut len = 0;
+    for (&[hi, lo], byte) in pairs.iter().zip(&mut bytes) {
+        let (hi, lo) = (NIBBLES[usize::from(hi)], NIBBLES[usize::from(lo)]);
+        if hi | lo > 0xF {
+            break;
+        }
+        *byte = hi << 4 | lo;
+        len += 1;
+    }
+    bytes.truncate(len);
+    bytes
+}
+
+/// Byte offset of the first char of `line` at or after `from` that is
+/// whitespace (`ws`) or not (`!ws`), else `line.len()`. Whitespace is
+/// `char::is_whitespace`, the same that separates fields in
+/// `str::split_whitespace`.
+fn scan(line: &str, from: usize, ws: bool) -> usize {
+    line[from..]
+        .char_indices()
+        .find(|&(_, c)| c.is_whitespace() == ws)
+        .map_or(line.len(), |(i, _)| from + i)
 }
 
 /// Parses one non-header line of the capture-log body.
@@ -72,33 +137,46 @@ pub fn write_capture_log(db: &CaptureDatabase) -> String {
 /// # Errors
 ///
 /// Returns the malformation reason (without a line number — callers
-/// tracking position wrap it into [`ParseLogError`]).
+/// tracking position wrap it into [`ParseLogError`]). The checks run in
+/// this order: `missing time`, `bad time`, `missing card`, `bad card`,
+/// `missing bytes`, `trailing fields`, `odd hex length`, `bad hex`,
+/// `bad frame`.
 pub fn parse_capture_line(line: &str) -> Result<Option<CapturedFrame>, String> {
-    if line.trim().is_empty() || line.starts_with('#') {
+    if scan(line, 0, false) == line.len() || line.starts_with('#') {
         return Ok(None);
     }
-    let mut parts = line.split_whitespace();
-    let time_s: f64 = parts
-        .next()
-        .ok_or_else(|| "missing time".to_string())?
+    let mut pos = 0;
+    let mut field = || {
+        let from = scan(line, pos, false);
+        pos = scan(line, from, true);
+        (from < pos).then(|| &line[from..pos])
+    };
+    let time_s: f64 = field()
+        .ok_or("missing time")?
         .parse()
         .map_err(|e| format!("bad time: {e}"))?;
-    let card: usize = parts
-        .next()
-        .ok_or_else(|| "missing card".to_string())?
+    let card: usize = field()
+        .ok_or("missing card")?
         .parse()
         .map_err(|e| format!("bad card: {e}"))?;
-    let hex = parts.next().ok_or_else(|| "missing bytes".to_string())?;
-    if parts.next().is_some() {
+    // Decoding the hex pairs also finds where the field ends: only a
+    // field with a non-hex byte is walked past its last whole pair.
+    let hex_start = scan(line, pos, false);
+    if hex_start == line.len() {
+        return Err("missing bytes".into());
+    }
+    let bytes = decode_hex(&line.as_bytes()[hex_start..]);
+    let decoded = hex_start + 2 * bytes.len();
+    let hex_end = scan(line, decoded, true);
+    if scan(line, hex_end, false) < line.len() {
         return Err("trailing fields".into());
     }
-    if hex.len() % 2 != 0 {
+    if !(hex_end - hex_start).is_multiple_of(2) {
         return Err("odd hex length".into());
     }
-    let bytes: Vec<u8> = (0..hex.len() / 2)
-        .map(|k| u8::from_str_radix(&hex[2 * k..2 * k + 2], 16))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("bad hex: {e}"))?;
+    if decoded < hex_end {
+        return Err("bad hex: invalid digit found in string".into());
+    }
     let frame = Frame::decode(&bytes).map_err(|e| format!("bad frame: {e}"))?;
     Ok(Some(CapturedFrame {
         time_s,
@@ -225,6 +303,16 @@ mod tests {
             assert_eq!(a.card, b.card);
             assert!((a.time_s - b.time_s).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn rewriting_a_simulated_campus_reproduces_its_bytes() {
+        // The simulator wrote this log; the parsed database must
+        // render back to the same bytes.
+        let log = include_str!("../../../tests/fixtures/capture.log");
+        let db = parse_capture_log(log).unwrap();
+        assert_eq!(db.len(), 270);
+        assert_eq!(write_capture_log(&db), log);
     }
 
     #[test]

@@ -212,6 +212,12 @@ impl Frame {
     /// Encodes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the wire bytes [`encode`](Self::encode) returns to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         // Frame control: version 0, type 00 (mgmt), subtype.
         out.push(self.body.subtype() << 4);
         out.push(0);
@@ -265,7 +271,6 @@ impl Frame {
         out.push(TAG_DS_PARAMS);
         out.push(1);
         out.push(self.channel.number());
-        out
     }
 
     /// Decodes wire bytes produced by [`encode`](Self::encode).
