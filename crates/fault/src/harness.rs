@@ -52,19 +52,6 @@ pub fn reason_key(e: &PipelineError) -> &'static str {
     }
 }
 
-/// Every [`reason_key`] value, in report order — the key space the
-/// registry-backed accounting in [`run_cell`] reads back.
-const REASON_KEYS: [&str; 8] = [
-    "empty_observation",
-    "no_known_aps",
-    "degenerate_geometry",
-    "no_usable_radii",
-    "non_finite",
-    "bad_header",
-    "budget_exhausted",
-    "deferred_localization",
-];
-
 /// A fixed attack scenario (simulated capture + attacker knowledge)
 /// that fault plans are injected into.
 #[derive(Debug)]
@@ -247,32 +234,17 @@ impl ChaosScenario {
         let corrupted_devices: BTreeSet<MacAddr> = obs.iter().map(|o| o.mobile).collect();
         let (fixes, losses) = map.localize_windows_accounted(obs);
 
-        // Cell accounting goes through a registry local to the cell
-        // (not the process-global one: cells run concurrently across
-        // the matrix and each report must only see its own counts).
-        let reg = marauder_obs::MetricsRegistry::new();
-        for e in &losses {
-            reg.counter_add(&format!("loss.{}", reason_key(e)), 1);
-        }
-        for fix in &fixes {
-            reg.counter_add(&format!("fix.{}", fix.provenance.as_str()), 1);
-        }
         let mut loss_reasons: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for key in REASON_KEYS {
-            let n = reg.counter(&format!("loss.{key}"));
-            if n > 0 {
-                loss_reasons.insert(key, n as usize);
-            }
+        for e in &losses {
+            *loss_reasons.entry(reason_key(e)).or_default() += 1;
         }
         // Zero-count rungs stay in the report: the ladder is always
         // shown in full.
-        let provenance: BTreeMap<FixProvenance, usize> = FixProvenance::ALL
-            .iter()
-            .map(|&p| {
-                let n = reg.counter(&format!("fix.{}", p.as_str()));
-                (p, n as usize)
-            })
-            .collect();
+        let mut provenance: BTreeMap<FixProvenance, usize> =
+            FixProvenance::ALL.iter().map(|&p| (p, 0)).collect();
+        for fix in &fixes {
+            *provenance.entry(fix.provenance).or_default() += 1;
+        }
 
         // Device accounting over the union of devices seen in the clean
         // and corrupted captures: a device silenced entirely by the

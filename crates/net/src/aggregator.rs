@@ -27,7 +27,7 @@
 //! progress, never the wall clock, so every merge decision is a pure
 //! function of the message sequence.
 
-use crate::codec::{snapshot_messages, Message, PROTOCOL_VERSION};
+use crate::codec::{Message, PROTOCOL_VERSION};
 use crate::transport::NetError;
 use marauder_core::pipeline::{MaraudersMap, TrackFix};
 use marauder_stream::persist::{self, DocKind, Field, PersistError, Reader};
@@ -100,8 +100,6 @@ pub struct FleetStats {
     pub reconnects: u64,
     /// Nodes evicted for falling `dead_after_s` behind.
     pub nodes_evicted: u64,
-    /// Checkpoints streamed to nodes that asked for one.
-    pub snapshots_served: u64,
     /// Frames released by the `max_buffered_frames` bound rather than
     /// the watermark.
     pub frames_forced: u64,
@@ -245,11 +243,6 @@ impl Aggregator {
         &self.engine
     }
 
-    /// Nodes that have completed a handshake.
-    pub fn joined_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The current fleet watermark: `-∞` until every expected node has
     /// joined and heartbeat, `+∞` once every non-evicted node's stream
     /// completed.
@@ -301,7 +294,6 @@ impl Aggregator {
                 node_id,
                 clock_offset_s,
                 version,
-                wants_snapshot,
             } => {
                 if *version != PROTOCOL_VERSION {
                     return Err(NetError::Handshake {
@@ -333,17 +325,12 @@ impl Aggregator {
                         0
                     }
                 };
-                let mut replies = vec![Message::HelloAck {
-                    node_id: *node_id,
-                    version: PROTOCOL_VERSION,
-                    resume_seq,
-                }];
-                if *wants_snapshot {
-                    replies.extend(snapshot_messages(*node_id, &self.snapshot()));
-                    self.stats.snapshots_served += 1;
-                }
                 Ok(Turn {
-                    replies,
+                    replies: vec![Message::HelloAck {
+                        node_id: *node_id,
+                        version: PROTOCOL_VERSION,
+                        resume_seq,
+                    }],
                     closed: Vec::new(),
                 })
             }
@@ -426,9 +413,7 @@ impl Aggregator {
                     closed: self.release(),
                 })
             }
-            Message::HelloAck { .. }
-            | Message::SnapshotOffer { .. }
-            | Message::SnapshotChunk { .. } => {
+            Message::HelloAck { .. } => {
                 Err(NetError::Protocol("aggregator-only message from a node"))
             }
         }
@@ -607,7 +592,6 @@ impl Aggregator {
         reg.counter_add("net.duplicate_batches", self.stats.duplicate_batches);
         reg.counter_add("net.reconnects", self.stats.reconnects);
         reg.counter_add("net.nodes_evicted", self.stats.nodes_evicted);
-        reg.counter_add("net.snapshots_served", self.stats.snapshots_served);
         reg.counter_add("net.frames_forced", self.stats.frames_forced);
         reg.gauge_max("net.buffered_peak", self.stats.buffered_peak as i64);
         reg.histogram_merge("net.node_lag_s", &NODE_LAG_BOUNDS_S, &self.lag_counts);
@@ -661,7 +645,6 @@ impl Aggregator {
             s.duplicate_batches,
             s.reconnects,
             s.nodes_evicted,
-            s.snapshots_served,
             s.frames_forced,
         ] {
             n.put(out);
@@ -692,7 +675,6 @@ impl Aggregator {
             duplicate_batches: r.get()?,
             reconnects: r.get()?,
             nodes_evicted: r.get()?,
-            snapshots_served: r.get()?,
             frames_forced: r.get()?,
             buffered_peak: r.get()?,
         };
@@ -752,7 +734,6 @@ mod tests {
             node_id: id,
             clock_offset_s: 0.0,
             version: PROTOCOL_VERSION,
-            wants_snapshot: false,
         }
     }
 
@@ -814,6 +795,26 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_hello_of_another_version_is_a_typed_handshake_error() {
+        let mut agg = Aggregator::new(map(), FleetConfig::default());
+        let err = agg
+            .on_message(&Message::Hello {
+                node_id: 0,
+                clock_offset_s: 0.0,
+                version: 1,
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetError::Handshake {
+                found: 1,
+                supported: PROTOCOL_VERSION,
+            }
+        );
+        assert!(agg.nodes.is_empty(), "a refused node does not join");
     }
 
     #[test]
@@ -881,7 +882,6 @@ mod tests {
             node_id: 0,
             clock_offset_s: 100.0,
             version: PROTOCOL_VERSION,
-            wants_snapshot: false,
         })
         .unwrap();
         agg.on_message(&Message::Heartbeat {
@@ -1032,7 +1032,7 @@ mod tests {
         }
         assert_eq!(agg.fleet_watermark(), f64::NEG_INFINITY);
         let restored = Aggregator::restore(map(), config, &agg.snapshot()).unwrap();
-        assert_eq!(restored.joined_nodes(), 2);
+        assert_eq!(restored.nodes.len(), 2);
         assert_eq!(restored.fleet_watermark(), f64::NEG_INFINITY);
     }
 }

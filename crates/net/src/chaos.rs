@@ -192,7 +192,6 @@ pub fn run_cell(
                     batch_frames: 32,
                     reorder_slack_s: required_slack_s(slice),
                     clock_offset_s: clock_offsets.get(k).copied().unwrap_or(0.0),
-                    wants_snapshot: false,
                 },
                 slice.clone(),
             )

@@ -319,7 +319,6 @@ mod tests {
             node_id: id,
             clock_offset_s: 0.0,
             version: PROTOCOL_VERSION,
-            wants_snapshot: false,
         }
     }
 

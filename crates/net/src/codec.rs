@@ -6,7 +6,9 @@
 //! timestamps survive the wire bit-exactly. The protocol is explicitly
 //! versioned: [`Hello`](Message::Hello) carries
 //! [`PROTOCOL_VERSION`] and the aggregator refuses a mismatch with a
-//! typed error instead of misparsing newer frames.
+//! typed error instead of misparsing newer frames. A version-1 `Hello`
+//! is one byte longer and fails decoding with
+//! [`WireError::TrailingBytes`].
 //!
 //! Decoding is total: malformed input of any shape — truncated frames,
 //! oversized length prefixes, unknown tags, corrupt payloads, trailing
@@ -18,22 +20,17 @@ use std::fmt;
 
 /// Version spoken by this build. A [`Message::Hello`] carrying any
 /// other value is refused during the handshake.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on a message body, bytes. A length prefix beyond this is
 /// rejected before any allocation happens — a corrupt or hostile peer
 /// must not be able to request a multi-gigabyte buffer.
 pub const MAX_BODY_LEN: u32 = 1 << 24; // 16 MiB
 
-/// Bytes of snapshot document carried per [`Message::SnapshotChunk`].
-pub const SNAPSHOT_CHUNK_LEN: usize = 4096;
-
 const TAG_HELLO: u8 = 1;
 const TAG_HELLO_ACK: u8 = 2;
 const TAG_FRAME_BATCH: u8 = 3;
 const TAG_HEARTBEAT: u8 = 4;
-const TAG_SNAPSHOT_OFFER: u8 = 5;
-const TAG_SNAPSHOT_CHUNK: u8 = 6;
 
 /// Fixed per-frame overhead inside a batch: time bits (8) + card (4) +
 /// frame byte length (2). Used to sanity-check declared frame counts
@@ -44,10 +41,8 @@ const FRAME_RECORD_MIN: usize = 8 + 4 + 2;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Node → aggregator, first message of every connection. Declares
-    /// the node id, the node's known clock offset from fleet time
-    /// (node-local time = fleet time + `clock_offset_s`), and whether
-    /// the node wants the aggregator's current engine snapshot streamed
-    /// back (fleet checkpoint replication).
+    /// the node id and the node's known clock offset from fleet time
+    /// (node-local time = fleet time + `clock_offset_s`).
     Hello {
         /// Stable node identity; survives reconnects.
         node_id: u32,
@@ -55,8 +50,6 @@ pub enum Message {
         clock_offset_s: f64,
         /// The protocol version the node speaks.
         version: u16,
-        /// Request a [`Message::SnapshotOffer`] in the ack exchange.
-        wants_snapshot: bool,
     },
     /// Aggregator → node, answer to [`Message::Hello`]. `resume_seq` is
     /// the next batch sequence number the aggregator expects from this
@@ -90,25 +83,6 @@ pub enum Message {
         /// Node-local watermark promise, seconds (`+∞` = done).
         watermark_s: f64,
     },
-    /// Aggregator → node: the aggregator's snapshot document follows,
-    /// in `chunks` chunks totalling `total_len` bytes.
-    SnapshotOffer {
-        /// Receiving node.
-        node_id: u32,
-        /// Total snapshot byte length.
-        total_len: u64,
-        /// Number of [`Message::SnapshotChunk`]s that follow.
-        chunks: u32,
-    },
-    /// Aggregator → node: one chunk of the offered snapshot.
-    SnapshotChunk {
-        /// Receiving node.
-        node_id: u32,
-        /// Chunk index, `0..chunks`.
-        index: u32,
-        /// Chunk bytes of the sealed snapshot document.
-        data: Vec<u8>,
-    },
 }
 
 impl Message {
@@ -119,8 +93,6 @@ impl Message {
             Message::HelloAck { .. } => "hello_ack",
             Message::FrameBatch { .. } => "frame_batch",
             Message::Heartbeat { .. } => "heartbeat",
-            Message::SnapshotOffer { .. } => "snapshot_offer",
-            Message::SnapshotChunk { .. } => "snapshot_chunk",
         }
     }
 }
@@ -247,13 +219,11 @@ pub fn encode_body(msg: &Message) -> Vec<u8> {
             node_id,
             clock_offset_s,
             version,
-            wants_snapshot,
         } => {
             out.push(TAG_HELLO);
             out.extend_from_slice(&version.to_be_bytes());
             out.extend_from_slice(&node_id.to_be_bytes());
             out.extend_from_slice(&clock_offset_s.to_bits().to_be_bytes());
-            out.push(u8::from(*wants_snapshot));
         }
         Message::HelloAck {
             node_id,
@@ -294,27 +264,6 @@ pub fn encode_body(msg: &Message) -> Vec<u8> {
             out.extend_from_slice(&node_id.to_be_bytes());
             out.extend_from_slice(&watermark_s.to_bits().to_be_bytes());
         }
-        Message::SnapshotOffer {
-            node_id,
-            total_len,
-            chunks,
-        } => {
-            out.push(TAG_SNAPSHOT_OFFER);
-            out.extend_from_slice(&node_id.to_be_bytes());
-            out.extend_from_slice(&total_len.to_be_bytes());
-            out.extend_from_slice(&chunks.to_be_bytes());
-        }
-        Message::SnapshotChunk {
-            node_id,
-            index,
-            data,
-        } => {
-            out.push(TAG_SNAPSHOT_CHUNK);
-            out.extend_from_slice(&node_id.to_be_bytes());
-            out.extend_from_slice(&index.to_be_bytes());
-            out.extend_from_slice(&(data.len() as u32).to_be_bytes());
-            out.extend_from_slice(data);
-        }
     }
     out
 }
@@ -341,16 +290,10 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
             let version = r.u16()?;
             let node_id = r.u32()?;
             let clock_offset_s = r.f64_bits()?;
-            let wants_snapshot = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::BadPayload { what: "hello flag" }),
-            };
             Message::Hello {
                 node_id,
                 clock_offset_s,
                 version,
-                wants_snapshot,
             }
         }
         TAG_HELLO_ACK => {
@@ -403,33 +346,6 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
                 watermark_s,
             }
         }
-        TAG_SNAPSHOT_OFFER => {
-            let node_id = r.u32()?;
-            let total_len = r.u64()?;
-            let chunks = r.u32()?;
-            Message::SnapshotOffer {
-                node_id,
-                total_len,
-                chunks,
-            }
-        }
-        TAG_SNAPSHOT_CHUNK => {
-            let node_id = r.u32()?;
-            let index = r.u32()?;
-            let len = r.u32()? as usize;
-            if len > r.remaining() {
-                return Err(WireError::Truncated {
-                    needed: len,
-                    have: r.remaining(),
-                });
-            }
-            let data = r.take(len)?.to_vec();
-            Message::SnapshotChunk {
-                node_id,
-                index,
-                data,
-            }
-        }
         other => return Err(WireError::UnknownTag(other)),
     };
     r.finish()?;
@@ -468,70 +384,21 @@ pub fn decode(bytes: &[u8]) -> Result<(Message, usize), WireError> {
     Ok((msg, total))
 }
 
-/// Splits a snapshot document into [`Message::SnapshotOffer`] +
-/// [`Message::SnapshotChunk`]s for `node_id`.
-pub fn snapshot_messages(node_id: u32, bytes: &[u8]) -> Vec<Message> {
-    let chunks = bytes.chunks(SNAPSHOT_CHUNK_LEN).count() as u32;
-    let mut out = Vec::with_capacity(chunks as usize + 1);
-    out.push(Message::SnapshotOffer {
-        node_id,
-        total_len: bytes.len() as u64,
-        chunks,
-    });
-    for (index, chunk) in bytes.chunks(SNAPSHOT_CHUNK_LEN).enumerate() {
-        out.push(Message::SnapshotChunk {
-            node_id,
-            index: index as u32,
-            data: chunk.to_vec(),
-        });
-    }
-    out
-}
-
-/// Reassembles the document offered by [`snapshot_messages`] from the
-/// offer + chunk sequence. The bytes come from the wire: restoring them
-/// checks their seal.
+/// Decodes the one length-prefixed frame that `bytes` holds, as a
+/// transport delivers it.
 ///
 /// # Errors
 ///
-/// [`WireError::BadPayload`] when chunks are missing, out of order, or
-/// the total length disagrees with the offer.
-pub fn reassemble_snapshot(offer: &Message, chunks: &[Message]) -> Result<Vec<u8>, WireError> {
-    let Message::SnapshotOffer {
-        total_len,
-        chunks: declared,
-        ..
-    } = offer
-    else {
-        return Err(WireError::BadPayload {
-            what: "snapshot offer",
-        });
-    };
-    if chunks.len() != *declared as usize {
-        return Err(WireError::BadPayload {
-            what: "snapshot chunk count",
+/// As [`decode`], and [`WireError::TrailingBytes`] when bytes follow
+/// the frame.
+pub(crate) fn decode_exact(bytes: &[u8]) -> Result<Message, WireError> {
+    let (msg, used) = decode(bytes)?;
+    if used != bytes.len() {
+        return Err(WireError::TrailingBytes {
+            extra: bytes.len() - used,
         });
     }
-    let mut bytes = Vec::new();
-    for (i, chunk) in chunks.iter().enumerate() {
-        let Message::SnapshotChunk { index, data, .. } = chunk else {
-            return Err(WireError::BadPayload {
-                what: "snapshot chunk",
-            });
-        };
-        if *index as usize != i {
-            return Err(WireError::BadPayload {
-                what: "snapshot chunk order",
-            });
-        }
-        bytes.extend_from_slice(data);
-    }
-    if bytes.len() as u64 != *total_len {
-        return Err(WireError::BadPayload {
-            what: "snapshot length",
-        });
-    }
-    Ok(bytes)
+    Ok(msg)
 }
 
 #[cfg(test)]
@@ -560,7 +427,6 @@ mod tests {
                 node_id: 7,
                 clock_offset_s: -2.5,
                 version: PROTOCOL_VERSION,
-                wants_snapshot: true,
             },
             Message::HelloAck {
                 node_id: 7,
@@ -578,16 +444,6 @@ mod tests {
             Message::Heartbeat {
                 node_id: 7,
                 watermark_s: f64::INFINITY,
-            },
-            Message::SnapshotOffer {
-                node_id: 7,
-                total_len: 10,
-                chunks: 2,
-            },
-            Message::SnapshotChunk {
-                node_id: 7,
-                index: 1,
-                data: b"hello".to_vec(),
             },
         ]
     }
@@ -630,13 +486,22 @@ mod tests {
     #[test]
     fn unknown_tag_and_trailing_bytes_are_rejected() {
         assert_eq!(decode_body(&[0xEE]), Err(WireError::UnknownTag(0xEE)));
-        let mut body = encode_body(&Message::Heartbeat {
+        let heartbeat = Message::Heartbeat {
             node_id: 1,
             watermark_s: 0.5,
-        });
+        };
+        let mut body = encode_body(&heartbeat);
         body.push(0);
         assert_eq!(
             decode_body(&body),
+            Err(WireError::TrailingBytes { extra: 1 })
+        );
+        // Bytes after a whole frame, as a transport delivers it.
+        let mut wire = encode(&heartbeat);
+        assert_eq!(decode_exact(&wire), Ok(heartbeat));
+        wire.push(0);
+        assert_eq!(
+            decode_exact(&wire),
             Err(WireError::TrailingBytes { extra: 1 })
         );
     }
@@ -656,14 +521,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_chunking_round_trips() {
-        let doc: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
-        let msgs = snapshot_messages(9, &doc);
-        assert!(msgs.len() >= 2);
-        let back = reassemble_snapshot(&msgs[0], &msgs[1..]).unwrap();
-        assert_eq!(back, doc);
-        // A missing chunk is a typed error.
-        assert!(reassemble_snapshot(&msgs[0], &msgs[1..msgs.len() - 1]).is_err());
+    fn a_version_1_hello_is_refused_at_decode() {
+        // Version 1 followed the offset with a snapshot-request flag.
+        let mut body = vec![TAG_HELLO];
+        body.extend_from_slice(&1u16.to_be_bytes());
+        body.extend_from_slice(&7u32.to_be_bytes());
+        body.extend_from_slice(&0.0f64.to_bits().to_be_bytes());
+        body.push(0);
+        assert_eq!(
+            decode_body(&body),
+            Err(WireError::TrailingBytes { extra: 1 })
+        );
     }
 
     #[test]

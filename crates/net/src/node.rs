@@ -18,9 +18,6 @@ pub struct NodeConfig {
     /// This node's clock offset from fleet time, announced in `Hello`
     /// (node-local time = fleet time + offset).
     pub clock_offset_s: f64,
-    /// Ask the aggregator to stream its current checkpoint back after
-    /// the handshake.
-    pub wants_snapshot: bool,
 }
 
 impl Default for NodeConfig {
@@ -29,7 +26,6 @@ impl Default for NodeConfig {
             batch_frames: 64,
             reorder_slack_s: 0.0,
             clock_offset_s: 0.0,
-            wants_snapshot: false,
         }
     }
 }
@@ -149,7 +145,6 @@ impl SnifferNode {
                         node_id: self.id,
                         clock_offset_s: self.config.clock_offset_s,
                         version: PROTOCOL_VERSION,
-                        wants_snapshot: self.config.wants_snapshot,
                     },
                 )?;
                 self.phase = Phase::AwaitAck;
@@ -175,22 +170,12 @@ impl SnifferNode {
                     self.phase = Phase::Streaming;
                     Ok(true)
                 }
-                // Snapshot replication riding on the ack exchange is
-                // informational for a capture node; it is consumed and
-                // ignored here (an aggregator-side node would restore).
-                Some(Message::SnapshotOffer { .. }) | Some(Message::SnapshotChunk { .. }) => {
-                    Ok(true)
-                }
                 Some(_) => Err(NetError::Protocol("unexpected message before hello_ack")),
             },
             Phase::Streaming => {
-                // Drain (and ignore) any snapshot chunks the aggregator
-                // is still streaming.
-                while let Some(msg) = recv_message(transport)? {
-                    match msg {
-                        Message::SnapshotOffer { .. } | Message::SnapshotChunk { .. } => {}
-                        _ => return Err(NetError::Protocol("unexpected message while streaming")),
-                    }
+                // The aggregator sends nothing after the ack.
+                if recv_message(transport)?.is_some() {
+                    return Err(NetError::Protocol("unexpected message while streaming"));
                 }
                 if self.cursor >= self.frames.len() {
                     send_message(
@@ -237,22 +222,6 @@ impl SnifferNode {
             }
             Phase::Done => Ok(false),
         }
-    }
-
-    /// Runs the node to completion over a transport that may block
-    /// between frames (the TCP path). Spins on `step` until done,
-    /// parking briefly when no progress is possible.
-    ///
-    /// # Errors
-    ///
-    /// First unrecoverable transport or protocol error.
-    pub fn run_to_completion(&mut self, transport: &mut dyn Transport) -> Result<(), NetError> {
-        while !self.is_done() {
-            if !self.step(transport)? {
-                std::thread::yield_now();
-            }
-        }
-        Ok(())
     }
 
     /// Skips batches the aggregator already holds. Batch boundaries
@@ -399,6 +368,61 @@ mod tests {
                 supported: PROTOCOL_VERSION,
             })
         );
+    }
+
+    #[test]
+    fn a_message_before_the_ack_is_a_protocol_error() {
+        let mut node = SnifferNode::new(4, NodeConfig::default(), frames(2));
+        let (mut node_t, mut agg_t) = LoopbackTransport::pair();
+        node.step(&mut node_t).unwrap(); // hello
+        let heartbeat = Message::Heartbeat {
+            node_id: 4,
+            watermark_s: 1.0,
+        };
+        send_message(&mut agg_t, &heartbeat).unwrap();
+        assert_eq!(
+            node.step(&mut node_t),
+            Err(NetError::Protocol("unexpected message before hello_ack"))
+        );
+    }
+
+    #[test]
+    fn any_message_while_streaming_is_a_protocol_error() {
+        let replies = [
+            Message::Hello {
+                node_id: 6,
+                clock_offset_s: 0.0,
+                version: PROTOCOL_VERSION,
+            },
+            Message::HelloAck {
+                node_id: 6,
+                version: PROTOCOL_VERSION,
+                resume_seq: 0,
+            },
+            Message::FrameBatch {
+                node_id: 6,
+                seq: 0,
+                frames: Vec::new(),
+            },
+            Message::Heartbeat {
+                node_id: 6,
+                watermark_s: 1.0,
+            },
+        ];
+        for reply in replies {
+            let mut node = SnifferNode::new(6, NodeConfig::default(), frames(2));
+            let (mut node_t, mut agg_t) = LoopbackTransport::pair();
+            node.step(&mut node_t).unwrap(); // hello
+            ack(&mut agg_t, 0);
+            node.step(&mut node_t).unwrap(); // ack
+            send_message(&mut agg_t, &reply).unwrap();
+            assert_eq!(
+                node.step(&mut node_t),
+                Err(NetError::Protocol("unexpected message while streaming")),
+                "{}",
+                reply.kind()
+            );
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 
 use crate::aggregator::{Aggregator, Turn};
 use crate::checkpoint::Checkpointer;
-use crate::codec::{WireError, MAX_BODY_LEN};
+use crate::codec::{decode_exact, WireError, MAX_BODY_LEN};
 use crate::node::SnifferNode;
-use crate::transport::{recv_message, NetError, Transport};
+use crate::transport::{NetError, Transport};
 use marauder_stream::ClosedWindow;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -390,24 +390,7 @@ fn handle_frame(
     aggregator: &mut Aggregator,
     bytes: &[u8],
 ) -> Result<(Option<u32>, Turn), NetError> {
-    struct Raw(Vec<u8>, bool);
-    impl Transport for Raw {
-        fn send(&mut self, _frame: &[u8]) -> Result<(), NetError> {
-            Ok(())
-        }
-        fn recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-            if self.1 {
-                Ok(None)
-            } else {
-                self.1 = true;
-                Ok(Some(std::mem::take(&mut self.0)))
-            }
-        }
-    }
-    let mut raw = Raw(bytes.to_vec(), false);
-    let Some(msg) = recv_message(&mut raw)? else {
-        return Ok((None, Turn::default()));
-    };
+    let msg = decode_exact(bytes)?;
     let joined = match &msg {
         crate::codec::Message::Hello { node_id, .. } => Some(*node_id),
         _ => None,

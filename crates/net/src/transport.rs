@@ -1,8 +1,7 @@
 //! Byte transport abstraction between a sniffer node and the
 //! aggregator, plus the in-process deterministic loopback pair.
 
-use crate::codec::WireError;
-use std::collections::VecDeque;
+use crate::codec::{decode_exact, WireError};
 use std::fmt;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -112,9 +111,6 @@ pub struct LoopbackTransport {
     /// Set when either side is explicitly severed (simulated node
     /// death); hangup also surfaces naturally when a peer is dropped.
     severed: Arc<Mutex<bool>>,
-    /// Frames already pulled off the channel but not yet consumed
-    /// (used by the fault layer to reorder in place).
-    staged: VecDeque<Vec<u8>>,
 }
 
 impl LoopbackTransport {
@@ -128,13 +124,11 @@ impl LoopbackTransport {
                 tx: a_tx,
                 rx: a_rx,
                 severed: Arc::clone(&severed),
-                staged: VecDeque::new(),
             },
             LoopbackTransport {
                 tx: b_tx,
                 rx: b_rx,
                 severed,
-                staged: VecDeque::new(),
             },
         )
     }
@@ -151,12 +145,6 @@ impl LoopbackTransport {
     pub fn is_severed(&self) -> bool {
         self.severed.lock().map(|s| *s).unwrap_or(true)
     }
-
-    /// Pushes a frame to the *front* of the local receive stage —
-    /// used by the per-node fault layer to reorder deliveries.
-    pub fn stage_front(&mut self, frame: Vec<u8>) {
-        self.staged.push_front(frame);
-    }
 }
 
 impl Transport for LoopbackTransport {
@@ -170,9 +158,6 @@ impl Transport for LoopbackTransport {
     }
 
     fn recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        if let Some(staged) = self.staged.pop_front() {
-            return Ok(Some(staged));
-        }
         match self.rx.try_recv() {
             Ok(frame) => Ok(Some(frame)),
             Err(TryRecvError::Empty) => {
@@ -205,15 +190,7 @@ pub fn send_message(t: &mut dyn Transport, msg: &crate::codec::Message) -> Resul
 pub fn recv_message(t: &mut dyn Transport) -> Result<Option<crate::codec::Message>, NetError> {
     match t.recv()? {
         None => Ok(None),
-        Some(bytes) => {
-            let (msg, used) = crate::codec::decode(&bytes)?;
-            if used != bytes.len() {
-                return Err(NetError::Wire(WireError::TrailingBytes {
-                    extra: bytes.len() - used,
-                }));
-            }
-            Ok(Some(msg))
-        }
+        Some(bytes) => Ok(Some(decode_exact(&bytes)?)),
     }
 }
 
@@ -281,26 +258,5 @@ mod tests {
         let (node, mut agg) = LoopbackTransport::pair();
         drop(node);
         assert_eq!(agg.recv(), Err(NetError::Disconnected));
-    }
-
-    #[test]
-    fn staged_frames_jump_the_queue() {
-        let (mut node, mut agg) = LoopbackTransport::pair();
-        send_message(
-            &mut node,
-            &Message::Heartbeat {
-                node_id: 1,
-                watermark_s: 1.0,
-            },
-        )
-        .unwrap();
-        agg.stage_front(crate::codec::encode(&Message::Heartbeat {
-            node_id: 9,
-            watermark_s: 9.0,
-        }));
-        let first = recv_message(&mut agg).unwrap().unwrap();
-        assert!(matches!(first, Message::Heartbeat { node_id: 9, .. }));
-        let second = recv_message(&mut agg).unwrap().unwrap();
-        assert!(matches!(second, Message::Heartbeat { node_id: 1, .. }));
     }
 }

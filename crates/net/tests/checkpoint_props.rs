@@ -13,9 +13,10 @@
 //!   damaged too — is the typed `NoUsableCheckpoint`. Which of the
 //!   three is fixed by where the damage lies.
 //!
-//! A checkpoint directory written by an earlier build, whose fleet
-//! checkpoints embedded every closed window (document kind 4), is
-//! refused with `NoUsableCheckpoint`.
+//! A checkpoint directory written by an earlier build is refused with
+//! `NoUsableCheckpoint`: one whose fleet checkpoints embedded every
+//! closed window (document kind 4), and one whose fleet state counted
+//! wire snapshots served (document kind 5).
 
 use marauder_core::apdb::{ApDatabase, ApRecord};
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
@@ -148,7 +149,6 @@ fn template() -> &'static Template {
                 node_id: 1,
                 clock_offset_s: 0.0,
                 version: PROTOCOL_VERSION,
-                wants_snapshot: false,
             })
             .expect("hello")
             .closed,
@@ -307,24 +307,31 @@ proptest! {
     }
 }
 
-/// A fleet checkpoint written by an earlier build (document kind 4,
-/// every closed window embedded), alone in its directory, is refused.
+/// A fleet checkpoint written by an earlier build, alone in its
+/// directory, is refused: kind 4 embedded every closed window, and
+/// kind 5 (which covers no log records, so its state alone would
+/// restore) holds a counter this build no longer keeps.
 #[test]
-fn a_kind_4_fleet_checkpoint_is_refused() {
-    let doc = std::fs::read(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/fleet-kind4.ckpt"),
-    )
-    .expect("read fixture");
-    assert_eq!(&doc[..9], b"MRDRDOC\x01\x04", "a version-1 kind-4 document");
-    let dir = scratch();
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    std::fs::write(dir.join(OLDER), &doc).expect("write fixture");
-    let err = restore_latest(&dir, &map(), &config(), 1.0)
-        .err()
-        .expect("a kind-4 checkpoint must not restore");
-    assert!(
-        matches!(&err, CheckpointError::NoUsableCheckpoint { skipped: 1, .. }),
-        "{err}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+fn earlier_fleet_checkpoint_kinds_are_refused() {
+    for (fixture, kind) in [("fleet-kind4.ckpt", 4u8), ("fleet-kind5.ckpt", 5)] {
+        let doc = std::fs::read(
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/fixtures")
+                .join(fixture),
+        )
+        .expect("read fixture");
+        assert_eq!(&doc[..8], b"MRDRDOC\x01", "{fixture}: a version-1 document");
+        assert_eq!(doc[8], kind, "{fixture}");
+        let dir = scratch();
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        std::fs::write(dir.join(OLDER), &doc).expect("write fixture");
+        let err = restore_latest(&dir, &map(), &config(), 1.0)
+            .err()
+            .unwrap_or_else(|| panic!("a kind-{kind} checkpoint must not restore"));
+        assert!(
+            matches!(&err, CheckpointError::NoUsableCheckpoint { skipped: 1, .. }),
+            "{fixture}: {err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

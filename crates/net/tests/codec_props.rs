@@ -4,7 +4,7 @@
 //! oversized, or random — ever panics the decoder: every rejection is
 //! a typed [`WireError`].
 
-use marauder_net::codec::{decode, encode, Message, SNAPSHOT_CHUNK_LEN};
+use marauder_net::codec::{decode, encode, Message};
 use marauder_net::{WireError, MAX_BODY_LEN};
 use marauder_wifi::channel::Channel;
 use marauder_wifi::frame::Frame;
@@ -54,12 +54,11 @@ fn arb_frame() -> impl Strategy<Value = CapturedFrame> {
 /// One arbitrary valid message of every kind.
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (any::<u32>(), arb_f64_bits(), any::<u16>(), any::<bool>()).prop_map(
-            |(node_id, clock_offset_s, version, wants_snapshot)| Message::Hello {
+        (any::<u32>(), arb_f64_bits(), any::<u16>()).prop_map(
+            |(node_id, clock_offset_s, version)| Message::Hello {
                 node_id,
                 clock_offset_s,
                 version,
-                wants_snapshot,
             }
         ),
         (any::<u32>(), any::<u16>(), any::<u64>()).prop_map(|(node_id, version, resume_seq)| {
@@ -83,23 +82,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
             node_id,
             watermark_s,
         }),
-        (any::<u32>(), any::<u64>(), any::<u32>()).prop_map(|(node_id, total_len, chunks)| {
-            Message::SnapshotOffer {
-                node_id,
-                total_len,
-                chunks,
-            }
-        }),
-        (
-            any::<u32>(),
-            any::<u32>(),
-            prop::collection::vec(0u8..=255, 0..SNAPSHOT_CHUNK_LEN.min(256))
-        )
-            .prop_map(|(node_id, index, data)| Message::SnapshotChunk {
-                node_id,
-                index,
-                data,
-            }),
     ]
 }
 

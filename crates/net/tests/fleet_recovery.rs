@@ -291,7 +291,6 @@ fn last_checkpoint_bytes(frames: u64) -> u64 {
         node_id: 1,
         clock_offset_s: 0.0,
         version: PROTOCOL_VERSION,
-        wants_snapshot: false,
     };
     agg.on_message(&hello).expect("hello");
     let mut closed = Vec::new();

@@ -192,7 +192,7 @@ pub struct Restored<T> {
 }
 
 /// The closed-window log and checkpoints of one directory, open for
-/// writing. See the [module docs](self).
+/// writing. DESIGN.md ("Durable-state directory") gives the layout.
 #[derive(Debug)]
 pub struct DurableDir {
     dir: PathBuf,

@@ -281,7 +281,8 @@ pub struct RecoveryReport {
 
 /// An append-only write-ahead log of captured frames.
 ///
-/// See the [module docs](self) for the format and recovery contract.
+/// DESIGN.md ("Write-ahead frame journal") gives the format and the
+/// recovery contract.
 #[derive(Debug)]
 pub struct FrameJournal {
     config: JournalConfig,

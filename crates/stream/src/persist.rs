@@ -33,6 +33,11 @@ const MAC_LEN: usize = 6;
 pub(crate) const MIN_CLOSED_LEN: usize = 8 + 2 * MAC_LEN;
 
 /// What a sealed document holds; the byte after the version.
+///
+/// Kinds 3, 4 and 5 are neither written nor accepted: 3 and 5 were the
+/// fleet snapshot and checkpoint whose state counted snapshots served
+/// over the wire, and 4 the fleet checkpoint that embedded every
+/// closed window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DocKind {
     /// [`StreamEngine::snapshot`](crate::StreamEngine::snapshot).
@@ -40,10 +45,9 @@ pub enum DocKind {
     /// A journal `checkpoint-<seq>.ckpt`.
     JournalCheckpoint = 2,
     /// The fleet aggregator's snapshot.
-    FleetSnapshot = 3,
-    /// A fleet `fleet-<n>.ckpt`. Kind 4 was the fleet checkpoint that
-    /// embedded every closed window; it is neither written nor accepted.
-    FleetCheckpoint = 5,
+    FleetSnapshot = 6,
+    /// A fleet `fleet-<n>.ckpt`.
+    FleetCheckpoint = 7,
 }
 
 /// Why a sealed document was refused.

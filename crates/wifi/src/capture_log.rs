@@ -10,9 +10,9 @@
 //! ```
 //!
 //! A body line is three whitespace-separated fields: the timestamp, the
-//! card index, and the frame bytes as exactly `[0-9a-fA-F]` pairs. The
-//! writer emits lowercase; the reader decodes the hex field in one pass
-//! over its bytes.
+//! card index (a `u32`), and the frame bytes as exactly `[0-9a-fA-F]`
+//! pairs. The writer emits lowercase; the reader decodes the hex field
+//! in one pass over its bytes.
 
 use crate::frame::Frame;
 use crate::sniffer::{CaptureDatabase, CapturedFrame};
@@ -155,7 +155,8 @@ pub fn parse_capture_line(line: &str) -> Result<Option<CapturedFrame>, String> {
         .ok_or("missing time")?
         .parse()
         .map_err(|e| format!("bad time: {e}"))?;
-    let card: usize = field()
+    // The journal and the wire store the card as a `u32`.
+    let card: u32 = field()
         .ok_or("missing card")?
         .parse()
         .map_err(|e| format!("bad card: {e}"))?;
@@ -180,7 +181,7 @@ pub fn parse_capture_line(line: &str) -> Result<Option<CapturedFrame>, String> {
     let frame = Frame::decode(&bytes).map_err(|e| format!("bad frame: {e}"))?;
     Ok(Some(CapturedFrame {
         time_s,
-        card,
+        card: card as usize,
         frame,
     }))
 }

@@ -1286,7 +1286,6 @@ fn node(opts: &Opts) -> Result<(), CliError> {
             batch_frames: batch,
             reorder_slack_s: slack,
             clock_offset_s: offset,
-            wants_snapshot: false,
         },
         frames,
     );

@@ -54,12 +54,24 @@ fn reference(line: &str) -> Result<Option<CapturedFrame>, String> {
     }))
 }
 
-/// The one intended difference: the old parser took a `+`-signed pair
+/// The first intended difference: the old parser took a `+`-signed pair
 /// such as `+f` as a byte; the hex field is now exactly hex digits.
 fn hex_field_has_plus(line: &str) -> bool {
     line.split_whitespace()
         .nth(2)
         .is_some_and(|hex| hex.contains('+'))
+}
+
+/// The second: a card index the old parser took as a `usize` but that
+/// does not fit the `u32` the journal and the wire store is `bad card`.
+fn card_exceeds_u32(line: &str) -> bool {
+    let mut fields = line.split_whitespace();
+    fields
+        .next()
+        .is_some_and(|time| time.parse::<f64>().is_ok())
+        && fields
+            .next()
+            .is_some_and(|card| card.parse::<usize>().is_ok() && card.parse::<u32>().is_err())
 }
 
 /// A parse result with the timestamp as its bits, so a `NaN` time
@@ -78,7 +90,10 @@ fn agrees(line: &str) {
         Ok(parsed) => parsed.is_some(),
         Err(e) => e.starts_with("bad hex") || e.starts_with("bad frame"),
     };
-    if digits_checked && hex_field_has_plus(line) {
+    if card_exceeds_u32(line) {
+        let err = new.expect_err(line);
+        assert!(err.starts_with("bad card"), "{line:?}: {err}");
+    } else if digits_checked && hex_field_has_plus(line) {
         let err = new.expect_err(line);
         assert!(err.starts_with("bad hex"), "{line:?}: {err}");
     } else {
@@ -203,6 +218,18 @@ fn a_plus_signed_hex_pair_is_bad_hex() {
     let err = parse_capture_line(&line("2.5", "2", &signed)).unwrap_err();
     assert!(err.starts_with("bad hex"), "{err}");
     agrees(&line("2.5", "2", &signed));
+}
+
+#[test]
+fn a_card_index_above_u32_max_is_bad_card() {
+    let h = hex(&probe_response());
+    let err = parse_capture_line(&line("2.5", "4294967297", &h)).unwrap_err();
+    assert!(err.starts_with("bad card"), "{err}");
+    agrees(&line("2.5", "4294967297", &h));
+    let max = parse_capture_line(&line("2.5", "4294967295", &h))
+        .unwrap()
+        .expect("a frame");
+    assert_eq!(max.card, u32::MAX as usize);
 }
 
 #[test]

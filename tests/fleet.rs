@@ -81,7 +81,6 @@ fn run_fleet(
                     batch_frames: 48,
                     reorder_slack_s: required_slack_s(&slice),
                     clock_offset_s: offsets.get(k).copied().unwrap_or(0.0),
-                    wants_snapshot: false,
                 },
                 slice,
             )

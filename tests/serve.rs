@@ -23,7 +23,6 @@ fn hello(node_id: u32) -> Message {
         node_id,
         clock_offset_s: 0.0,
         version: PROTOCOL_VERSION,
-        wants_snapshot: false,
     }
 }
 
