@@ -1,5 +1,6 @@
 //! Campaign-engine benchmarks: `track_all` throughput across worker
-//! counts, and grid-pruned vs full-scan AP-Rad constraint generation.
+//! counts, M-Loc over the windows of a benchmark-sized campus, and
+//! grid-pruned vs full-scan AP-Rad constraint generation.
 //!
 //! Run with `CRITERION_JSON_OUT=results/BENCH_pipeline.json` to record
 //! the machine-readable baseline committed in `results/`.
@@ -7,9 +8,10 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use marauder_bench::common::{link_for, measured_knowledge, victim_scenario};
 use marauder_core::algorithms::{ApRad, PairPruning};
+use marauder_core::apdb::ApDatabase;
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
-use marauder_sim::scenario::{SimulationResult, WorldModel};
+use marauder_sim::scenario::{CampusScenario, SimulationResult, WorldModel};
 use marauder_wifi::mac::MacAddr;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -57,6 +59,41 @@ fn bench_track_all(c: &mut Criterion) {
             },
         );
     }
+    group.finish();
+}
+
+/// M-Loc on the campus the `replay-durable` and `fleet-serve`
+/// end-to-end workloads simulate (400 APs, 200 mobiles, 350 m half
+/// width, full knowledge), over a five-minute campaign: `try_locate` on
+/// each of its 967 windows, which hold 31 coverage discs on average.
+fn bench_locate_campus(c: &mut Criterion) {
+    let result = CampusScenario::builder()
+        .seed(1)
+        .region_half_width(350.0)
+        .num_aps(400)
+        .num_mobiles(200)
+        .duration_s(300.0)
+        .build()
+        .run();
+    let db = ApDatabase::from_access_points(&result.aps, result.environment_margin);
+    let mut map = MaraudersMap::new(db, KnowledgeLevel::Full, AttackConfig::default());
+    map.ingest(&result.captures);
+    let windows: Vec<BTreeSet<MacAddr>> = result
+        .captures
+        .observation_sets(map.config().window_s)
+        .into_iter()
+        .map(|o| o.aps)
+        .collect();
+
+    let mut group = c.benchmark_group("pipeline/locate");
+    group.throughput(Throughput::Elements(windows.len() as u64));
+    group.bench_function("campus", |b| {
+        b.iter(|| {
+            for gamma in &windows {
+                black_box(map.try_locate(gamma).ok());
+            }
+        })
+    });
     group.finish();
 }
 
@@ -119,5 +156,10 @@ fn bench_aprad_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_track_all, bench_aprad_pruning);
+criterion_group!(
+    benches,
+    bench_track_all,
+    bench_locate_campus,
+    bench_aprad_pruning
+);
 criterion_main!(benches);

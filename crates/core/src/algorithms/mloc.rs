@@ -91,17 +91,19 @@ impl MLoc {
         if self.no_inflation {
             return None;
         }
-        // Find an upper multiplier that works by doubling, then bisect
-        // down to ~0.1% precision.
-        let inflate = |m: f64| {
-            let scaled: Vec<Circle> = circles
+        // Find an upper multiplier that works by doubling, then bisect:
+        // 40 halvings of [hi/2, hi] leave an interval of hi·2⁻⁴¹, about
+        // 1e-12 relative. The probes only ask whether the scaled discs
+        // meet; the region is built once, at the final multiplier.
+        let scaled = |m: f64| -> Vec<Circle> {
+            circles
                 .iter()
                 .map(|c| Circle::new(c.center, c.radius * m))
-                .collect();
-            DiscIntersection::new(&scaled)
+                .collect()
         };
+        let meet = |m: f64| DiscIntersection::has_common_point(&scaled(m));
         let mut hi = 2.0;
-        while inflate(hi).is_empty() {
+        while !meet(hi) {
             hi *= 2.0;
             if hi > 1e6 {
                 return None; // degenerate input (e.g. all radii zero)
@@ -110,13 +112,13 @@ impl MLoc {
         let mut lo = hi / 2.0;
         for _ in 0..40 {
             let mid = (lo + hi) / 2.0;
-            if inflate(mid).is_empty() {
-                lo = mid;
-            } else {
+            if meet(mid) {
                 hi = mid;
+            } else {
+                lo = mid;
             }
         }
-        Some((inflate(hi), hi))
+        Some((DiscIntersection::new(&scaled(hi)), hi))
     }
 }
 

@@ -87,13 +87,22 @@ impl MapBuilder {
 
     /// Adds a tracking fix — estimated position (the paper's blue tag)
     /// plus the intersected-region vertices as a polygon when available.
+    ///
+    /// The region lists its vertices in disc-pair order, so the ring is
+    /// put in boundary order first: by angle about their mean, `AVG(Δ)`,
+    /// which lies inside the convex region. That walks the boundary
+    /// counter-clockwise.
     pub fn add_fix(&mut self, fix: &TrackFix) {
         let label = format!("{} @ {:.0}s", fix.mobile, fix.time_s);
         self.add_marker(fix.estimate.position, "estimate", &label);
         let verts = fix.estimate.region.vertices();
+        let Some(mean) = fix.estimate.region.vertex_centroid() else {
+            return;
+        };
         if verts.len() >= 3 {
-            let pts: Vec<Point> = verts.to_vec();
-            self.add_polygon(&pts, "estimate-region", &label);
+            let mut ring: Vec<Point> = verts.to_vec();
+            ring.sort_by(|a, b| (*a - mean).angle().total_cmp(&(*b - mean).angle()));
+            self.add_polygon(&ring, "estimate-region", &label);
         }
     }
 
@@ -210,6 +219,82 @@ mod tests {
         let mut map = MapBuilder::planar();
         map.add_marker(Point::ORIGIN, "k", "evil\"label");
         assert!(map.finish().contains(r#"evil\"label"#));
+    }
+
+    /// The `[x,y]` pairs of the first polygon of `kind` in `geojson`.
+    fn ring_of(geojson: &str, kind: &str) -> Vec<Point> {
+        let feature = geojson
+            .split(r#"{"type":"Feature""#)
+            .find(|f| f.contains(&format!(r#""kind":"{kind}""#)))
+            .expect("feature present");
+        let coords = &feature[feature.find("[[[").expect("polygon") + 3..];
+        let coords = &coords[..coords.find("]]]").expect("ring end")];
+        coords
+            .split("],[")
+            .map(|pair| {
+                let (x, y) = pair
+                    .trim_matches(|c| c == '[' || c == ']')
+                    .split_once(',')
+                    .unwrap();
+                Point::new(x.parse().unwrap(), y.parse().unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn estimate_region_rings_follow_the_boundary() {
+        use crate::algorithms::{CoverageDisc, MLoc};
+        use crate::pipeline::FixProvenance;
+        // Discs east, west, north and south of the origin: the region's
+        // left edge is the east disc's arc, and so on, so the pair order
+        // (E,N), (E,S), (W,N), (W,S) visits lower-left, upper-left,
+        // lower-right, upper-right: a ring that crosses itself.
+        let discs = [
+            CoverageDisc::new(Point::new(30.0, 0.0), 40.0),
+            CoverageDisc::new(Point::new(-30.0, 0.0), 40.0),
+            CoverageDisc::new(Point::new(0.0, 30.0), 40.0),
+            CoverageDisc::new(Point::new(0.0, -30.0), 40.0),
+        ];
+        let estimate = MLoc::paper().locate(&discs).unwrap();
+        let vertices = estimate.region.vertices().to_vec();
+        assert_eq!(vertices.len(), 4);
+        let fix = TrackFix {
+            time_s: 0.0,
+            mobile: MacAddr::from_index(1),
+            gamma: Default::default(),
+            estimate,
+            provenance: FixProvenance::MLoc,
+        };
+        let mut map = MapBuilder::planar();
+        map.add_fix(&fix);
+        let mut ring = ring_of(&map.finish(), "estimate-region");
+        assert_eq!(ring.pop(), Some(ring[0]), "the ring is closed");
+        // The same vertex set ...
+        assert_eq!(ring.len(), vertices.len());
+        for v in &vertices {
+            assert!(ring.iter().any(|p| p.distance(*v) < 1e-6), "{v} missing");
+        }
+        // ... counter-clockwise ...
+        let n = ring.len();
+        let twice_area: f64 = (0..n)
+            .map(|i| (ring[i] - Point::ORIGIN).cross(ring[(i + 1) % n] - Point::ORIGIN))
+            .sum();
+        assert!(twice_area > 0.0);
+        // ... and simple: no two edges that share no end cross.
+        let crosses = |a: Point, b: Point, c: Point, d: Point| {
+            let side = |p: Point, q: Point, r: Point| (q - p).cross(r - p);
+            side(a, b, c) * side(a, b, d) < 0.0 && side(c, d, a) * side(c, d, b) < 0.0
+        };
+        for i in 0..n {
+            for j in i + 2..n {
+                if (j + 1) % n == i {
+                    continue;
+                }
+                let (a, b) = (ring[i], ring[(i + 1) % n]);
+                let (c, d) = (ring[j], ring[(j + 1) % n]);
+                assert!(!crosses(a, b, c, d), "edges {i} and {j} cross");
+            }
+        }
     }
 
     #[test]

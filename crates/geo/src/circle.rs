@@ -177,33 +177,6 @@ impl Circle {
         let t3 = 0.5 * under.max(0.0).sqrt();
         t1 + t2 - t3
     }
-
-    /// The angular interval of `self`'s boundary lying inside the disc
-    /// `other`, as `(center_angle, half_width)`.
-    ///
-    /// Returns:
-    /// * `None` if no part of the boundary is inside `other` (disjoint, or
-    ///   `other` strictly inside `self`),
-    /// * `Some((θ, π))` encoded as half-width `π` if the entire boundary is
-    ///   inside (i.e. `self` ⊆ `other`),
-    /// * otherwise the arc centered on the direction towards `other.center`
-    ///   with half-width `acos((d² + r₁² − r₂²) / (2 d r₁))`.
-    pub fn boundary_inside(&self, other: &Circle) -> Option<(f64, f64)> {
-        let d = self.center.distance(other.center);
-        let (r1, r2) = (self.radius, other.radius);
-        if d >= r1 + r2 {
-            return None; // disjoint: no boundary point of self inside other
-        }
-        if d + r1 <= r2 {
-            return Some((0.0, std::f64::consts::PI)); // self inside other
-        }
-        if d + r2 <= r1 {
-            return None; // other inside self: boundary of self all outside
-        }
-        let theta = (other.center - self.center).angle();
-        let cos_hw = ((d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)).clamp(-1.0, 1.0);
-        Some((theta, cos_hw.acos()))
-    }
 }
 
 impl fmt::Display for Circle {
@@ -309,22 +282,6 @@ mod tests {
         let a = c(0.0, 0.0, 2.0);
         let b = c(1.5, 1.0, 1.0);
         assert!((a.lens_area(&b) - b.lens_area(&a)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn boundary_inside_cases() {
-        let a = c(0.0, 0.0, 1.0);
-        // Crossing neighbour to the east: arc centered at angle 0.
-        let (theta, hw) = a.boundary_inside(&c(1.0, 0.0, 1.0)).unwrap();
-        assert!((theta - 0.0).abs() < 1e-12);
-        // cos hw = (1 + 1 − 1) / 2 = 0.5 -> hw = π/3.
-        assert!((hw - PI / 3.0).abs() < 1e-12);
-        // Containing circle: whole boundary.
-        assert_eq!(a.boundary_inside(&c(0.0, 0.0, 3.0)), Some((0.0, PI)));
-        // Contained circle: nothing.
-        assert_eq!(a.boundary_inside(&c(0.0, 0.0, 0.5)), None);
-        // Disjoint: nothing.
-        assert_eq!(a.boundary_inside(&c(5.0, 0.0, 1.0)), None);
     }
 
     #[test]

@@ -3,15 +3,43 @@
 //!
 //! This is the geometric engine behind the paper's *disc-intersection
 //! approach* (Section III-C). The intersection of discs is convex; its
-//! boundary is a sequence of circular arcs meeting at vertices (pairwise
+//! boundary is a cycle of circular arcs meeting at vertices (pairwise
 //! circle intersection points that lie inside every disc). Area and first
 //! moments are integrated exactly with Green's theorem along those arcs,
 //! so the centroid is the true centroid of the region — a strictly
 //! stronger primitive than the paper's `AVG(Δ)` vertex average, which is
 //! also provided as [`DiscIntersection::vertex_centroid`].
+//!
+//! # Construction
+//!
+//! The region is built by one incremental clip. The discs are taken in
+//! order of clearance at a point near the region, tightest first; the
+//! first disc is the starting region. Each further disc then does one
+//! of three things:
+//!
+//! * it contains the region, and is skipped;
+//! * it cuts the region: the boundary between each point where the
+//!   boundary leaves the disc and the next point where it comes back in
+//!   becomes an arc of the new disc (one disc can cut several times);
+//! * it leaves nothing, and the region is empty.
+//!
+//! The boundary is a cyclic list of arcs whose vertices remember the
+//! pair of input discs they were computed from. The per-disc tests are
+//! trig-free: an arc can only cross the new disc's boundary if the
+//! farthest or nearest point of its circle lies on it, which a
+//! pseudo-angle comparison decides. A window of `k` discs whose region
+//! has `m` vertices therefore costs `O(k·m)`.
+//!
+//! Two circles are asked whether they cross in one way only: the
+//! sqrt-free pre-test `|c₁ − c₂|² > (r₁ + r₂)²` (no crossing), then
+//! [`Circle::intersection_into`] on the pair ordered lower input index
+//! first. Vertices are emitted sorted by (lower index, higher index,
+//! point) and arcs by (input index, start angle), so the vertex mean and
+//! the Green's-theorem sums add the same terms in the same order
+//! whatever order the clip met them in.
 
-use crate::interval::normalize_angle;
-use crate::{AngularIntervalSet, Circle, Point};
+use crate::interval::{normalize_angle, pseudo_angle};
+use crate::{Circle, Point};
 use std::f64::consts::TAU;
 
 /// One circular arc of the intersection region's boundary.
@@ -21,9 +49,8 @@ use std::f64::consts::TAU;
 /// increasing angle walks the region boundary counter-clockwise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arc {
-    /// Index of the supporting circle in [`DiscIntersection::discs`] —
-    /// the reduced set actually bounding the region, not the raw input
-    /// slice (redundant container discs are pruned during construction).
+    /// Index of the supporting circle in [`DiscIntersection::discs`]:
+    /// the discs that bound the region, not the input slice.
     pub circle_index: usize,
     /// The supporting circle.
     pub circle: Circle,
@@ -52,9 +79,12 @@ impl Arc {
 
 /// The intersection region `⋂ᵢ D(cᵢ, rᵢ)` of a set of discs.
 ///
-/// Construction computes everything eagerly (vertices, arcs, exact area
-/// and centroid); all queries afterwards are `O(1)` except
-/// [`contains`](Self::contains), which checks every disc.
+/// Construction clips the discs into one boundary (see the
+/// [module docs](self)) and then computes everything eagerly: vertices,
+/// arcs, exact area and centroid. All queries afterwards are `O(1)`
+/// except [`contains`](Self::contains), which checks every bounding
+/// disc. Only the discs that bound the region are kept, so a stored
+/// region does not grow with the discs that merely contain it.
 ///
 /// # Example
 ///
@@ -79,6 +109,8 @@ pub struct DiscIntersection {
     arcs: Vec<Arc>,
     area: f64,
     centroid: Option<Point>,
+    /// Containment tolerance of the input set.
+    tol: f64,
 }
 
 impl DiscIntersection {
@@ -91,207 +123,31 @@ impl DiscIntersection {
     /// always have at least one communicable AP.
     pub fn new(discs: &[Circle]) -> Self {
         assert!(!discs.is_empty(), "cannot intersect zero discs");
-        let mut pre: Vec<Circle>;
-        let mut discs = discs;
-        if discs.len() > BBOX_FILTER_MIN {
-            pre = discs.to_vec();
-            axis_box_prefilter(&mut pre);
-            discs = &pre;
-        }
-        // A disc that wholly contains another disc can never bound the
-        // intersection — the region lies inside the inner disc, hence
-        // strictly inside the outer one, whose boundary contributes no
-        // vertices or arcs. Pruning containers up front subsumes the
-        // old duplicate merge (coincident discs contain each other; the
-        // first wins by index) and collapses the `O(k³)` vertex scan on
-        // the dense many-AP windows the streaming engine produces,
-        // where most coverage discs are redundant supersets of a few
-        // tight ones. `contains(d, e)`: dist + r_e ≤ r_d + EPS,
-        // compared squared so the scan stays sqrt-free.
-        let contains = |d: &Circle, e: &Circle| {
-            let slack = d.radius - e.radius + crate::EPS;
-            slack >= 0.0 && d.center.distance_sq(e.center) <= slack * slack
-        };
-        let mut discs_vec: Vec<Circle> = Vec::with_capacity(discs.len());
-        for (i, d) in discs.iter().enumerate() {
-            let redundant = discs
-                .iter()
-                .enumerate()
-                .any(|(j, e)| i != j && contains(d, e) && (j < i || !contains(e, d)));
-            if !redundant {
-                discs_vec.push(*d);
-            }
-        }
-        let discs = if discs_vec.len() > SEED_FILTER_MIN {
-            filter_by_seed_bbox(discs_vec)
-        } else {
-            discs_vec
-        };
-        Self::construct(discs)
+        let mut clip = Clip::new(discs);
+        clip.run();
+        clip.finish()
     }
 
-    /// Full construction over an already-reduced disc set.
-    fn construct(discs: Vec<Circle>) -> Self {
-        let tol = containment_tolerance(&discs);
-
-        // Vertices: pairwise boundary intersections inside all discs.
-        // `on_boundary` records which circles own a surviving vertex —
-        // the arc pass below only needs those.
-        let mut vertices: Vec<Point> = Vec::new();
-        let mut vertex_angles: Vec<Vec<f64>> = vec![Vec::new(); discs.len()];
-        let mut pair = [Point::ORIGIN; 2];
-        for i in 0..discs.len() {
-            for j in (i + 1)..discs.len() {
-                // Sqrt-free reject before the exact intersection math.
-                let rsum = discs[i].radius + discs[j].radius;
-                if discs[i].center.distance_sq(discs[j].center) > rsum * rsum {
-                    continue;
-                }
-                let n = discs[i].intersection_into(&discs[j], &mut pair);
-                for &p in &pair[..n] {
-                    if discs.iter().all(|d| d.contains_with_tolerance(p, tol)) {
-                        vertices.push(p);
-                        let ang = |c: &Circle| normalize_angle((p - c.center).angle());
-                        vertex_angles[i].push(ang(&discs[i]));
-                        vertex_angles[j].push(ang(&discs[j]));
-                    }
-                }
-            }
+    /// Whether the discs have a common point: the verdict of
+    /// `!DiscIntersection::new(discs).is_empty()`, reached by the same
+    /// clip but without building the region, and stopping at the first
+    /// disc that empties it. Zero discs have the whole plane in common.
+    pub fn has_common_point(discs: &[Circle]) -> bool {
+        if discs.is_empty() {
+            return true;
         }
-        dedup_points(&mut vertices, tol);
-
-        // Arcs: for each circle, the part of its boundary inside all
-        // other discs.
-        //
-        // When the region has vertices, every arc ends at vertices:
-        // full-circle boundaries require one disc inside all others,
-        // which the containment prune reduced to `k = 1`, and the
-        // vertex containment test is more lenient than the arc
-        // geometry, so every arc endpoint survives as a vertex. The
-        // region-membership of a circle's boundary can then only flip
-        // at its own vertices — a flip at a non-vertex circle crossing
-        // would put that crossing on the region boundary, making it a
-        // vertex. So each circle's arcs are read off its sorted vertex
-        // angles directly: a gap between consecutive vertices is a
-        // boundary arc iff its midpoint lies in every disc. This
-        // touches only the few circles owning vertices and costs
-        // `O(vᵢ·k)` distance checks instead of the `O(k²)` trig scan
-        // of the interval method, which the many-disc streaming
-        // windows cannot afford. Without vertices (`k = 1` or an empty
-        // region) the interval scan below handles every circle.
-        let mut arcs: Vec<Arc> = Vec::new();
-        if !vertices.is_empty() {
-            for (i, angs) in vertex_angles.iter_mut().enumerate() {
-                if angs.is_empty() {
-                    continue;
-                }
-                let ci = &discs[i];
-                angs.sort_by(f64::total_cmp);
-                // Merge coincident vertex angles (several circles
-                // through one point), including the 0/2π seam.
-                let ang_tol = (tol * 10.0) / ci.radius.max(tol);
-                let mut merged: Vec<f64> = Vec::with_capacity(angs.len());
-                for &a in angs.iter() {
-                    if merged.last().is_none_or(|&m| a - m > ang_tol) {
-                        merged.push(a);
-                    }
-                }
-                if merged.len() > 1 && merged[0] + TAU - merged[merged.len() - 1] <= ang_tol {
-                    merged.pop();
-                }
-                let m = merged.len();
-                for w in 0..m {
-                    let start = merged[w];
-                    let end = if w + 1 < m {
-                        merged[w + 1]
-                    } else {
-                        merged[0] + TAU
-                    };
-                    let midpoint = ci.point_at((start + end) / 2.0);
-                    if discs
-                        .iter()
-                        .all(|d| d.contains_with_tolerance(midpoint, tol))
-                    {
-                        arcs.push(Arc {
-                            circle_index: i,
-                            circle: *ci,
-                            start,
-                            end,
-                        });
-                    }
-                }
-            }
-        } else {
-            'circles: for (i, ci) in discs.iter().enumerate() {
-                let mut active = AngularIntervalSet::full();
-                for (j, cj) in discs.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    match ci.boundary_inside(cj) {
-                        None => continue 'circles,
-                        Some((theta, hw)) => active.intersect_arc(theta, hw),
-                    }
-                    if active.is_empty() {
-                        continue 'circles;
-                    }
-                }
-                // A single arc crossing the zero angle is stored by the
-                // interval set as two segments; re-join them so callers
-                // see one contiguous arc (end may exceed 2π).
-                let mut segs: Vec<(f64, f64)> = active.segments().to_vec();
-                if let [first, .., last] = segs[..] {
-                    if first.0 <= 1e-12 && (TAU - last.1).abs() <= 1e-12 && !active.is_full() {
-                        segs.pop();
-                        segs.remove(0);
-                        segs.push((last.0, first.1 + TAU));
-                    }
-                }
-                for (s, e) in segs {
-                    arcs.push(Arc {
-                        circle_index: i,
-                        circle: *ci,
-                        start: s,
-                        end: e,
-                    });
-                }
-            }
-        }
-
-        // Exact area and centroid by Green's theorem over the boundary
-        // arcs (the arcs form the full closed boundary, traversed CCW).
-        let mut area = 0.0;
-        let mut mx = 0.0;
-        let mut my = 0.0;
-        for arc in &arcs {
-            let (da, dmx, dmy) = green_contributions(arc);
-            area += da;
-            mx += dmx;
-            my += dmy;
-        }
-        let area = area.max(0.0);
-        let centroid = if area > tol * tol {
-            Some(Point::new(mx / area, my / area))
-        } else if !vertices.is_empty() {
-            // Degenerate (tangency) region: use the vertex mean.
-            Point::mean(vertices.iter().copied())
-        } else {
-            None
-        };
-
-        DiscIntersection {
-            discs,
-            vertices,
-            arcs,
-            area,
-            centroid,
-        }
+        let mut clip = Clip::new(discs);
+        clip.run();
+        !matches!(clip.shape, Shape::Empty)
     }
 
-    /// The discs the region was built from: the input minus discs proven
-    /// redundant (each pruned disc contains the region, so the
-    /// intersection of this reduced set equals the intersection of the
-    /// full input). Order may differ from the input on large sets.
+    /// The discs that bound the region, in input order: each holds an
+    /// arc or a vertex of the boundary. Every other input disc contains
+    /// the region, so the intersection of these equals the intersection
+    /// of the full input. A region that shrank to a single point keeps
+    /// the discs that cut it down, and an empty region keeps a witness:
+    /// the discs that bounded it just before it emptied, and the disc
+    /// that emptied it.
     pub fn discs(&self) -> &[Circle] {
         &self.discs
     }
@@ -300,13 +156,19 @@ impl DiscIntersection {
     /// point that lies inside all discs. This is the set `Δ` of the
     /// paper's M-Loc algorithm.
     ///
+    /// They come sorted by the input indices of their two discs (lower
+    /// first), then by which of [`Circle::intersection_into`]'s points
+    /// they are: pair order, not boundary order. Neighbouring boundary
+    /// points closer than ten times the containment tolerance count once.
+    ///
     /// A region bounded by a single full circle (one disc contained in all
     /// others) has no vertices even though it is non-empty.
     pub fn vertices(&self) -> &[Point] {
         &self.vertices
     }
 
-    /// Boundary arcs in no particular global order (each arc CCW).
+    /// Boundary arcs, sorted by their circle's input index and then by
+    /// start angle (each arc CCW).
     pub fn arcs(&self) -> &[Arc] {
         &self.arcs
     }
@@ -340,8 +202,9 @@ impl DiscIntersection {
 
     /// Returns `true` when `p` lies in every disc (with tolerance).
     pub fn contains(&self, p: Point) -> bool {
-        let tol = containment_tolerance(&self.discs);
-        self.discs.iter().all(|d| d.contains_with_tolerance(p, tol))
+        self.discs
+            .iter()
+            .all(|d| d.contains_with_tolerance(p, self.tol))
     }
 
     /// An axis-aligned bounding box `(min, max)` of the region, or `None`
@@ -377,109 +240,514 @@ impl DiscIntersection {
     }
 }
 
-/// Disc counts above which the `O(k)` axis-box prefilter runs; smaller
-/// sets construct directly.
-const BBOX_FILTER_MIN: usize = 12;
-
-/// Disc counts (post-prefilter) above which [`filter_by_seed_bbox`]
-/// pays for itself. The seed filter costs a full extra construction
-/// over [`SEED_DISCS`] discs plus an anchor search, so mid-size sets
-/// that the vertex-gap arc pass already handles cheaply skip it.
-const SEED_FILTER_MIN: usize = 24;
-
-/// Discs used to seed the bounding-box filter.
-const SEED_DISCS: usize = 8;
-
-/// `true` when disc `d` contains the whole axis-aligned box `[lo, hi]`:
-/// the box's farthest corner from the center lies inside `d` shrunk by
-/// `tol` (shrinking keeps tangency-degree contacts on the kept side).
-fn disc_contains_box(d: &Circle, lo: Point, hi: Point, tol: f64) -> bool {
-    let dx = (lo.x - d.center.x).abs().max((hi.x - d.center.x).abs());
-    let dy = (lo.y - d.center.y).abs().max((hi.y - d.center.y).abs());
-    let reach = d.radius - tol;
-    reach >= 0.0 && dx * dx + dy * dy <= reach * reach
+/// A boundary vertex: point `which` of [`Circle::intersection_into`] on
+/// input discs `lo < hi`.
+#[derive(Debug, Clone, Copy)]
+struct Vertex {
+    p: Point,
+    lo: usize,
+    hi: usize,
+    which: u8,
 }
 
-/// `O(k)` axis-box prefilter, run before any quadratic work: the region
-/// lies inside the intersection `B` of the discs' bounding boxes, so a
-/// disc containing `B` cannot bound it and is dropped in place. The
-/// discs attaining `B`'s edges are never dropped, so the set stays
-/// non-empty. When the boxes are already disjoint the region is empty;
-/// `pre` is reduced to a two-disc disjoint witness, keeping the full
-/// construction trivially cheap.
-fn axis_box_prefilter(pre: &mut Vec<Circle>) {
-    let mut lo = Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-    let mut hi = Point::new(f64::INFINITY, f64::INFINITY);
-    for d in pre.iter() {
-        lo.x = lo.x.max(d.center.x - d.radius);
-        lo.y = lo.y.max(d.center.y - d.radius);
-        hi.x = hi.x.min(d.center.x + d.radius);
-        hi.y = hi.y.min(d.center.y + d.radius);
+impl Vertex {
+    /// The output order: by disc pair, then by point.
+    fn key(&self) -> (usize, usize, u8) {
+        (self.lo, self.hi, self.which)
     }
-    if lo.x > hi.x || lo.y > hi.y {
-        // Two discs whose boxes are disjoint along one axis witness the
-        // emptiness: the one whose box starts last and the one whose
-        // box ends first.
-        let span: fn(&Circle) -> (f64, f64) = if lo.x > hi.x {
-            |d| (d.center.x - d.radius, d.center.x + d.radius)
+}
+
+/// One boundary arc while clipping. It runs counter-clockwise along
+/// input disc `circle`, from vertex `from` to the next edge's `from`.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    circle: usize,
+    from: Vertex,
+}
+
+/// The region while clipping.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// No common point.
+    Empty,
+    /// A single point, such as where two discs touch.
+    Point(Vertex),
+    /// One whole disc, without vertices.
+    Full(usize),
+    /// The edges in [`Clip::edges`]: two or more.
+    Cycle,
+}
+
+/// Where an edge's circle meets a new disc's boundary, by the one pair
+/// predicate.
+enum Crossing {
+    /// The sqrt-free pre-test rejected the pair, or
+    /// [`Circle::intersection_into`] found no point.
+    None,
+    /// [`Circle::intersection_into`] found one point.
+    Touch(Vertex),
+    /// Walking counter-clockwise along the edge's circle, it leaves the
+    /// new disc at `exit` and comes back in at `entry`.
+    Cross { exit: Vertex, entry: Vertex },
+}
+
+/// The incremental clip behind [`DiscIntersection`].
+struct Clip<'a> {
+    discs: &'a [Circle],
+    tol: f64,
+    shape: Shape,
+    edges: Vec<Edge>,
+    /// The next cycle, built while clipping `edges`.
+    next: Vec<Edge>,
+    /// Whether each vertex of `edges` lies in the disc being clipped.
+    inside: Vec<bool>,
+    /// Set when the region shrinks to a point or empties: the discs
+    /// that bounded it and the disc that cut it.
+    witness: Vec<usize>,
+}
+
+impl<'a> Clip<'a> {
+    fn new(discs: &'a [Circle]) -> Self {
+        Clip {
+            discs,
+            tol: containment_tolerance(discs),
+            shape: Shape::Empty,
+            edges: Vec::new(),
+            next: Vec::new(),
+            inside: Vec::new(),
+            witness: Vec::new(),
+        }
+    }
+
+    /// Clips every disc, tightest first, until the region empties.
+    fn run(&mut self) {
+        let anchor = interior_anchor(self.discs);
+        let mut order: Vec<(f64, usize)> = self
+            .discs
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (d.radius - anchor.distance(d.center), i))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut order = order.into_iter().map(|(_, i)| i);
+        if let Some(first) = order.next() {
+            self.shape = Shape::Full(first);
+        }
+        for n in order {
+            match self.shape {
+                Shape::Empty => break,
+                Shape::Point(v) => {
+                    if !self.discs[n].contains_with_tolerance(v.p, self.tol) {
+                        self.empty(n);
+                    }
+                }
+                Shape::Full(c) => self.clip_full(c, n),
+                Shape::Cycle => self.clip_cycle(n),
+            }
+        }
+    }
+
+    /// Clips the whole disc `c` by disc `n`.
+    fn clip_full(&mut self, c: usize, n: usize) {
+        let (outer, disc) = (self.discs[c], self.discs[n]);
+        let dist = outer.center.distance(disc.center);
+        if dist + outer.radius <= disc.radius + self.tol {
+            return;
+        }
+        match self.crossing(c, n) {
+            Crossing::Cross { exit, entry } => {
+                self.next.clear();
+                self.next.extend([
+                    Edge {
+                        circle: c,
+                        from: entry,
+                    },
+                    Edge {
+                        circle: n,
+                        from: exit,
+                    },
+                ]);
+                self.settle(n);
+            }
+            // Touching from inside leaves the smaller disc whole; from
+            // outside, only the touching point.
+            Crossing::Touch(t) => {
+                if dist >= outer.radius.max(disc.radius) {
+                    self.shrink_to(t, n);
+                } else if disc.radius < outer.radius {
+                    self.shape = Shape::Full(n);
+                }
+            }
+            Crossing::None => {
+                let rsum = outer.radius + disc.radius;
+                if outer.center.distance_sq(disc.center) > rsum * rsum || dist > rsum {
+                    self.empty(n);
+                } else if disc.radius < outer.radius {
+                    self.shape = Shape::Full(n);
+                }
+            }
+        }
+    }
+
+    /// Clips the cycle in `edges` by disc `n`.
+    fn clip_cycle(&mut self, n: usize) {
+        let disc = self.discs[n];
+        let tol = self.tol;
+        let m = self.edges.len();
+        self.inside.clear();
+        self.inside.extend(
+            self.edges
+                .iter()
+                .map(|e| disc.contains_with_tolerance(e.from.p, tol)),
+        );
+        self.next.clear();
+        let mut cut = false;
+        for k in 0..m {
+            let edge = self.edges[k];
+            let to = self.edges[(k + 1) % m].from.p;
+            let circle = self.discs[edge.circle];
+            let (from_in, to_in) = (self.inside[k], self.inside[(k + 1) % m]);
+            if from_in {
+                self.next.push(edge);
+            } else {
+                cut = true;
+            }
+            let onto = |v: Vertex| Edge { circle: n, from: v };
+            let along = |v: Vertex| Edge {
+                circle: edge.circle,
+                from: v,
+            };
+            // A crossing the pair predicate puts off its arc lies within
+            // rounding of an end of the arc; the boundary then leaves
+            // or enters the new disc at that end.
+            let here = |v: &Vertex| place(&circle, edge.from.p, to, v.p);
+            let leave_at_start = |next: &mut Vec<Edge>| {
+                if let Some(last) = next.last_mut() {
+                    last.circle = n;
+                }
+            };
+            match (from_in, to_in) {
+                (true, true) => {
+                    if !bulges(&circle, edge.from.p, to, &disc, tol) {
+                        continue;
+                    }
+                    let Crossing::Cross { exit, entry } = self.crossing(edge.circle, n) else {
+                        continue;
+                    };
+                    match (here(&exit), here(&entry)) {
+                        (Place::End, _) | (_, Place::Start) => {}
+                        (Place::Inside(x), Place::Inside(e)) if x >= e => {}
+                        (x, e) => {
+                            if let Place::Inside(_) = x {
+                                self.next.push(onto(exit));
+                            } else {
+                                leave_at_start(&mut self.next);
+                            }
+                            if let Place::Inside(_) = e {
+                                self.next.push(along(entry));
+                            }
+                            cut = true;
+                        }
+                    }
+                }
+                (false, false) => {
+                    if !dips(&circle, edge.from.p, to, &disc, tol) {
+                        continue;
+                    }
+                    match self.crossing(edge.circle, n) {
+                        Crossing::Cross { exit, entry } => {
+                            if let (Place::Inside(e), Place::Inside(x)) =
+                                (here(&entry), here(&exit))
+                            {
+                                if e < x {
+                                    self.next.extend([along(entry), onto(exit)]);
+                                }
+                            }
+                        }
+                        Crossing::Touch(t) => {
+                            if let Place::Inside(_) = here(&t) {
+                                self.next.push(onto(t));
+                            }
+                        }
+                        Crossing::None => {}
+                    }
+                }
+                // Without a crossing the arc's start lies in the
+                // tolerance band, and the boundary leaves right there.
+                (true, false) => match self.crossing(edge.circle, n) {
+                    Crossing::Cross { exit, .. } | Crossing::Touch(exit) => match here(&exit) {
+                        Place::Inside(_) => self.next.push(onto(exit)),
+                        Place::End => self.next.push(onto(self.edges[(k + 1) % m].from)),
+                        Place::Start => leave_at_start(&mut self.next),
+                    },
+                    Crossing::None => leave_at_start(&mut self.next),
+                },
+                // Likewise, without a crossing the boundary comes back
+                // in at the arc's end.
+                (false, true) => match self.crossing(edge.circle, n) {
+                    Crossing::Cross { entry, .. } | Crossing::Touch(entry) => match here(&entry) {
+                        Place::Inside(_) => self.next.push(along(entry)),
+                        Place::Start => self.next.push(edge),
+                        Place::End => {}
+                    },
+                    Crossing::None => {}
+                },
+            }
+        }
+        if cut {
+            self.settle(n);
+        }
+    }
+
+    /// Makes the cycle built in `next` while clipping disc `n` the
+    /// region: merges its near-coincident vertices, then reads what is
+    /// left.
+    fn settle(&mut self, n: usize) {
+        self.collapse();
+        match self.next.len() {
+            // Nothing of the old boundary is left and nothing crossed
+            // it: the new disc lies inside the region or misses it.
+            0 => {
+                if self.covers(self.discs[n].center) {
+                    self.shape = Shape::Full(n);
+                } else {
+                    self.empty(n);
+                }
+            }
+            1 => self.shrink_to(self.next[0].from, n),
+            _ => {
+                std::mem::swap(&mut self.edges, &mut self.next);
+                self.shape = Shape::Cycle;
+            }
+        }
+    }
+
+    /// Merges consecutive vertices of `next` that lie within ten times
+    /// the tolerance of each other, dropping the arc between them; the
+    /// vertex that sorts first is kept.
+    fn collapse(&mut self) {
+        let reach = 10.0 * self.tol;
+        loop {
+            let m = self.next.len();
+            if m < 2 {
+                return;
+            }
+            let close = (0..m).find(|&k| {
+                let (a, b) = (self.next[k].from, self.next[(k + 1) % m].from);
+                a.p.distance(b.p) <= reach
+            });
+            let Some(k) = close else { return };
+            let (a, b) = (self.next[k].from, self.next[(k + 1) % m].from);
+            self.next[(k + 1) % m].from = if a.key() <= b.key() { a } else { b };
+            self.next.remove(k);
+        }
+    }
+
+    /// Whether `p` lies in every disc bounding the current cycle.
+    fn covers(&self, p: Point) -> bool {
+        self.edges
+            .iter()
+            .all(|e| self.discs[e.circle].contains_with_tolerance(p, self.tol))
+    }
+
+    /// Empties the region at disc `n`, keeping the witness.
+    fn empty(&mut self, n: usize) {
+        self.witness = self.bounding();
+        self.witness.push(n);
+        self.shape = Shape::Empty;
+    }
+
+    /// Shrinks the region to the point `v` at disc `n`, keeping the
+    /// witness: a point bounds nothing, so the discs that cut it down
+    /// are what place it.
+    fn shrink_to(&mut self, v: Vertex, n: usize) {
+        self.witness = self.bounding();
+        self.witness.push(n);
+        self.shape = Shape::Point(v);
+    }
+
+    /// The input indices of the discs bounding the current shape, in
+    /// input order.
+    fn bounding(&self) -> Vec<usize> {
+        let mut ids: Vec<usize> = match self.shape {
+            Shape::Empty => Vec::new(),
+            Shape::Point(v) => [v.lo, v.hi]
+                .into_iter()
+                .chain(self.witness.iter().copied())
+                .collect(),
+            Shape::Full(c) => vec![c],
+            Shape::Cycle => self
+                .edges
+                .iter()
+                .flat_map(|e| [e.circle, e.from.lo, e.from.hi])
+                .collect(),
+        };
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// The one pair predicate: whether the circle of input disc `c`
+    /// crosses the boundary of input disc `n`, and where.
+    fn crossing(&self, c: usize, n: usize) -> Crossing {
+        let (lo, hi) = if c < n { (c, n) } else { (n, c) };
+        let (a, b) = (&self.discs[lo], &self.discs[hi]);
+        let rsum = a.radius + b.radius;
+        if a.center.distance_sq(b.center) > rsum * rsum {
+            return Crossing::None;
+        }
+        let mut pts = [Point::ORIGIN; 2];
+        let count = a.intersection_into(b, &mut pts);
+        let vertex = |which: u8| Vertex {
+            p: pts[usize::from(which)],
+            lo,
+            hi,
+            which,
+        };
+        match count {
+            // The first point is where the lower disc's circle leaves
+            // the higher disc, and where the higher one's comes in.
+            2 if c == lo => Crossing::Cross {
+                exit: vertex(0),
+                entry: vertex(1),
+            },
+            2 => Crossing::Cross {
+                exit: vertex(1),
+                entry: vertex(0),
+            },
+            1 => Crossing::Touch(vertex(0)),
+            _ => Crossing::None,
+        }
+    }
+
+    /// The region: discs, vertices, arcs, area and centroid.
+    fn finish(self) -> DiscIntersection {
+        let discs = self.discs;
+        let tol = self.tol;
+        let mut vertices: Vec<Vertex> = Vec::new();
+        let mut arcs: Vec<(usize, f64, f64)> = Vec::new();
+        let mut ids = match self.shape {
+            Shape::Empty => self.witness.clone(),
+            Shape::Point(v) => {
+                vertices.push(v);
+                self.bounding()
+            }
+            Shape::Full(c) => {
+                arcs.push((c, 0.0, TAU));
+                vec![c]
+            }
+            Shape::Cycle => {
+                let m = self.edges.len();
+                for (k, e) in self.edges.iter().enumerate() {
+                    let to = self.edges[(k + 1) % m].from.p;
+                    let center = discs[e.circle].center;
+                    let start = normalize_angle((e.from.p - center).angle());
+                    let mut end = normalize_angle((to - center).angle());
+                    if end <= start {
+                        end += TAU;
+                    }
+                    arcs.push((e.circle, start, end));
+                    vertices.push(e.from);
+                }
+                vertices.sort_by_key(Vertex::key);
+                self.bounding()
+            }
+        };
+        ids.sort_unstable();
+        ids.dedup();
+        arcs.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let arcs: Vec<Arc> = arcs
+            .into_iter()
+            .map(|(c, start, end)| Arc {
+                circle_index: ids.partition_point(|&i| i < c),
+                circle: discs[c],
+                start,
+                end,
+            })
+            .collect();
+        let vertices: Vec<Point> = vertices.into_iter().map(|v| v.p).collect();
+
+        // Exact area and centroid by Green's theorem over the boundary
+        // arcs (the arcs form the full closed boundary, traversed CCW).
+        let mut area = 0.0;
+        let mut mx = 0.0;
+        let mut my = 0.0;
+        for arc in &arcs {
+            let (da, dmx, dmy) = green_contributions(arc);
+            area += da;
+            mx += dmx;
+            my += dmy;
+        }
+        let area = area.max(0.0);
+        let centroid = if area > tol * tol {
+            Some(Point::new(mx / area, my / area))
+        } else if !vertices.is_empty() {
+            // Degenerate (tangency) region: use the vertex mean.
+            Point::mean(vertices.iter().copied())
         } else {
-            |d| (d.center.y - d.radius, d.center.y + d.radius)
+            None
         };
-        let Some((&first, rest)) = pre.split_first() else {
-            return; // unreachable: the prefilter runs on non-empty sets
-        };
-        let (mut a, mut b) = (first, first);
-        for d in rest {
-            // `>=` / strict `<` reproduce max_by's last-wins and
-            // min_by's first-wins tie breaks.
-            if span(d).0 >= span(&a).0 {
-                a = *d;
-            }
-            if span(d).1 < span(&b).1 {
-                b = *d;
-            }
+
+        DiscIntersection {
+            discs: ids.iter().map(|&i| discs[i]).collect(),
+            vertices,
+            arcs,
+            area,
+            centroid,
+            tol,
         }
-        *pre = vec![a, b];
-        return;
     }
-    let tol = containment_tolerance(pre);
-    pre.retain(|d| !disc_contains_box(d, lo, hi, tol));
 }
 
-/// Drops discs that provably do not bound the intersection.
-///
-/// The region is usually shaped by a handful of *tight* discs — the many
-/// wide coverage discs of a dense AP window contain it entirely and
-/// contribute nothing. Exact reduction: build the intersection of the
-/// `SEED_DISCS` tightest discs (smallest boundary clearance from the
-/// smallest disc's center); its bounding box `B` encloses the true
-/// region, so any disc containing `B` contains the region and can be
-/// dropped. Discs whose boundary might reach `B` are kept and the full
-/// construction runs on that small survivor set. If even the seed
-/// intersection is empty the whole intersection is empty, and the seed
-/// set is returned as a witness.
-fn filter_by_seed_bbox(discs: Vec<Circle>) -> Vec<Circle> {
-    let anchor = interior_anchor(&discs);
-    let mut order: Vec<usize> = (0..discs.len()).collect();
-    order.sort_by(|&a, &b| {
-        let clearance = |d: &Circle| d.radius - anchor.distance(d.center);
-        clearance(&discs[a])
-            .total_cmp(&clearance(&discs[b]))
-            .then(a.cmp(&b))
-    });
-    let mut kept: Vec<Circle> = order[..SEED_DISCS].iter().map(|&i| discs[i]).collect();
-    let seed = DiscIntersection::construct(kept.clone());
-    let Some((lo, hi)) = seed.bounding_box() else {
-        return kept;
-    };
-    let tol = containment_tolerance(&discs);
-    for &i in &order[SEED_DISCS..] {
-        let d = discs[i];
-        if !disc_contains_box(&d, lo, hi, tol) {
-            kept.push(d);
-        }
+/// Where a point of `circle` falls on its CCW arc from `from` to `to`.
+enum Place {
+    /// Before the arc, nearer its start than its end (or at the start).
+    Start,
+    /// Strictly inside, at this pseudo-angle from the start.
+    Inside(f64),
+    /// Past the arc, nearer its end (or at the end).
+    End,
+}
+
+fn place(circle: &Circle, from: Point, to: Point, v: Point) -> Place {
+    let start = from - circle.center;
+    let end = pseudo_angle(start, to - circle.center);
+    let at = pseudo_angle(start, v - circle.center);
+    if at <= 0.0 {
+        Place::Start
+    } else if at < end {
+        Place::Inside(at)
+    } else if at - end < 4.0 - at {
+        Place::End
+    } else {
+        Place::Start
     }
-    kept
+}
+
+/// Whether the arc of `circle` from `from` to `to` (CCW) reaches out of
+/// `disc` by more than `tol`: the circle's farthest point from the
+/// disc's center does, and lies on the arc. Along a circle the distance
+/// to a fixed point falls monotonically from the farthest point to the
+/// nearest, so otherwise the arc's farthest points are its ends.
+fn bulges(circle: &Circle, from: Point, to: Point, disc: &Circle, tol: f64) -> bool {
+    let away = circle.center - disc.center;
+    away.norm() + circle.radius > disc.radius + tol
+        && matches!(
+            place(circle, from, to, circle.center + away),
+            Place::Inside(_)
+        )
+}
+
+/// Whether the arc of `circle` from `from` to `to` (CCW) reaches into
+/// `disc` (within `tol`): the circle's nearest point to the disc's
+/// center does, and lies on the arc.
+fn dips(circle: &Circle, from: Point, to: Point, disc: &Circle, tol: f64) -> bool {
+    let away = circle.center - disc.center;
+    (away.norm() - circle.radius).abs() <= disc.radius + tol
+        && matches!(
+            place(circle, from, to, circle.center - away),
+            Place::Inside(_)
+        )
 }
 
 /// A point near (ideally inside) the intersection, found by alternating
@@ -489,11 +757,11 @@ fn filter_by_seed_bbox(discs: Vec<Circle>) -> Vec<Circle> {
 /// rounds land close enough that disc clearances measured from the
 /// anchor rank the truly tight discs first. Deterministic (first-wins
 /// ties, fixed round count) and cheap (`O(rounds·k)` distances). The
-/// seed-bbox filter stays exact whatever this returns — a bad anchor
-/// only costs pruning power.
+/// clip is exact whatever this returns — a bad anchor only costs
+/// skipped discs.
 fn interior_anchor(discs: &[Circle]) -> Point {
     // The origin default is unreachable (callers pass non-empty sets)
-    // and would only cost pruning power anyway.
+    // and would only cost skipped discs anyway.
     let mut p = discs
         .iter()
         .min_by(|a, b| a.radius.total_cmp(&b.radius))
@@ -522,21 +790,6 @@ fn interior_anchor(discs: &[Circle]) -> Point {
 fn containment_tolerance(discs: &[Circle]) -> f64 {
     let rmax = discs.iter().map(|d| d.radius).fold(1.0, f64::max);
     1e-9 * rmax.max(1.0) + 1e-9
-}
-
-/// Removes near-duplicate points (within `tol`) in `O(n²)`; vertex sets
-/// are tiny (at most `k(k-1)` candidates).
-fn dedup_points(points: &mut Vec<Point>, tol: f64) {
-    if points.len() <= 1 {
-        return;
-    }
-    let mut out: Vec<Point> = Vec::with_capacity(points.len());
-    for &p in points.iter() {
-        if !out.iter().any(|q| q.distance(p) <= tol * 10.0) {
-            out.push(p);
-        }
-    }
-    *points = out;
 }
 
 /// Whether `angle` lies within the CCW arc `[start, end]` (angles may
@@ -664,8 +917,8 @@ mod tests {
     fn bbox_filter_matches_unfiltered() {
         // Three tight discs shape the region; twenty wide discs on a
         // ring all contain it but none contains another (equal radii,
-        // spread centers), so only the seed-bbox filter can drop them.
-        // The 23-disc result must match the 3-disc result exactly.
+        // spread centers). None of them may bound the region: the
+        // 23-disc result must match the 3-disc result exactly.
         let tight = vec![c(0.0, 0.0, 1.0), c(0.9, 0.2, 1.1), c(0.4, 0.7, 0.9)];
         let small = DiscIntersection::new(&tight);
         let mut all = tight;
@@ -684,8 +937,7 @@ mod tests {
     #[test]
     fn bbox_filter_empty_region_detected() {
         // Every pair overlaps but the triple is empty; padding with wide
-        // ring discs pushes the set over the filter threshold and must
-        // not flip the emptiness verdict.
+        // ring discs must not flip the emptiness verdict.
         let r = 1.1;
         let mut discs = vec![c(0.0, 0.0, r), c(2.0, 0.0, r), c(1.0, 1.9, r)];
         for k in 0..16 {
@@ -748,6 +1000,36 @@ mod tests {
         // vertex centroid.
         let vc = region.vertex_centroid().unwrap();
         assert!(region.contains(vc));
+    }
+
+    #[test]
+    fn a_pair_tangent_to_rounding_is_no_crossing() {
+        // Campus 0 of the seed-1 `aprad-live` pool at `LocationsOnly`,
+        // with the LP's radii: discs 0 and 1 are tangent to four
+        // decimals. The sqrt-free pre-test rejects the pair, although
+        // `intersection_into` would find two points 3.8 µm apart inside
+        // every disc; so the region is empty and M-Loc inflates the
+        // window. This pins that verdict, whichever way a later change
+        // decides tangency.
+        let discs = [
+            c(28.711, -116.886, 125.68155489206492),
+            c(7.614, 99.824, 92.0529336691182),
+            c(43.494, -66.3, 124.9723290022257),
+            c(72.534, -11.277, 105.84260846948484),
+            c(63.548, -75.055, 128.87797023171402),
+        ];
+        let rsum = discs[0].radius + discs[1].radius;
+        assert!(discs[0].center.distance_sq(discs[1].center) > rsum * rsum);
+        let mut pts = [Point::ORIGIN; 2];
+        assert_eq!(discs[0].intersection_into(&discs[1], &mut pts), 2);
+        assert!(pts[0].distance(pts[1]) < 4e-6);
+        let tol = containment_tolerance(&discs);
+        assert!(pts
+            .iter()
+            .all(|&p| discs.iter().all(|d| d.contains_with_tolerance(p, tol))));
+        let region = DiscIntersection::new(&discs);
+        assert!(region.is_empty());
+        assert!(!DiscIntersection::has_common_point(&discs));
     }
 
     #[test]

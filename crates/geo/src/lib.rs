@@ -40,7 +40,7 @@ pub mod enclosing;
 pub mod geodesy;
 pub mod grid;
 pub mod hull;
-pub mod interval;
+mod interval;
 pub mod montecarlo;
 pub mod point;
 pub mod polygon;
@@ -51,7 +51,6 @@ pub use enclosing::smallest_enclosing_circle;
 pub use geodesy::{Ecef, Enu, EnuFrame, Geodetic};
 pub use grid::GridIndex;
 pub use hull::convex_hull;
-pub use interval::AngularIntervalSet;
 pub use montecarlo::monte_carlo_intersection_area;
 pub use point::{Point, Vec2};
 pub use polygon::Polygon;
