@@ -5,8 +5,8 @@
 //!
 //! Each node periodically promises, via [`Message::Heartbeat`], that no
 //! future frame of its own will carry a timestamp below the announced
-//! watermark (`+∞` = stream complete). The aggregator corrects each
-//! announcement by the node's handshake clock offset and computes the
+//! [`Watermark`] (`Drained` = stream complete). The aggregator corrects
+//! each announcement by the node's handshake clock offset and computes the
 //! *fleet watermark*: the minimum over all expected, non-evicted
 //! nodes' corrected watermarks. Buffered frames at or below the fleet
 //! watermark can never be preceded by anything still in flight, so
@@ -28,6 +28,7 @@
 //! function of the message sequence.
 
 use crate::codec::{Message, PROTOCOL_VERSION};
+use crate::time::{StreamTime, Watermark};
 use crate::transport::NetError;
 use marauder_core::pipeline::{MaraudersMap, TrackFix};
 use marauder_stream::persist::{self, DocKind, Field, PersistError, Reader};
@@ -121,12 +122,11 @@ pub struct Turn {
 #[derive(Debug, Clone)]
 struct NodeState {
     /// Clock offset announced in the handshake.
-    clock_offset_s: f64,
+    clock_offset: StreamTime,
     /// Next batch sequence number expected.
     next_seq: u64,
-    /// Corrected watermark (fleet time); `-∞` before the first
-    /// heartbeat, `+∞` once the node's stream completed.
-    watermark_s: f64,
+    /// Corrected watermark (fleet time).
+    watermark: Watermark,
     /// Dropped from the merge gate for falling too far behind.
     evicted: bool,
     /// Transport currently attached (TCP bookkeeping only — the merge
@@ -149,17 +149,17 @@ struct Buffered {
 /// A node's merge state; the transport flag restores as disconnected.
 impl Field for NodeState {
     fn put(&self, out: &mut Vec<u8>) {
-        self.clock_offset_s.put(out);
+        self.clock_offset.put(out);
         self.next_seq.put(out);
-        self.watermark_s.put(out);
+        self.watermark.put(out);
         self.evicted.put(out);
     }
 
     fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok(NodeState {
-            clock_offset_s: r.get()?,
+            clock_offset: r.get()?,
             next_seq: r.get()?,
-            watermark_s: r.get()?,
+            watermark: r.get()?,
             evicted: r.get()?,
             connected: false,
         })
@@ -203,9 +203,8 @@ pub struct Aggregator {
     config: FleetConfig,
     nodes: BTreeMap<u32, NodeState>,
     buffer: Vec<Buffered>,
-    /// Timestamps at or below this have been released; the gate never
-    /// regresses.
-    released_up_to: f64,
+    /// Frames this gate covers have been released; it never regresses.
+    released_up_to: Watermark,
     /// Next arrival index.
     arrival: u64,
     stats: FleetStats,
@@ -225,7 +224,7 @@ impl Aggregator {
             config,
             nodes: BTreeMap::new(),
             buffer: Vec::new(),
-            released_up_to: f64::NEG_INFINITY,
+            released_up_to: Watermark::NoData,
             arrival: 0,
             stats: FleetStats::default(),
             lag_counts: [0; NODE_LAG_BOUNDS_S.len() + 1],
@@ -243,29 +242,19 @@ impl Aggregator {
         &self.engine
     }
 
-    /// The current fleet watermark: `-∞` until every expected node has
-    /// joined and heartbeat, `+∞` once every non-evicted node's stream
-    /// completed.
-    pub fn fleet_watermark(&self) -> f64 {
+    /// The current fleet watermark, the minimum over non-evicted nodes:
+    /// `NoData` until every expected node has joined and heartbeat,
+    /// `Drained` once every non-evicted node's stream completed.
+    pub fn fleet_watermark(&self) -> Watermark {
         if self.nodes.len() < self.config.expected_nodes {
-            return f64::NEG_INFINITY;
+            return Watermark::NoData;
         }
-        let mut wm = f64::INFINITY;
-        let mut any = false;
-        for st in self.nodes.values() {
-            if st.evicted {
-                continue;
-            }
-            any = true;
-            if st.watermark_s < wm {
-                wm = st.watermark_s;
-            }
-        }
-        if any {
-            wm
-        } else {
-            f64::NEG_INFINITY
-        }
+        self.nodes
+            .values()
+            .filter(|st| !st.evicted)
+            .map(|st| st.watermark)
+            .reduce(|min, mark| if mark < min { mark } else { min })
+            .unwrap_or(Watermark::NoData)
     }
 
     /// Whether every expected node joined, every non-evicted node
@@ -276,7 +265,7 @@ impl Aggregator {
             && self
                 .nodes
                 .values()
-                .all(|st| st.evicted || (st.watermark_s.is_infinite() && st.watermark_s > 0.0))
+                .all(|st| st.evicted || matches!(st.watermark, Watermark::Drained))
     }
 
     /// Processes one message from a node, returning protocol replies
@@ -307,7 +296,7 @@ impl Aggregator {
                         // evicted node re-enters the merge gate.
                         st.connected = true;
                         st.evicted = false;
-                        st.clock_offset_s = *clock_offset_s;
+                        st.clock_offset = *clock_offset_s;
                         self.stats.reconnects += 1;
                         st.next_seq
                     }
@@ -315,9 +304,9 @@ impl Aggregator {
                         self.nodes.insert(
                             *node_id,
                             NodeState {
-                                clock_offset_s: *clock_offset_s,
+                                clock_offset: *clock_offset_s,
                                 next_seq: 0,
-                                watermark_s: f64::NEG_INFINITY,
+                                watermark: Watermark::NoData,
                                 evicted: false,
                                 connected: true,
                             },
@@ -354,7 +343,7 @@ impl Aggregator {
                         got: *seq,
                     });
                 }
-                let offset = st.clock_offset_s;
+                let offset = st.clock_offset.secs();
                 if let Some(st) = self.nodes.get_mut(node_id) {
                     st.next_seq += 1;
                 }
@@ -396,18 +385,14 @@ impl Aggregator {
                     .get_mut(node_id)
                     .ok_or(NetError::UnknownNode(*node_id))?;
                 self.stats.heartbeats += 1;
-                // A done marker passes through uncorrected; finite
-                // announcements are node-clock readings.
-                let corrected = if watermark_s.is_infinite() {
-                    *watermark_s
-                } else {
-                    *watermark_s - st.clock_offset_s
-                };
-                if corrected > st.watermark_s {
-                    st.watermark_s = corrected;
+                // An `At` promise is a node-clock reading.
+                let corrected = watermark_s.behind(st.clock_offset);
+                if corrected > st.watermark {
+                    st.watermark = corrected;
                 }
-                self.observe_lags();
-                self.evict_stalled();
+                let lags = self.lags();
+                self.observe_lags(&lags);
+                self.evict_stalled(&lags);
                 Ok(Turn {
                     replies: Vec::new(),
                     closed: self.release(),
@@ -449,29 +434,27 @@ impl Aggregator {
         self.engine.batch_fixes(closed)
     }
 
-    /// Releases every buffered frame at or below the fleet watermark,
-    /// in merge order, and feeds it to the engine.
+    /// Releases every buffered frame the fleet watermark covers, in
+    /// merge order, and feeds it to the engine.
     fn release(&mut self) -> Vec<ClosedWindow> {
         let wm = self.fleet_watermark();
-        let gate = if wm > self.released_up_to {
-            wm
-        } else {
-            self.released_up_to
-        };
-        if gate.is_infinite() && gate < 0.0 {
+        if wm > self.released_up_to {
+            self.released_up_to = wm;
+        }
+        let gate = self.released_up_to;
+        if matches!(gate, Watermark::NoData) {
             return Vec::new();
         }
         let mut due = Vec::new();
         let mut kept = Vec::with_capacity(self.buffer.len());
         for b in self.buffer.drain(..) {
-            if b.time_s <= gate {
+            if gate.covers(b.time_s) {
                 due.push(b);
             } else {
                 kept.push(b);
             }
         }
         self.buffer = kept;
-        self.released_up_to = gate;
         if due.is_empty() {
             return Vec::new();
         }
@@ -485,8 +468,8 @@ impl Aggregator {
     }
 
     /// Force-releases the oldest overflow when the buffer bound is
-    /// exceeded. Advances the gate to the last forced timestamp so
-    /// later releases stay nondecreasing.
+    /// exceeded. Advances the gate to the last finite forced timestamp
+    /// so later releases stay nondecreasing.
     fn enforce_buffer_bound(&mut self) -> Vec<ClosedWindow> {
         let max = self.config.max_buffered_frames;
         if max == 0 || self.buffer.len() <= max {
@@ -496,8 +479,9 @@ impl Aggregator {
         Self::sort_due(&mut self.buffer);
         let mut closed = Vec::new();
         for b in self.buffer.drain(..overflow).collect::<Vec<_>>() {
-            if b.time_s > self.released_up_to {
-                self.released_up_to = b.time_s;
+            let mark = StreamTime::new(b.time_s).map_or(Watermark::NoData, Watermark::At);
+            if mark > self.released_up_to {
+                self.released_up_to = mark;
             }
             closed.extend(self.engine.push(&b.frame));
             self.stats.frames_relayed += 1;
@@ -517,66 +501,46 @@ impl Aggregator {
         });
     }
 
+    /// How far each live node's corrected watermark trails the fleet
+    /// front (the most advanced one), in seconds of stream time. A node
+    /// at `NoData` or `Drained` does not lag.
+    fn lags(&self) -> Vec<(u32, f64)> {
+        let mut marks: Vec<(u32, f64)> = self
+            .nodes
+            .iter()
+            .filter_map(|(id, st)| match st.watermark {
+                Watermark::At(t) if !st.evicted => Some((*id, t.secs())),
+                _ => None,
+            })
+            .collect();
+        if let Some(front) = marks.iter().map(|&(_, t)| t).reduce(f64::max) {
+            for (_, t) in &mut marks {
+                *t = front - *t;
+            }
+        }
+        marks
+    }
+
     /// Buckets each live node's lag behind the fleet front.
-    fn observe_lags(&mut self) {
-        let mut front = f64::NEG_INFINITY;
-        for st in self.nodes.values() {
-            if !st.evicted && st.watermark_s.is_finite() && st.watermark_s > front {
-                front = st.watermark_s;
-            }
-        }
-        if !front.is_finite() {
-            return;
-        }
-        let mut observed = Vec::new();
-        for st in self.nodes.values() {
-            if st.evicted || !st.watermark_s.is_finite() {
-                continue;
-            }
-            let lag = front - st.watermark_s;
-            observed.push(if lag > 0.0 { lag } else { 0.0 });
-        }
-        for lag in observed {
-            let mut slot = NODE_LAG_BOUNDS_S.len();
-            for (i, b) in NODE_LAG_BOUNDS_S.iter().enumerate() {
-                if lag <= *b {
-                    slot = i;
-                    break;
-                }
-            }
-            self.lag_counts[slot] += 1;
+    fn observe_lags(&mut self, lags: &[(u32, f64)]) {
+        for &(_, lag) in lags {
+            let slot = NODE_LAG_BOUNDS_S.iter().position(|bound| lag <= *bound);
+            self.lag_counts[slot.unwrap_or(NODE_LAG_BOUNDS_S.len())] += 1;
         }
     }
 
     /// Evicts nodes whose corrected watermark trails the fleet front
-    /// by more than `dead_after_s` of stream time.
-    fn evict_stalled(&mut self) {
-        if self.config.dead_after_s <= 0.0 {
-            return;
-        }
-        let mut front = f64::NEG_INFINITY;
-        for st in self.nodes.values() {
-            if !st.evicted && st.watermark_s.is_finite() && st.watermark_s > front {
-                front = st.watermark_s;
-            }
-        }
-        if !front.is_finite() {
-            return;
-        }
+    /// by more than `dead_after_s` of stream time (`0` = never).
+    fn evict_stalled(&mut self, lags: &[(u32, f64)]) {
         let dead_after = self.config.dead_after_s;
-        let mut evicted = 0u64;
-        for st in self.nodes.values_mut() {
-            // A node that has not reported yet (-∞) or has finished
-            // (+∞) is not stalled; only a finite, lagging watermark is.
-            if st.evicted || !st.watermark_s.is_finite() {
-                continue;
-            }
-            if front - st.watermark_s > dead_after {
-                st.evicted = true;
-                evicted += 1;
+        for &(id, lag) in lags {
+            if dead_after > 0.0 && lag > dead_after {
+                if let Some(st) = self.nodes.get_mut(&id) {
+                    st.evicted = true;
+                    self.stats.nodes_evicted += 1;
+                }
             }
         }
-        self.stats.nodes_evicted += evicted;
     }
 
     /// One-shot merge of local counters into the global registry.
@@ -729,10 +693,14 @@ mod tests {
         }
     }
 
+    fn at(secs: f64) -> Watermark {
+        Watermark::from_secs(secs).unwrap()
+    }
+
     fn hello(id: u32) -> Message {
         Message::Hello {
             node_id: id,
-            clock_offset_s: 0.0,
+            clock_offset_s: StreamTime::ZERO,
             version: PROTOCOL_VERSION,
         }
     }
@@ -755,7 +723,7 @@ mod tests {
         .unwrap();
         agg.on_message(&Message::Heartbeat {
             node_id: 0,
-            watermark_s: 50.0,
+            watermark_s: at(50.0),
         })
         .unwrap();
         // Node 1 hasn't joined: nothing released.
@@ -763,12 +731,12 @@ mod tests {
         agg.on_message(&hello(1)).unwrap();
         agg.on_message(&Message::Heartbeat {
             node_id: 1,
-            watermark_s: 10.0,
+            watermark_s: at(10.0),
         })
         .unwrap();
         // Fleet watermark = min(50, 10) = 10 ≥ 1.0: released.
         assert_eq!(agg.stats().frames_relayed, 1);
-        assert!((agg.fleet_watermark() - 10.0).abs() < 1e-12);
+        assert!((agg.fleet_watermark().secs() - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -803,7 +771,7 @@ mod tests {
         let err = agg
             .on_message(&Message::Hello {
                 node_id: 0,
-                clock_offset_s: 0.0,
+                clock_offset_s: StreamTime::ZERO,
                 version: 1,
             })
             .unwrap_err();
@@ -855,24 +823,24 @@ mod tests {
         agg.on_message(&hello(1)).unwrap();
         agg.on_message(&Message::Heartbeat {
             node_id: 1,
-            watermark_s: 5.0,
+            watermark_s: at(5.0),
         })
         .unwrap();
         agg.on_message(&Message::Heartbeat {
             node_id: 0,
-            watermark_s: 20.0,
+            watermark_s: at(20.0),
         })
         .unwrap();
         assert_eq!(agg.stats().nodes_evicted, 0);
         // Node 0 runs 40 s ahead of node 1's stalled watermark.
         agg.on_message(&Message::Heartbeat {
             node_id: 0,
-            watermark_s: 45.0,
+            watermark_s: at(45.0),
         })
         .unwrap();
         assert_eq!(agg.stats().nodes_evicted, 1);
         // The gate now follows node 0 alone.
-        assert!((agg.fleet_watermark() - 45.0).abs() < 1e-12);
+        assert!((agg.fleet_watermark().secs() - 45.0).abs() < 1e-12);
     }
 
     #[test]
@@ -880,16 +848,16 @@ mod tests {
         let mut agg = Aggregator::new(map(), FleetConfig::default());
         agg.on_message(&Message::Hello {
             node_id: 0,
-            clock_offset_s: 100.0,
+            clock_offset_s: StreamTime::new(100.0).unwrap(),
             version: PROTOCOL_VERSION,
         })
         .unwrap();
         agg.on_message(&Message::Heartbeat {
             node_id: 0,
-            watermark_s: 130.0, // node-local clock reading
+            watermark_s: at(130.0), // node-local clock reading
         })
         .unwrap();
-        assert!((agg.fleet_watermark() - 30.0).abs() < 1e-12);
+        assert!((agg.fleet_watermark().secs() - 30.0).abs() < 1e-12);
     }
 
     #[test]
@@ -943,7 +911,7 @@ mod tests {
                 closed.extend(
                     agg.on_message(&Message::Heartbeat {
                         node_id: 0,
-                        watermark_s: f.time_s,
+                        watermark_s: at(f.time_s),
                     })
                     .unwrap()
                     .closed,
@@ -992,7 +960,7 @@ mod tests {
         .unwrap();
         agg.on_message(&Message::Heartbeat {
             node_id: 0,
-            watermark_s: 40.0,
+            watermark_s: at(40.0),
         })
         .unwrap();
         assert!(!agg.buffer.is_empty(), "node 1 holds the gate closed");
@@ -1011,8 +979,9 @@ mod tests {
     fn every_node_evicted_restores_with_the_gate_closed() {
         // No message sequence evicts the node at the fleet front, so
         // this state is set directly: the "min over an empty set" must
-        // collapse to -∞ (the gate closes), not the +∞ a naive min-fold
-        // would report — before and after a snapshot round trip.
+        // collapse to `NoData` (the gate closes), not the `Drained` a
+        // naive min-fold would report — before and after a snapshot
+        // round trip.
         let config = FleetConfig {
             expected_nodes: 2,
             ..FleetConfig::default()
@@ -1022,17 +991,17 @@ mod tests {
             agg.on_message(&hello(id)).unwrap();
             agg.on_message(&Message::Heartbeat {
                 node_id: id,
-                watermark_s: mark,
+                watermark_s: at(mark),
             })
             .unwrap();
         }
-        assert_eq!(agg.fleet_watermark(), 10.0);
+        assert_eq!(agg.fleet_watermark().secs(), 10.0);
         for st in agg.nodes.values_mut() {
             st.evicted = true;
         }
-        assert_eq!(agg.fleet_watermark(), f64::NEG_INFINITY);
+        assert_eq!(agg.fleet_watermark(), Watermark::NoData);
         let restored = Aggregator::restore(map(), config, &agg.snapshot()).unwrap();
         assert_eq!(restored.nodes.len(), 2);
-        assert_eq!(restored.fleet_watermark(), f64::NEG_INFINITY);
+        assert_eq!(restored.fleet_watermark(), Watermark::NoData);
     }
 }

@@ -17,6 +17,7 @@
 //! points, which keeps crash-recovery tests bit-exact.
 
 use crate::aggregator::{Aggregator, FleetConfig};
+use crate::time::Watermark;
 use marauder_core::MaraudersMap;
 use marauder_stream::persist::DocKind;
 use marauder_stream::{ClosedWindow, DurableDir, JournalError, RecoveryError};
@@ -83,8 +84,8 @@ impl std::error::Error for CheckpointError {
 pub struct Checkpointer {
     durable: DurableDir,
     every_s: f64,
-    /// Fleet watermark at the last checkpoint; `-inf` before the first.
-    last_mark: f64,
+    /// Fleet watermark at the last checkpoint; `NoData` before one.
+    last_mark: Watermark,
     next_index: u64,
 }
 
@@ -109,7 +110,7 @@ impl Checkpointer {
         Checkpointer {
             durable,
             every_s,
-            last_mark: f64::NEG_INFINITY,
+            last_mark: Watermark::NoData,
             next_index,
         }
     }
@@ -120,9 +121,9 @@ impl Checkpointer {
     }
 
     /// Checkpoints if the fleet watermark has advanced by at least the
-    /// configured cadence since the last checkpoint (the first finite
-    /// watermark always triggers one). Returns whether a checkpoint was
-    /// written.
+    /// configured cadence since the last checkpoint (the first watermark
+    /// past `NoData` always triggers one). Returns whether a checkpoint
+    /// was written.
     ///
     /// # Errors
     ///
@@ -157,14 +158,7 @@ impl Checkpointer {
             .checkpoint(self.next_index, closed, |out| aggregator.encode_state(out))
             .map_err(CheckpointError::Write)?;
         self.next_index += 1;
-        // A NaN watermark must never be stored: with `last_mark = NaN`
-        // both the `is_finite` and `< 0.0` cadence arms go false, which
-        // would silently disable checkpointing for the rest of the
-        // campaign. Keep the previous mark instead.
-        let wm = aggregator.fleet_watermark();
-        if !wm.is_nan() {
-            self.last_mark = wm;
-        }
+        self.last_mark = aggregator.fleet_watermark();
         let reg = marauder_obs::global();
         reg.counter_add("fleet.checkpoints", 1);
         reg.counter_add("fleet.checkpoint_bytes", written.bytes);
@@ -175,25 +169,16 @@ impl Checkpointer {
     }
 }
 
-/// Whether the checkpoint cadence is due at fleet watermark `wm`.
-///
-/// `last_mark` is `-inf` before the first checkpoint, `+inf` once the
-/// completion checkpoint is on disk, and finite otherwise. A
-/// non-finite `wm` triggers nothing except the `+inf` completion case;
-/// NaN in particular must neither trigger nor (see
-/// [`Checkpointer::checkpoint_now`]) ever be stored as `last_mark`.
-fn checkpoint_due(last_mark: f64, wm: f64, every_s: f64) -> bool {
-    if wm.is_nan() || (wm.is_infinite() && wm.is_sign_negative()) {
-        return false; // NaN or -inf: nothing meaningful to record
-    }
-    if last_mark.is_finite() {
-        wm >= last_mark + every_s
-    } else {
-        // `-inf` (or a poisoned NaN, which cannot arise but must not
-        // wedge the cadence) means never checkpointed: take the first
-        // usable watermark. `+inf` means the completion checkpoint is
-        // already on disk: nothing further to record.
-        !(last_mark.is_infinite() && last_mark.is_sign_positive())
+/// Whether the checkpoint cadence is due at fleet watermark `wm`,
+/// given the mark of the last checkpoint.
+fn checkpoint_due(last_mark: Watermark, wm: Watermark, every_s: f64) -> bool {
+    match (last_mark, wm) {
+        // Nothing to record yet, or the completion checkpoint is on disk.
+        (_, Watermark::NoData) | (Watermark::Drained, _) => false,
+        // Never checkpointed: take the first watermark with data.
+        (Watermark::NoData, _) => true,
+        // A later mark, `Drained` included, once the cadence has passed.
+        (Watermark::At(last), wm) => wm.secs() >= last.secs() + every_s,
     }
 }
 
@@ -276,9 +261,11 @@ pub fn restore_latest(
 mod tests {
     use super::*;
     use crate::codec::{Message, PROTOCOL_VERSION};
+    use crate::time::StreamTime;
     use marauder_core::apdb::{ApDatabase, ApRecord};
     use marauder_core::pipeline::{AttackConfig, KnowledgeLevel};
     use marauder_geo::Point;
+    use marauder_stream::persist;
     use marauder_stream::StreamConfig;
     use marauder_stream::{list_checkpoints, PersistError, RETAINED_CHECKPOINTS};
     use marauder_wifi::channel::Channel;
@@ -317,7 +304,7 @@ mod tests {
     fn hello(id: u32) -> Message {
         Message::Hello {
             node_id: id,
-            clock_offset_s: 0.0,
+            clock_offset_s: StreamTime::ZERO,
             version: PROTOCOL_VERSION,
         }
     }
@@ -355,7 +342,7 @@ mod tests {
         closed.extend(
             agg.on_message(&Message::Heartbeat {
                 node_id: 1,
-                watermark_s: last_t,
+                watermark_s: Watermark::from_secs(last_t).expect("finite"),
             })
             .expect("heartbeat")
             .closed,
@@ -523,21 +510,27 @@ mod tests {
 
     #[test]
     fn cadence_ignores_nan_and_negative_infinity_watermarks() {
-        // NaN must neither trigger a checkpoint (it would then be
-        // stored as last_mark, wedging the cadence forever) nor arm it.
-        assert!(!checkpoint_due(f64::NEG_INFINITY, f64::NAN, 30.0));
-        assert!(!checkpoint_due(10.0, f64::NAN, 30.0));
-        assert!(!checkpoint_due(f64::NEG_INFINITY, f64::NEG_INFINITY, 30.0));
-        // First finite watermark always triggers.
-        assert!(checkpoint_due(f64::NEG_INFINITY, 0.0, 30.0));
+        // NaN is no watermark: it cannot be built, so it can neither
+        // trigger a checkpoint nor be stored as the last mark.
+        assert_eq!(Watermark::from_secs(f64::NAN), None);
+        let at = |secs| Watermark::from_secs(secs).expect("finite");
+        // `NoData` (-inf on the wire) records nothing.
+        assert!(!checkpoint_due(Watermark::NoData, Watermark::NoData, 30.0));
+        assert!(!checkpoint_due(at(10.0), Watermark::NoData, 30.0));
+        // The first watermark with data always triggers.
+        assert!(checkpoint_due(Watermark::NoData, at(0.0), 30.0));
+        assert!(checkpoint_due(Watermark::NoData, Watermark::Drained, 30.0));
         // Finite cadence.
-        assert!(!checkpoint_due(10.0, 39.0, 30.0));
-        assert!(checkpoint_due(10.0, 40.0, 30.0));
-        // +inf = stream complete: one final checkpoint, then quiet.
-        assert!(checkpoint_due(10.0, f64::INFINITY, 30.0));
-        assert!(!checkpoint_due(f64::INFINITY, f64::INFINITY, 30.0));
-        // A poisoned NaN last_mark heals instead of wedging.
-        assert!(checkpoint_due(f64::NAN, 10.0, 30.0));
+        assert!(!checkpoint_due(at(10.0), at(39.0), 30.0));
+        assert!(checkpoint_due(at(10.0), at(40.0), 30.0));
+        // `Drained` = stream complete: one final checkpoint, then quiet.
+        assert!(checkpoint_due(at(10.0), Watermark::Drained, 30.0));
+        assert!(!checkpoint_due(
+            Watermark::Drained,
+            Watermark::Drained,
+            30.0
+        ));
+        assert!(!checkpoint_due(Watermark::Drained, at(99.0), 30.0));
     }
 
     #[test]
@@ -545,10 +538,28 @@ mod tests {
         let dir = temp_dir("nanmark");
         let (agg, closed) = driven_aggregator(40);
         let mut cp = Checkpointer::new(&dir, 30.0).expect("checkpointer");
-        cp.last_mark = f64::NAN;
-        // A finite watermark still checkpoints and repairs the mark.
         assert!(cp.maybe_checkpoint(&agg, &closed).expect("checkpoint"));
-        assert!(cp.last_mark.is_finite());
+        assert_eq!(cp.last_mark, agg.fleet_watermark());
+        assert!(matches!(cp.last_mark, Watermark::At(_)));
+        // No NaN mark reaches the merge from disk either: a fleet
+        // document whose node watermark is NaN is refused at decode.
+        // The document is magic (7), version, kind, then the body; the
+        // body holds 105 bytes of config, gate and counters, the node
+        // count (8), node 1's id (4), offset (8) and cursor (8), and
+        // then its watermark.
+        let doc = agg.snapshot();
+        let at = 9 + 105 + 8 + 4 + 8 + 8;
+        assert_eq!(
+            doc[at..at + 8],
+            agg.fleet_watermark().secs().to_bits().to_be_bytes()
+        );
+        let mut body = doc[9..doc.len() - 4].to_vec();
+        body[at - 9..at + 8 - 9].copy_from_slice(&f64::NAN.to_bits().to_be_bytes());
+        let resealed = persist::seal(DocKind::FleetSnapshot, |out| out.extend_from_slice(&body));
+        assert!(matches!(
+            Aggregator::restore(map(), config(), &resealed),
+            Err(PersistError::Malformed { .. })
+        ));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -2,8 +2,9 @@
 //!
 //! Every message travels as a `u32` big-endian body length followed by
 //! the body (`u8` tag + fields). All integers are big-endian; every
-//! `f64` is carried as the raw bits of its IEEE-754 representation, so
-//! timestamps survive the wire bit-exactly. The protocol is explicitly
+//! time is carried as the raw bits of its IEEE-754 `f64`, frame stamps'
+//! NaN payloads included, and decoding refuses a non-finite clock offset
+//! and a NaN watermark (see [`crate::time`]). The protocol is explicitly
 //! versioned: [`Hello`](Message::Hello) carries
 //! [`PROTOCOL_VERSION`] and the aggregator refuses a mismatch with a
 //! typed error instead of misparsing newer frames. A version-1 `Hello`
@@ -14,6 +15,7 @@
 //! oversized length prefixes, unknown tags, corrupt payloads, trailing
 //! bytes — returns a typed [`WireError`], never a panic.
 
+use crate::time::{StreamTime, Watermark};
 use marauder_wifi::frame::Frame;
 use marauder_wifi::sniffer::CapturedFrame;
 use std::fmt;
@@ -46,8 +48,8 @@ pub enum Message {
     Hello {
         /// Stable node identity; survives reconnects.
         node_id: u32,
-        /// Node clock offset from fleet time, seconds.
-        clock_offset_s: f64,
+        /// Node clock offset from fleet time.
+        clock_offset_s: StreamTime,
         /// The protocol version the node speaks.
         version: u16,
     },
@@ -74,14 +76,14 @@ pub enum Message {
         frames: Vec<CapturedFrame>,
     },
     /// Node → aggregator: "no future frame of mine will carry a
-    /// node-local timestamp below `watermark_s`". `+∞` means the node's
-    /// stream is complete. The aggregator merges fleet progress as the
-    /// minimum over live nodes' corrected watermarks.
+    /// node-local timestamp below `watermark_s`". [`Watermark::Drained`]
+    /// means the node's stream is complete. The aggregator merges fleet
+    /// progress as the minimum over live nodes' corrected watermarks.
     Heartbeat {
         /// Sending node.
         node_id: u32,
-        /// Node-local watermark promise, seconds (`+∞` = done).
-        watermark_s: f64,
+        /// Node-local watermark promise.
+        watermark_s: Watermark,
     },
 }
 
@@ -223,7 +225,7 @@ pub fn encode_body(msg: &Message) -> Vec<u8> {
             out.push(TAG_HELLO);
             out.extend_from_slice(&version.to_be_bytes());
             out.extend_from_slice(&node_id.to_be_bytes());
-            out.extend_from_slice(&clock_offset_s.to_bits().to_be_bytes());
+            out.extend_from_slice(&clock_offset_s.secs().to_bits().to_be_bytes());
         }
         Message::HelloAck {
             node_id,
@@ -262,7 +264,7 @@ pub fn encode_body(msg: &Message) -> Vec<u8> {
         } => {
             out.push(TAG_HEARTBEAT);
             out.extend_from_slice(&node_id.to_be_bytes());
-            out.extend_from_slice(&watermark_s.to_bits().to_be_bytes());
+            out.extend_from_slice(&watermark_s.secs().to_bits().to_be_bytes());
         }
     }
     out
@@ -277,6 +279,11 @@ pub fn encode(msg: &Message) -> Vec<u8> {
     out
 }
 
+/// A corrupt payload, found while decoding `what`.
+fn bad(what: &'static str) -> WireError {
+    WireError::BadPayload { what }
+}
+
 /// Decodes one message body (tag + fields, no length prefix).
 ///
 /// # Errors
@@ -289,7 +296,7 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
         TAG_HELLO => {
             let version = r.u16()?;
             let node_id = r.u32()?;
-            let clock_offset_s = r.f64_bits()?;
+            let clock_offset_s = StreamTime::new(r.f64_bits()?).ok_or(bad("hello clock offset"))?;
             Message::Hello {
                 node_id,
                 clock_offset_s,
@@ -313,9 +320,7 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
             // A declared count the remaining bytes cannot possibly hold
             // is corruption — reject before reserving anything.
             if count.saturating_mul(FRAME_RECORD_MIN) > r.remaining() {
-                return Err(WireError::BadPayload {
-                    what: "frame batch count",
-                });
+                return Err(bad("frame batch count"));
             }
             let mut frames = Vec::with_capacity(count);
             for _ in 0..count {
@@ -323,9 +328,7 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
                 let card = r.u32()? as usize;
                 let len = r.u16()? as usize;
                 let bytes = r.take(len)?;
-                let frame = Frame::decode(bytes).map_err(|_| WireError::BadPayload {
-                    what: "802.11 frame bytes",
-                })?;
+                let frame = Frame::decode(bytes).map_err(|_| bad("802.11 frame bytes"))?;
                 frames.push(CapturedFrame {
                     time_s,
                     card,
@@ -340,7 +343,8 @@ pub fn decode_body(body: &[u8]) -> Result<Message, WireError> {
         }
         TAG_HEARTBEAT => {
             let node_id = r.u32()?;
-            let watermark_s = r.f64_bits()?;
+            let watermark_s =
+                Watermark::from_secs(r.f64_bits()?).ok_or(bad("heartbeat watermark"))?;
             Message::Heartbeat {
                 node_id,
                 watermark_s,
@@ -425,7 +429,7 @@ mod tests {
         vec![
             Message::Hello {
                 node_id: 7,
-                clock_offset_s: -2.5,
+                clock_offset_s: StreamTime::new(-2.5).unwrap(),
                 version: PROTOCOL_VERSION,
             },
             Message::HelloAck {
@@ -443,7 +447,7 @@ mod tests {
             },
             Message::Heartbeat {
                 node_id: 7,
-                watermark_s: f64::INFINITY,
+                watermark_s: Watermark::Drained,
             },
         ]
     }
@@ -488,7 +492,7 @@ mod tests {
         assert_eq!(decode_body(&[0xEE]), Err(WireError::UnknownTag(0xEE)));
         let heartbeat = Message::Heartbeat {
             node_id: 1,
-            watermark_s: 0.5,
+            watermark_s: Watermark::from_secs(0.5).unwrap(),
         };
         let mut body = encode_body(&heartbeat);
         body.push(0);
@@ -536,22 +540,55 @@ mod tests {
 
     #[test]
     fn timestamps_survive_bit_exactly() {
-        for bits in [
-            0u64,
-            1,
-            f64::INFINITY.to_bits(),
-            (-0.0f64).to_bits(),
-            0x7ff8_dead_beef_0001,
-        ] {
+        // Stated times keep their bits: -0.0 and both infinities.
+        for bits in [0u64, 1, (-0.0f64).to_bits(), f64::INFINITY.to_bits()] {
             let msg = Message::Heartbeat {
                 node_id: 0,
-                watermark_s: f64::from_bits(bits),
+                watermark_s: Watermark::from_secs(f64::from_bits(bits)).unwrap(),
             };
-            let (back, _) = decode(&encode(&msg)).unwrap();
-            let Message::Heartbeat { watermark_s, .. } = back else {
+            let (Message::Heartbeat { watermark_s, .. }, _) = decode(&encode(&msg)).unwrap() else {
                 unreachable!()
             };
-            assert_eq!(watermark_s.to_bits(), bits);
+            assert_eq!(watermark_s.secs().to_bits(), bits);
+        }
+        // NaN is no watermark: refused at construction and at decode.
+        let nan = 0x7ff8_dead_beef_0001u64;
+        assert_eq!(Watermark::from_secs(f64::from_bits(nan)), None);
+        let mut body = vec![TAG_HEARTBEAT];
+        body.extend_from_slice(&0u32.to_be_bytes());
+        body.extend_from_slice(&nan.to_be_bytes());
+        assert_eq!(
+            decode_body(&body),
+            Err(WireError::BadPayload {
+                what: "heartbeat watermark"
+            })
+        );
+        // Frame stamps stay raw bits, NaN payloads included.
+        let batch = Message::FrameBatch {
+            node_id: 0,
+            seq: 0,
+            frames: vec![frame(f64::from_bits(nan), 100, 1)],
+        };
+        let (Message::FrameBatch { frames, .. }, _) = decode(&encode(&batch)).unwrap() else {
+            unreachable!()
+        };
+        assert_eq!(frames[0].time_s.to_bits(), nan);
+    }
+
+    #[test]
+    fn a_non_finite_clock_offset_is_refused_at_decode() {
+        for offset in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut body = vec![TAG_HELLO];
+            body.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
+            body.extend_from_slice(&7u32.to_be_bytes());
+            body.extend_from_slice(&offset.to_bits().to_be_bytes());
+            assert_eq!(
+                decode_body(&body),
+                Err(WireError::BadPayload {
+                    what: "hello clock offset"
+                }),
+                "{offset}"
+            );
         }
     }
 }

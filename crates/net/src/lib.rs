@@ -33,6 +33,7 @@
 //! - [`loopback`]: [`LoopbackFleet`] drives everything round-robin on
 //!   one thread for hermetic, bit-exact tests; [`chaos`] runs the
 //!   per-node fault matrix from `crates/fault` over it.
+//! - [`time`]: [`StreamTime`] and [`Watermark`], checked where they arrive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +45,7 @@ pub mod codec;
 pub mod loopback;
 pub mod node;
 pub mod tcp;
+pub mod time;
 pub mod transport;
 
 pub use aggregator::{Aggregator, FleetConfig, FleetStats, Turn, NODE_LAG_BOUNDS_S};
@@ -53,4 +55,5 @@ pub use loopback::{
     corrupt_slice, required_slack_s, split_by_time, split_round_robin, LoopbackFleet,
 };
 pub use node::{NodeConfig, NodeStats, SnifferNode};
+pub use time::{StreamTime, Watermark};
 pub use transport::{LoopbackTransport, NetError, Transport};

@@ -162,23 +162,17 @@ pub fn split_round_robin(frames: &[CapturedFrame], n: usize) -> Vec<Vec<Captured
 
 /// Splits a capture log into `n` contiguous time spans, modelling
 /// sniffers that each own a patrol shift. Frames landing exactly on a
-/// boundary go to the later span.
+/// boundary go to the later span. Only finite stamps set the spans (a
+/// `+∞` stamp goes to the last node, `-∞` and NaN to the first).
 pub fn split_by_time(frames: &[CapturedFrame], n: usize) -> Vec<Vec<CapturedFrame>> {
     let n = n.max(1);
     let mut out: Vec<Vec<CapturedFrame>> = (0..n).map(|_| Vec::new()).collect();
     if frames.is_empty() {
         return out;
     }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for f in frames {
-        if f.time_s < lo {
-            lo = f.time_s;
-        }
-        if f.time_s > hi {
-            hi = f.time_s;
-        }
-    }
+    let finite = || frames.iter().map(|f| f.time_s).filter(|t| t.is_finite());
+    let lo = finite().reduce(f64::min).unwrap_or(0.0);
+    let hi = finite().reduce(f64::max).unwrap_or(0.0);
     let span = (hi - lo).max(f64::MIN_POSITIVE);
     for f in frames {
         let mut k = (((f.time_s - lo) / span) * n as f64) as usize;
@@ -200,17 +194,18 @@ pub fn corrupt_slice(frames: &[CapturedFrame], seed: u64, plan: &FaultPlan) -> V
 }
 
 /// The watermark slack a slice actually needs: the largest distance
-/// any frame sits behind the running maximum timestamp. A node
-/// announcing `max_sent - required_slack_s(slice)` never breaks its
-/// promise, so the merge stays lossless under bounded reordering.
+/// any finite stamp sits behind the running maximum finite stamp (the
+/// node skips the others). A node announcing
+/// `max_sent - required_slack_s(slice)` never breaks its promise, so
+/// the merge stays lossless under bounded reordering.
 pub fn required_slack_s(frames: &[CapturedFrame]) -> f64 {
     let mut max_seen = f64::NEG_INFINITY;
     let mut worst = 0.0f64;
-    for f in frames {
-        if f.time_s > max_seen {
-            max_seen = f.time_s;
-        } else if max_seen - f.time_s > worst {
-            worst = max_seen - f.time_s;
+    for t in frames.iter().map(|f| f.time_s).filter(|t| t.is_finite()) {
+        if t > max_seen {
+            max_seen = t;
+        } else if max_seen - t > worst {
+            worst = max_seen - t;
         }
     }
     worst
@@ -271,5 +266,38 @@ mod tests {
         assert_eq!(required_slack_s(&in_order), 0.0);
         let shuffled = vec![response(0.0), response(3.0), response(1.0), response(4.0)];
         assert_eq!(required_slack_s(&shuffled), 2.0);
+        let mut stamped = shuffled.clone();
+        stamped.insert(1, response(f64::INFINITY));
+        stamped.insert(3, response(f64::NAN));
+        stamped.push(response(f64::NEG_INFINITY));
+        assert_eq!(required_slack_s(&stamped), 2.0, "non-finite stamps skipped");
+    }
+
+    #[test]
+    fn by_time_split_spans_only_finite_stamps() {
+        let mut frames: Vec<CapturedFrame> = (0..8).map(|k| response(k as f64)).collect();
+        frames.insert(3, response(f64::INFINITY));
+        frames.insert(5, response(f64::NAN));
+        let slices = split_by_time(&frames, 4);
+        let times: Vec<Vec<f64>> = slices
+            .iter()
+            .map(|s| {
+                s.iter()
+                    .map(|f| f.time_s)
+                    .filter(|t| t.is_finite())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            times,
+            [
+                vec![0.0, 1.0],
+                vec![2.0, 3.0],
+                vec![4.0, 5.0],
+                vec![6.0, 7.0]
+            ]
+        );
+        assert!(slices[0][2].time_s.is_nan());
+        assert_eq!(slices[3][0].time_s, f64::INFINITY);
     }
 }

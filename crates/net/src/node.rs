@@ -2,6 +2,7 @@
 //! aggregator as sequenced frame batches with watermark heartbeats.
 
 use crate::codec::{Message, PROTOCOL_VERSION};
+use crate::time::{StreamTime, Watermark};
 use crate::transport::{recv_message, send_message, NetError, Transport};
 use marauder_wifi::sniffer::CapturedFrame;
 
@@ -14,9 +15,10 @@ pub struct NodeConfig {
     /// watermark: the node promises no future frame below
     /// `max_sent - reorder_slack_s`. Covers capture-log jitter whose
     /// magnitude the operator knows (e.g. a fault plan's reorder span).
+    /// Must be finite.
     pub reorder_slack_s: f64,
     /// This node's clock offset from fleet time, announced in `Hello`
-    /// (node-local time = fleet time + offset).
+    /// (node-local time = fleet time + offset). Must be finite.
     pub clock_offset_s: f64,
 }
 
@@ -39,7 +41,7 @@ enum Phase {
     AwaitAck,
     /// Streaming batches.
     Streaming,
-    /// Final `+∞` heartbeat sent; nothing left to do.
+    /// Final `Drained` heartbeat sent; nothing left to do.
     Done,
 }
 
@@ -77,10 +79,12 @@ pub struct SnifferNode {
     /// Sequence number of the next batch to produce.
     seq: u64,
     phase: Phase,
-    /// Highest timestamp put on the wire so far.
-    max_sent_s: f64,
+    /// The configured reorder slack, checked at each handshake.
+    slack: StreamTime,
+    /// Highest finite timestamp put on the wire so far.
+    max_sent: Option<StreamTime>,
     /// Last watermark announced, to avoid redundant heartbeats.
-    last_watermark_s: f64,
+    last_watermark: Watermark,
     stats: NodeStats,
 }
 
@@ -94,8 +98,9 @@ impl SnifferNode {
             cursor: 0,
             seq: 0,
             phase: Phase::Idle,
-            max_sent_s: f64::NEG_INFINITY,
-            last_watermark_s: f64::NEG_INFINITY,
+            slack: StreamTime::ZERO,
+            max_sent: None,
+            last_watermark: Watermark::NoData,
             stats: NodeStats::default(),
         }
     }
@@ -123,7 +128,7 @@ impl SnifferNode {
             self.stats.reconnects += 1;
         }
         self.phase = Phase::Idle;
-        self.last_watermark_s = f64::NEG_INFINITY;
+        self.last_watermark = Watermark::NoData;
     }
 
     /// Makes one unit of progress: sends the `Hello`, consumes the
@@ -133,17 +138,22 @@ impl SnifferNode {
     ///
     /// # Errors
     ///
-    /// Transport failures, [`NetError::Handshake`] on a version
-    /// mismatch, and [`NetError::Protocol`] when the aggregator sends
-    /// a message the node state machine does not expect.
+    /// Transport failures, [`NetError::BadTime`] (before anything is
+    /// sent) for a non-finite configured time, [`NetError::Handshake`]
+    /// on a version mismatch, and [`NetError::Protocol`] when the
+    /// aggregator sends a message the node state machine does not expect.
     pub fn step(&mut self, transport: &mut dyn Transport) -> Result<bool, NetError> {
         match self.phase {
             Phase::Idle => {
+                let clock_offset_s = StreamTime::new(self.config.clock_offset_s)
+                    .ok_or(NetError::BadTime("clock offset"))?;
+                self.slack = StreamTime::new(self.config.reorder_slack_s)
+                    .ok_or(NetError::BadTime("reorder slack"))?;
                 send_message(
                     transport,
                     &Message::Hello {
                         node_id: self.id,
-                        clock_offset_s: self.config.clock_offset_s,
+                        clock_offset_s,
                         version: PROTOCOL_VERSION,
                     },
                 )?;
@@ -182,19 +192,14 @@ impl SnifferNode {
                         transport,
                         &Message::Heartbeat {
                             node_id: self.id,
-                            watermark_s: f64::INFINITY,
+                            watermark_s: Watermark::Drained,
                         },
                     )?;
                     self.phase = Phase::Done;
                     return Ok(true);
                 }
-                let end = (self.cursor + self.config.batch_frames).min(self.frames.len());
+                let end = self.batch_end();
                 let batch = self.frames[self.cursor..end].to_vec();
-                for f in &batch {
-                    if f.time_s > self.max_sent_s {
-                        self.max_sent_s = f.time_s;
-                    }
-                }
                 self.stats.batches_sent += 1;
                 self.stats.frames_sent += batch.len() as u64;
                 send_message(
@@ -207,8 +212,9 @@ impl SnifferNode {
                 )?;
                 self.seq += 1;
                 self.cursor = end;
-                let watermark = self.max_sent_s - self.config.reorder_slack_s;
-                if watermark > self.last_watermark_s {
+                let sent = self.max_sent.map_or(Watermark::NoData, Watermark::At);
+                let watermark = sent.behind(self.slack);
+                if watermark > self.last_watermark {
                     send_message(
                         transport,
                         &Message::Heartbeat {
@@ -216,7 +222,7 @@ impl SnifferNode {
                             watermark_s: watermark,
                         },
                     )?;
-                    self.last_watermark_s = watermark;
+                    self.last_watermark = watermark;
                 }
                 Ok(true)
             }
@@ -229,16 +235,23 @@ impl SnifferNode {
     /// the slice and discarding is exact.
     fn fast_forward(&mut self, resume_seq: u64) {
         while self.seq < resume_seq && self.cursor < self.frames.len() {
-            let end = (self.cursor + self.config.batch_frames).min(self.frames.len());
-            for f in &self.frames[self.cursor..end] {
-                if f.time_s > self.max_sent_s {
-                    self.max_sent_s = f.time_s;
-                }
-            }
-            self.cursor = end;
+            self.cursor = self.batch_end();
             self.seq += 1;
             self.stats.batches_skipped += 1;
         }
+    }
+
+    /// The end of the batch at the cursor, raising `max_sent` over its
+    /// finite stamps (the engine counts any other frame as malformed).
+    fn batch_end(&mut self) -> usize {
+        let end = (self.cursor + self.config.batch_frames).min(self.frames.len());
+        for f in &self.frames[self.cursor..end] {
+            let t = StreamTime::new(f.time_s);
+            if t > self.max_sent {
+                self.max_sent = t;
+            }
+        }
+        end
     }
 }
 
@@ -301,7 +314,7 @@ mod tests {
         }
         let mut seqs = Vec::new();
         let mut total = 0;
-        let mut final_wm = f64::NEG_INFINITY;
+        let mut final_wm = Watermark::NoData;
         while let Ok(Some(msg)) = recv_message(&mut agg_t) {
             match msg {
                 Message::FrameBatch { seq, frames, .. } => {
@@ -314,7 +327,7 @@ mod tests {
         }
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(total, 10);
-        assert!(final_wm.is_infinite());
+        assert_eq!(final_wm, Watermark::Drained);
         assert_eq!(node.stats().batches_sent, 3);
         assert_eq!(node.stats().frames_sent, 10);
     }
@@ -377,7 +390,7 @@ mod tests {
         node.step(&mut node_t).unwrap(); // hello
         let heartbeat = Message::Heartbeat {
             node_id: 4,
-            watermark_s: 1.0,
+            watermark_s: Watermark::from_secs(1.0).unwrap(),
         };
         send_message(&mut agg_t, &heartbeat).unwrap();
         assert_eq!(
@@ -391,7 +404,7 @@ mod tests {
         let replies = [
             Message::Hello {
                 node_id: 6,
-                clock_offset_s: 0.0,
+                clock_offset_s: StreamTime::ZERO,
                 version: PROTOCOL_VERSION,
             },
             Message::HelloAck {
@@ -406,7 +419,7 @@ mod tests {
             },
             Message::Heartbeat {
                 node_id: 6,
-                watermark_s: 1.0,
+                watermark_s: Watermark::from_secs(1.0).unwrap(),
             },
         ];
         for reply in replies {
@@ -447,6 +460,53 @@ mod tests {
                 wm = Some(watermark_s);
             }
         }
-        assert_eq!(wm, Some(4.5 - 1.5));
+        assert_eq!(wm, Watermark::from_secs(4.5 - 1.5));
+    }
+
+    #[test]
+    fn a_non_finite_config_time_is_a_typed_error_before_anything_is_sent() {
+        for (clock_offset_s, reorder_slack_s, what) in [
+            (f64::NAN, 0.0, "clock offset"),
+            (f64::NEG_INFINITY, 0.0, "clock offset"),
+            (0.0, f64::INFINITY, "reorder slack"),
+        ] {
+            let config = NodeConfig {
+                clock_offset_s,
+                reorder_slack_s,
+                ..NodeConfig::default()
+            };
+            let mut node = SnifferNode::new(1, config, frames(2));
+            let (mut node_t, mut agg_t) = LoopbackTransport::pair();
+            assert_eq!(node.step(&mut node_t), Err(NetError::BadTime(what)));
+            assert_eq!(recv_message(&mut agg_t), Ok(None), "{what}: nothing sent");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_stamp_promises_nothing() {
+        let mut slice = frames(6); // times 0.0 .. 2.5
+        slice[1].time_s = f64::INFINITY;
+        slice[3].time_s = f64::NAN;
+        let mut node = SnifferNode::new(
+            2,
+            NodeConfig {
+                batch_frames: 2,
+                ..NodeConfig::default()
+            },
+            slice,
+        );
+        let (mut node_t, mut agg_t) = LoopbackTransport::pair();
+        node.step(&mut node_t).unwrap();
+        ack(&mut agg_t, 0);
+        while !node.is_done() {
+            node.step(&mut node_t).unwrap();
+        }
+        let mut marks = Vec::new();
+        while let Ok(Some(msg)) = recv_message(&mut agg_t) {
+            if let Message::Heartbeat { watermark_s, .. } = msg {
+                marks.push(watermark_s.secs());
+            }
+        }
+        assert_eq!(marks, vec![0.0, 1.0, 2.5, f64::INFINITY]);
     }
 }

@@ -38,6 +38,8 @@ pub enum NetError {
     /// The peer sent a message the protocol state machine does not
     /// allow here (e.g. a node sending `HelloAck`).
     Protocol(&'static str),
+    /// A node's configured clock offset or reorder slack is not finite.
+    BadTime(&'static str),
 }
 
 impl fmt::Display for NetError {
@@ -64,6 +66,7 @@ impl fmt::Display for NetError {
             }
             NetError::UnknownNode(id) => write!(f, "message from unknown node {id}"),
             NetError::Protocol(what) => write!(f, "protocol violation: {what}"),
+            NetError::BadTime(what) => write!(f, "{what} is not a finite number of seconds"),
         }
     }
 }
@@ -198,6 +201,7 @@ pub fn recv_message(t: &mut dyn Transport) -> Result<Option<crate::codec::Messag
 mod tests {
     use super::*;
     use crate::codec::Message;
+    use crate::time::Watermark;
 
     #[test]
     fn loopback_preserves_order_and_boundaries() {
@@ -207,7 +211,7 @@ mod tests {
                 &mut node,
                 &Message::Heartbeat {
                     node_id: i,
-                    watermark_s: f64::from(i),
+                    watermark_s: Watermark::from_secs(f64::from(i)).unwrap(),
                 },
             )
             .unwrap();
@@ -218,7 +222,7 @@ mod tests {
                 msg,
                 Message::Heartbeat {
                     node_id: i,
-                    watermark_s: f64::from(i),
+                    watermark_s: Watermark::from_secs(f64::from(i)).unwrap(),
                 }
             );
         }
@@ -232,7 +236,7 @@ mod tests {
             &mut node,
             &Message::Heartbeat {
                 node_id: 0,
-                watermark_s: 1.0,
+                watermark_s: Watermark::NoData,
             },
         )
         .unwrap();
@@ -242,7 +246,7 @@ mod tests {
                 &mut node,
                 &Message::Heartbeat {
                     node_id: 0,
-                    watermark_s: 2.0
+                    watermark_s: Watermark::Drained
                 }
             ),
             Err(NetError::Disconnected)

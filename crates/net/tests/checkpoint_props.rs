@@ -22,7 +22,9 @@ use marauder_core::apdb::{ApDatabase, ApRecord};
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
 use marauder_net::codec::{Message, PROTOCOL_VERSION};
-use marauder_net::{restore_latest, Aggregator, CheckpointError, Checkpointer, FleetConfig};
+use marauder_net::{
+    restore_latest, Aggregator, CheckpointError, Checkpointer, FleetConfig, StreamTime, Watermark,
+};
 use marauder_stream::persist::encode_closed;
 use marauder_stream::{ClosedWindow, StreamConfig, CLOSED_LOG, CLOSED_LOG_MAGIC};
 use marauder_wifi::channel::Channel;
@@ -129,7 +131,7 @@ fn feed(
         },
         Message::Heartbeat {
             node_id: 1,
-            watermark_s: (range.end - 1) as f64 * 7.0,
+            watermark_s: Watermark::from_secs((range.end - 1) as f64 * 7.0).expect("finite"),
         },
     ] {
         closed.extend(agg.on_message(&msg).expect("merge").closed);
@@ -147,7 +149,7 @@ fn template() -> &'static Template {
         closed.extend(
             agg.on_message(&Message::Hello {
                 node_id: 1,
-                clock_offset_s: 0.0,
+                clock_offset_s: StreamTime::ZERO,
                 version: PROTOCOL_VERSION,
             })
             .expect("hello")

@@ -1,11 +1,11 @@
 //! Property tests for the wire codec: `decode ∘ encode` is the
-//! identity over arbitrary valid messages (timestamps bit-exact, NaN
-//! payloads included), and no byte sequence — truncated, bit-flipped,
-//! oversized, or random — ever panics the decoder: every rejection is
-//! a typed [`WireError`].
+//! identity over arbitrary valid messages (times bit-exact, frame
+//! stamps' NaN payloads included), and no byte sequence — truncated,
+//! bit-flipped, oversized, or random — ever panics the decoder: every
+//! rejection is a typed [`WireError`].
 
 use marauder_net::codec::{decode, encode, Message};
-use marauder_net::{WireError, MAX_BODY_LEN};
+use marauder_net::{StreamTime, Watermark, WireError, MAX_BODY_LEN};
 use marauder_wifi::channel::Channel;
 use marauder_wifi::frame::Frame;
 use marauder_wifi::mac::MacAddr;
@@ -17,6 +17,23 @@ use proptest::prelude::*;
 /// infinities, and NaNs with arbitrary payloads all occur.
 fn arb_f64_bits() -> impl Strategy<Value = f64> {
     any::<u64>().prop_map(f64::from_bits)
+}
+
+/// A finite time from the full bit space: normals, subnormals and both
+/// zeros. A `Hello` clock offset takes only these.
+fn arb_stream_time() -> impl Strategy<Value = StreamTime> {
+    arb_f64_bits()
+        .prop_filter("a stated time is finite", |t| t.is_finite())
+        .prop_map(|t| StreamTime::new(t).expect("filtered finite"))
+}
+
+/// Any watermark a node may send: `NoData`, `Drained` or a finite time.
+fn arb_watermark() -> impl Strategy<Value = Watermark> {
+    (0u8..=3, arb_stream_time()).prop_map(|(kind, t)| match kind {
+        0 => Watermark::NoData,
+        1 => Watermark::Drained,
+        _ => Watermark::At(t),
+    })
 }
 
 /// An arbitrary captured frame over a few frame shapes, with a
@@ -54,7 +71,7 @@ fn arb_frame() -> impl Strategy<Value = CapturedFrame> {
 /// One arbitrary valid message of every kind.
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (any::<u32>(), arb_f64_bits(), any::<u16>()).prop_map(
+        (any::<u32>(), arb_stream_time(), any::<u16>()).prop_map(
             |(node_id, clock_offset_s, version)| Message::Hello {
                 node_id,
                 clock_offset_s,
@@ -78,7 +95,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 seq,
                 frames,
             }),
-        (any::<u32>(), arb_f64_bits()).prop_map(|(node_id, watermark_s)| Message::Heartbeat {
+        (any::<u32>(), arb_watermark()).prop_map(|(node_id, watermark_s)| Message::Heartbeat {
             node_id,
             watermark_s,
         }),
@@ -86,7 +103,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
 }
 
 /// Bit-exact equality: re-encoding the decoded message must reproduce
-/// the original bytes, so every f64 (NaN payloads included) survived.
+/// the original bytes, so every time (frame stamps' NaN payloads
+/// included) survived.
 fn assert_bit_exact(msg: &Message) -> Result<(), TestCaseError> {
     let bytes = encode(msg);
     let (back, consumed) = match decode(&bytes) {

@@ -15,7 +15,9 @@ use marauder_geo::Point;
 use marauder_net::codec::{Message, PROTOCOL_VERSION};
 use marauder_net::loopback::{required_slack_s, split_round_robin, LoopbackFleet};
 use marauder_net::node::NodeConfig;
-use marauder_net::{restore_latest, Aggregator, Checkpointer, FleetConfig, FleetRestore};
+use marauder_net::{
+    restore_latest, Aggregator, Checkpointer, FleetConfig, FleetRestore, StreamTime, Watermark,
+};
 use marauder_stream::persist::DocKind;
 use marauder_stream::{list_checkpoints, StreamConfig, CLOSED_LOG};
 use marauder_wifi::channel::Channel;
@@ -289,7 +291,7 @@ fn last_checkpoint_bytes(frames: u64) -> u64 {
     let mut cp = Checkpointer::new(&dir, EVERY_S).expect("checkpointer");
     let hello = Message::Hello {
         node_id: 1,
-        clock_offset_s: 0.0,
+        clock_offset_s: StreamTime::ZERO,
         version: PROTOCOL_VERSION,
     };
     agg.on_message(&hello).expect("hello");
@@ -316,7 +318,7 @@ fn last_checkpoint_bytes(frames: u64) -> u64 {
             },
             Message::Heartbeat {
                 node_id: 1,
-                watermark_s: (seq * 10 + 9) as f64 * 7.0,
+                watermark_s: Watermark::from_secs((seq * 10 + 9) as f64 * 7.0).expect("finite"),
             },
         ];
         for msg in &messages {

@@ -137,6 +137,11 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
+    /// No closed-loop request failed, and ingest stayed within budget.
+    pub fn pass(&self) -> bool {
+        self.rows.iter().all(|row| row.errors == 0) && self.interference.within_budget
+    }
+
     /// Renders the `marauder-serve-bench-v1` document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -624,5 +629,41 @@ mod tests {
         assert_eq!(percentile_us(&samples, 0.50), 50);
         assert_eq!(percentile_us(&samples, 0.99), 99);
         assert_eq!(percentile_us(&[], 0.99), 0);
+    }
+
+    #[test]
+    fn a_bench_passes_only_without_errors_and_within_budget() {
+        let row = |errors| ClosedLoopRow {
+            concurrency: 8,
+            requests: 100,
+            errors,
+            elapsed: Duration::from_secs(1),
+            req_per_s: 100.0,
+            p50_us: 10,
+            p99_us: 20,
+        };
+        let report = |errors: [u64; 2], slowdown: f64| BenchReport {
+            seed: 42,
+            host_cores: 2,
+            rows: errors.into_iter().map(row).collect(),
+            interference: InterferenceReport {
+                frames: 2000,
+                readers: 64,
+                reader_responses: 500,
+                scheduled: Duration::from_secs(1),
+                base_elapsed: Duration::from_secs(1),
+                loaded_elapsed: Duration::from_secs(1),
+                slowdown,
+                max_slowdown: 0.30,
+                within_budget: slowdown <= 0.30,
+            },
+        };
+        assert!(report([0, 0], 0.0005).pass());
+        assert!(report([0, 0], 0.30).pass(), "the budget is inclusive");
+        assert!(
+            !report([0, 1], 0.0).pass(),
+            "an error response fails the run"
+        );
+        assert!(!report([0, 0], 0.31).pass(), "over budget fails the run");
     }
 }

@@ -381,8 +381,9 @@ const USAGE: &str = "usage:
   seconds; --linger exits that many wall seconds after the log is
   drained (default: serve until interrupted). `serve --bench` runs the
   deterministic loopback load generator (closed-loop req/s + p50/p99,
-  then the paced-ingest interference pair) and emits the
-  marauder-serve-bench-v1 JSON; `serve --chaos` plays the misbehaving-
+  then the paced-ingest interference pair), emits the
+  marauder-serve-bench-v1 JSON, and exits nonzero on any failed request
+  or a slowdown over --max-slowdown; `serve --chaos` plays the misbehaving-
   client matrix (slow-loris, mid-request disconnect, garbage,
   oversized) and exits nonzero unless every cell got its typed 4xx (or
   quiet drop), every misbehaviour was counted, and the server stayed
@@ -431,6 +432,44 @@ where
             .map_err(|e| CliError::Usage(format!("bad --{key}: {e}"))),
         None => Ok(default),
     }
+}
+
+/// A seconds-valued flag: finite, and above zero when `positive`, at
+/// least zero otherwise.
+fn get_secs(opts: &Opts, key: &str, default: f64, positive: bool) -> Result<f64, CliError> {
+    let secs: f64 = get_num(opts, key, default)?;
+    if secs.is_finite() && (secs > 0.0 || !positive && secs >= 0.0) {
+        return Ok(secs);
+    }
+    let want = if positive {
+        "a positive number of seconds"
+    } else {
+        "a finite number >= 0"
+    };
+    Err(CliError::Usage(format!("--{key} must be {want}")))
+}
+
+/// The `--scenario quick|fig13` campaign at `seed`.
+fn scenario(opts: &Opts, default: &str, seed: u64) -> Result<ChaosScenario, CliError> {
+    match opts.get("scenario").map_or(default, String::as_str) {
+        "quick" => Ok(ChaosScenario::quick(seed)),
+        "fig13" => Ok(ChaosScenario::fig13(seed)),
+        other => Err(CliError::Usage(format!(
+            "unknown --scenario {other:?} (quick|fig13)"
+        ))),
+    }
+}
+
+/// Writes a report to `--out FILE`, or to stdout without one.
+fn emit(opts: &Opts, report: &str) -> Result<(), CliError> {
+    match opts.get("out") {
+        Some(path) => {
+            write(Path::new(path), report)?;
+            eprintln!("wrote {path}");
+        }
+        None => print!("{report}"),
+    }
+    Ok(())
 }
 
 fn read(path: &str) -> Result<String, CliError> {
@@ -638,12 +677,7 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
         .get("captures")
         .ok_or("replay requires a capture log (positional or --captures)")?
         .clone();
-    let speed: f64 = get_num(opts, "speed", 0.0)?;
-    if !speed.is_finite() || speed < 0.0 {
-        return Err(CliError::Usage(
-            "--speed must be a finite number >= 0".into(),
-        ));
-    }
+    let speed = get_secs(opts, "speed", 0.0, false)?;
     // `--speed 0` means "as fast as possible", which a live tail can
     // never satisfy: the follower would chew through each poll instantly
     // and spin on the file forever. Explicitly asking for both is a
@@ -653,10 +687,7 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
             "--follow cannot be paced at --speed 0; pass a positive rate or drop --speed".into(),
         ));
     }
-    let lag: f64 = get_num(opts, "lag", StreamConfig::default().allowed_lag_s)?;
-    if !lag.is_finite() || lag < 0.0 {
-        return Err(CliError::Usage("--lag must be a finite number >= 0".into()));
-    }
+    let lag = get_secs(opts, "lag", StreamConfig::default().allowed_lag_s, false)?;
     let budget: usize = get_num(opts, "error-budget", 0)?;
     let follow = opts.contains_key("follow");
     let journal_dir = opts.get("journal").map(PathBuf::from);
@@ -914,24 +945,16 @@ fn stats(opts: &Opts) -> Result<(), CliError> {
 fn chaos(opts: &Opts) -> Result<(), CliError> {
     let seed: u64 = get_num(opts, "seed", 1)?;
     let fault_seed: u64 = get_num(opts, "fault-seed", seed)?;
-    let scenario_name = opts.get("scenario").map(String::as_str).unwrap_or("fig13");
     let plans = match opts.get("faults") {
         Some(spec) => vec![FaultPlan::parse(spec)?],
         None => default_matrix(),
     };
+    let scenario = scenario(opts, "fig13", seed)?;
     eprintln!(
-        "chaos: scenario {scenario_name} (seed {seed}), {} fault cell(s) + clean baseline",
+        "chaos: scenario {} (seed {seed}), {} fault cell(s) + clean baseline",
+        scenario.name(),
         plans.len()
     );
-    let scenario = match scenario_name {
-        "quick" => ChaosScenario::quick(seed),
-        "fig13" => ChaosScenario::fig13(seed),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --scenario {other:?} (quick|fig13)"
-            )))
-        }
-    };
     let report = scenario.run_matrix(fault_seed, &plans);
     for cell in &report.cells {
         eprintln!(
@@ -943,15 +966,7 @@ fn chaos(opts: &Opts) -> Result<(), CliError> {
             cell.devices_degraded
         );
     }
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
-    Ok(())
+    emit(opts, &report.to_json())
 }
 
 /// Runs the kill-at-every-boundary crash-equivalence sweep: for each
@@ -961,16 +976,8 @@ fn chaos(opts: &Opts) -> Result<(), CliError> {
 /// (and every torn-write companion) matches.
 fn crash(opts: &Opts) -> Result<(), CliError> {
     let seed: u64 = get_num(opts, "seed", 1)?;
-    let scenario_name = opts.get("scenario").map(String::as_str).unwrap_or("quick");
-    let scenario = match scenario_name {
-        "quick" => ChaosScenario::quick(seed),
-        "fig13" => ChaosScenario::fig13(seed),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --scenario {other:?} (quick|fig13)"
-            )))
-        }
-    };
+    let scenario = scenario(opts, "quick", seed)?;
+    let scenario_name = scenario.name();
     let frames = scenario.captures().len();
     // Default stride keeps the sweep to ~25 cells; --stride 1 tests
     // every boundary.
@@ -997,14 +1004,7 @@ fn crash(opts: &Opts) -> Result<(), CliError> {
         report.cells.len(),
         report.mismatches().len()
     );
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit(opts, &report.to_json())?;
     if !report.all_matched() {
         return Err(CliError::Input(format!(
             "crash equivalence failed at boundaries {:?}",
@@ -1133,18 +1133,8 @@ fn fleet(opts: &Opts) -> Result<(), CliError> {
 fn fleet_listen(opts: &Opts) -> Result<(), CliError> {
     let addr = opts.get("listen").expect("caller checked --listen");
     let nodes: usize = get_num(opts, "nodes", 1)?;
-    let idle: f64 = get_num(opts, "idle-timeout", 30.0)?;
-    if !idle.is_finite() || idle <= 0.0 {
-        return Err(CliError::Usage(
-            "--idle-timeout must be a positive number of seconds".into(),
-        ));
-    }
-    let every: f64 = get_num(opts, "checkpoint-every", 30.0)?;
-    if !every.is_finite() || every <= 0.0 {
-        return Err(CliError::Usage(
-            "--checkpoint-every must be a positive number of seconds".into(),
-        ));
-    }
+    let idle = get_secs(opts, "idle-timeout", 30.0, true)?;
+    let every = get_secs(opts, "checkpoint-every", 30.0, true)?;
     let (map, level) = build_map(opts)?;
     let config = FleetConfig {
         expected_nodes: nodes,
@@ -1208,17 +1198,11 @@ fn fleet_chaos(opts: &Opts) -> Result<(), CliError> {
     let seed: u64 = get_num(opts, "seed", 1)?;
     let fault_seed: u64 = get_num(opts, "fault-seed", seed)?;
     let nodes: usize = get_num(opts, "nodes", 4)?;
-    let scenario_name = opts.get("scenario").map(String::as_str).unwrap_or("fig13");
-    let scenario = match scenario_name {
-        "quick" => ChaosScenario::quick(seed),
-        "fig13" => ChaosScenario::fig13(seed),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown --scenario {other:?} (quick|fig13)"
-            )))
-        }
-    };
-    eprintln!("fleet chaos: scenario {scenario_name} (seed {seed}), {nodes} node(s) per cell");
+    let scenario = scenario(opts, "fig13", seed)?;
+    eprintln!(
+        "fleet chaos: scenario {} (seed {seed}), {nodes} node(s) per cell",
+        scenario.name()
+    );
     let report = run_default_matrix(&scenario, fault_seed, nodes)?;
     for cell in &report.cells {
         eprintln!(
@@ -1235,14 +1219,7 @@ fn fleet_chaos(opts: &Opts) -> Result<(), CliError> {
             }
         );
     }
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit(opts, &report.to_json())?;
     if !report.all_match() {
         return Err(CliError::Input(
             "fleet merge diverged from single-stream replay in at least one cell".into(),
@@ -1270,12 +1247,7 @@ fn node(opts: &Opts) -> Result<(), CliError> {
     }
     let retries: u32 = get_num(opts, "retries", RetryConfig::default().max_retries)?;
     let frames = load_frames(&path)?;
-    let slack: f64 = get_num(opts, "slack", required_slack_s(&frames))?;
-    if !slack.is_finite() || slack < 0.0 {
-        return Err(CliError::Usage(
-            "--slack must be a finite number >= 0".into(),
-        ));
-    }
+    let slack = get_secs(opts, "slack", required_slack_s(&frames), false)?;
     eprintln!(
         "node {id}: streaming {} frames to {addr} (offset {offset} s, slack {slack} s)",
         frames.len()
@@ -1319,31 +1291,13 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
         .get("captures")
         .ok_or("serve requires a capture log (positional or --captures)")?
         .clone();
-    let speed: f64 = get_num(opts, "speed", 1.0)?;
-    if !speed.is_finite() || speed < 0.0 {
-        return Err(CliError::Usage(
-            "--speed must be a finite number >= 0".into(),
-        ));
-    }
-    let lag: f64 = get_num(opts, "lag", StreamConfig::default().allowed_lag_s)?;
-    if !lag.is_finite() || lag < 0.0 {
-        return Err(CliError::Usage("--lag must be a finite number >= 0".into()));
-    }
-    let snapshot_every: f64 = get_num(opts, "snapshot-every", 10.0)?;
-    if !snapshot_every.is_finite() || snapshot_every < 0.0 {
-        return Err(CliError::Usage(
-            "--snapshot-every must be a finite number >= 0".into(),
-        ));
-    }
-    let linger: Option<f64> = match opts.get("linger") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<f64>()
-                .ok()
-                .filter(|s| s.is_finite() && *s >= 0.0)
-                .ok_or_else(|| CliError::Usage("--linger must be a finite number >= 0".into()))?,
-        ),
-    };
+    let speed = get_secs(opts, "speed", 1.0, false)?;
+    let lag = get_secs(opts, "lag", StreamConfig::default().allowed_lag_s, false)?;
+    let snapshot_every = get_secs(opts, "snapshot-every", 10.0, false)?;
+    let linger = opts
+        .contains_key("linger")
+        .then(|| get_secs(opts, "linger", 0.0, false))
+        .transpose()?;
     let budget: usize = get_num(opts, "error-budget", 0)?;
     let listen = opts
         .get("listen")
@@ -1458,13 +1412,9 @@ fn serve_bench(opts: &Opts) -> Result<(), CliError> {
             "OVER BUDGET"
         }
     );
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote bench report to {path}");
-        }
-        None => print!("{json}"),
+    emit(opts, &report.to_json())?;
+    if !report.pass() {
+        return Err("serve bench failed: request errors or a slowdown over budget".into());
     }
     Ok(())
 }
@@ -1480,14 +1430,7 @@ fn serve_chaos(opts: &Opts) -> Result<(), CliError> {
         ..defaults
     };
     let report = run_chaos(&config)?;
-    let json = report.to_json();
-    match opts.get("out") {
-        Some(path) => {
-            write(Path::new(path), &json)?;
-            eprintln!("wrote chaos report to {path}");
-        }
-        None => print!("{json}"),
-    }
+    emit(opts, &report.to_json())?;
     if !report.pass() {
         let violations = report.violations().count();
         return Err(CliError::Input(format!(

@@ -782,3 +782,110 @@ fn serve_announces_and_answers_http() {
     child.wait_with_output().expect("reap serve");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The TCP fleet end to end: `marauder node` streams to `marauder
+/// fleet --listen` and both print what the in-process loopback fleet
+/// prints. The log carries one `inf` and one `NaN` stamp. Neither may
+/// reach the node's watermark: an `inf` stamp once made the default
+/// `--slack` infinite (the node exited 2), and a `NaN` one held the
+/// merge gate shut until the idle timeout (the listener exited 1).
+#[test]
+fn fleet_listen_matches_loopback_with_non_finite_stamps() {
+    use std::io::{BufRead, BufReader, Read};
+
+    let dir = temp_dir("fleet-tcp");
+    let out = marauder()
+        .args([
+            "simulate",
+            "--seed",
+            "13",
+            "--aps",
+            "50",
+            "--mobiles",
+            "3",
+            "--duration",
+            "180",
+            "--out-dir",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success());
+    let full = std::fs::read_to_string(dir.join("capture.log")).expect("read capture");
+    let mut lines: Vec<String> = full.lines().map(str::to_string).collect();
+    let retime = |line: &str, t: &str| format!("{t} {}", line.split_once(' ').expect("frame").1);
+    let (third, two_thirds) = (lines.len() / 3, 2 * lines.len() / 3);
+    let nan = retime(&lines[two_thirds], "NaN");
+    lines.insert(two_thirds, nan);
+    let inf = retime(&lines[third], "inf");
+    lines.insert(third, inf);
+    let log = dir.join("stamped.log");
+    std::fs::write(&log, lines.join("\n") + "\n").expect("write log");
+
+    let loopback = marauder()
+        .arg("fleet")
+        .arg(&log)
+        .arg("--knowledge")
+        .arg(dir.join("aps.csv"))
+        .args(["--loopback", "1"])
+        .output()
+        .expect("run loopback fleet");
+    assert!(loopback.status.success());
+    assert!(String::from_utf8_lossy(&loopback.stdout).lines().count() > 1);
+
+    let mut listener = marauder()
+        .arg("fleet")
+        .arg("--knowledge")
+        .arg(dir.join("aps.csv"))
+        .args([
+            "--listen",
+            "127.0.0.1:0",
+            "--nodes",
+            "1",
+            "--idle-timeout",
+            "10",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn listener");
+    let mut stderr = BufReader::new(listener.stderr.take().expect("piped stderr"));
+    let mut announce = String::new();
+    stderr.read_line(&mut announce).expect("read announcement");
+    let addr = announce
+        .strip_prefix("fleet: listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("bad announcement: {announce:?}"))
+        .to_string();
+
+    let node = marauder()
+        .arg("node")
+        .arg(&log)
+        .args(["--connect", &addr])
+        .output()
+        .expect("run node");
+    assert!(
+        node.status.success(),
+        "node failed: {}",
+        String::from_utf8_lossy(&node.stderr)
+    );
+    let mut csv = Vec::new();
+    listener
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_to_end(&mut csv)
+        .expect("read fleet csv");
+    let status = listener.wait().expect("reap listener");
+    let mut rest = String::new();
+    stderr
+        .read_to_string(&mut rest)
+        .expect("read listener stderr");
+    assert!(status.success(), "listener failed: {rest}");
+    assert_eq!(
+        String::from_utf8_lossy(&csv),
+        String::from_utf8_lossy(&loopback.stdout)
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -10,7 +10,9 @@
 //! pinned by an aggregator unit test: no message sequence reaches it,
 //! because the node at the fleet front is never evicted.)
 
-use marauders_map::net::{Aggregator, FleetConfig, Message, PROTOCOL_VERSION};
+use marauders_map::net::{
+    Aggregator, FleetConfig, Message, StreamTime, Watermark, PROTOCOL_VERSION,
+};
 use marauders_map::serve::loadgen::{campaign_map, BenchClient};
 use marauders_map::serve::{start, PublisherConfig, ServeConfig, TrackerPublisher};
 use marauders_map::stream::StreamConfig;
@@ -21,7 +23,7 @@ use std::time::{Duration, Instant};
 fn hello(node_id: u32) -> Message {
     Message::Hello {
         node_id,
-        clock_offset_s: 0.0,
+        clock_offset_s: StreamTime::ZERO,
         version: PROTOCOL_VERSION,
     }
 }
@@ -29,7 +31,7 @@ fn hello(node_id: u32) -> Message {
 fn heartbeat(node_id: u32, watermark_s: f64) -> Message {
     Message::Heartbeat {
         node_id,
-        watermark_s,
+        watermark_s: Watermark::from_secs(watermark_s).expect("not NaN"),
     }
 }
 
@@ -67,22 +69,22 @@ fn fleet_watermark_infinity_edges_hold_under_live_metrics_readers() {
 
     let mut agg = Aggregator::new(campaign_map(), fleet_config.clone());
     // Empty fleet: nothing has joined, the merge gate is closed.
-    assert_eq!(agg.fleet_watermark(), f64::NEG_INFINITY);
+    assert_eq!(agg.fleet_watermark().secs(), f64::NEG_INFINITY);
 
     // One of two expected nodes: still closed, whatever it promises.
     agg.on_message(&hello(1)).expect("hello 1");
     agg.on_message(&heartbeat(1, 10.0)).expect("heartbeat 1");
-    assert_eq!(agg.fleet_watermark(), f64::NEG_INFINITY);
+    assert_eq!(agg.fleet_watermark().secs(), f64::NEG_INFINITY);
 
     // Full fleet: the watermark is the minimum promise.
     agg.on_message(&hello(2)).expect("hello 2");
     agg.on_message(&heartbeat(2, 20.0)).expect("heartbeat 2");
-    assert_eq!(agg.fleet_watermark(), 10.0);
+    assert_eq!(agg.fleet_watermark().secs(), 10.0);
 
     // Every node finished: promises of +∞ merge to exactly +∞.
     agg.on_message(&heartbeat(1, f64::INFINITY)).expect("end 1");
     agg.on_message(&heartbeat(2, f64::INFINITY)).expect("end 2");
-    assert_eq!(agg.fleet_watermark(), f64::INFINITY);
+    assert_eq!(agg.fleet_watermark().secs(), f64::INFINITY);
     assert!(agg.finished());
 
     // Hold the final state until the poller has demonstrably served
