@@ -2,7 +2,8 @@
 //! the live tracking engine over the fig. 13 campaign, across worker
 //! counts (the final localization pass fans out through marauder-par),
 //! the per-frame cost of the durable ingest path (parsing a capture-log
-//! line, appending a journal record), the cost of publishing closed
+//! line, appending a journal record), the cost of recovering a
+//! locations-only journal after a kill, the cost of publishing closed
 //! windows to the serving layer at several history depths, and the
 //! render cost of the serving layer's `/tiles` and `/track` endpoints.
 //!
@@ -155,6 +156,54 @@ fn bench_append(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Journal recovery at the locations-only level, where the AP-Rad LP
+/// sets every radius: the campaign journaled with a live engine, a
+/// checkpoint every 1024 frames and no seal, as a killed `marauder
+/// replay --journal --level locations` leaves it. Recovery restores
+/// the checkpoint at frame 2048 and replays a tail whose windows called
+/// for several live re-solves. A clean journal is only read, so every
+/// iteration recovers the same directory.
+fn bench_recover(c: &mut Criterion) {
+    const CHECKPOINT_EVERY: usize = 1024;
+    let result = campaign();
+    let link = link_for(&result, WorldModel::FreeSpace, 3);
+    let db = measured_knowledge(&result, &link).without_radii();
+    let map = MaraudersMap::new(db, KnowledgeLevel::LocationsOnly, attack_config());
+    let dir = std::env::temp_dir().join(format!("marauder-bench-recover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = JournalConfig {
+        segment_frames: 4096,
+        flush: FlushPolicy::OnRotate,
+    };
+    let mut journal = FrameJournal::create(&dir, config).expect("fresh journal directory");
+    let mut engine = StreamEngine::new(map.clone(), StreamConfig::default());
+    let mut closed = Vec::new();
+    let mut checkpointed = (0, 0);
+    for (k, frame) in result.captures.iter().enumerate() {
+        journal.append(frame).expect("append");
+        closed.extend(engine.push(frame));
+        if (k + 1) % CHECKPOINT_EVERY == 0 {
+            journal.checkpoint(&engine, &closed).expect("checkpoint");
+            checkpointed = (k + 1, engine.stats().lp_solves);
+        }
+    }
+    drop(journal);
+    let owed = engine.stats().lp_solves - checkpointed.1;
+    assert!(owed >= 3, "the tail owes {owed} live re-solves");
+
+    let mut group = c.benchmark_group("stream/journal");
+    group.throughput(Throughput::Elements(
+        (result.captures.len() - checkpointed.0) as u64,
+    ));
+    group.bench_function("recover", |b| {
+        b.iter(|| {
+            FrameJournal::recover(&dir, map.clone(), StreamConfig::default()).expect("recover")
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The campaign's attacker map and every window it locates, in the
 /// order the engine closes them.
 fn located_windows() -> (MaraudersMap, Vec<ClosedWindow>) {
@@ -250,6 +299,7 @@ criterion_group!(
     bench_replay,
     bench_parse_line,
     bench_append,
+    bench_recover,
     bench_publish,
     bench_route
 );

@@ -77,10 +77,15 @@ pub struct StreamStats {
     pub windows_closed: usize,
     /// Windows force-closed by the `max_open_windows` bound.
     pub windows_evicted: usize,
-    /// AP-Rad LP solves actually performed. The incremental solver
-    /// skips the re-solve for every closed window that provably left
-    /// the constraint set unchanged, so this is typically much smaller
-    /// than `windows_closed`.
+    /// AP-Rad LP solves the window sequence called for: one per live
+    /// close whose fold left the live radii stale, plus the canonical
+    /// solve [`batch_fixes`](StreamEngine::batch_fixes) makes when the
+    /// statistics moved since. A close counts whether its solve ran
+    /// there or was settled at the end of journal recovery's catch-up
+    /// (see [`FrameJournal::recover`](crate::FrameJournal::recover)).
+    /// The incremental solver skips the re-solve for every closed
+    /// window that provably left the constraint set unchanged, so this
+    /// is typically much smaller than `windows_closed`.
     pub lp_solves: usize,
 }
 
@@ -106,7 +111,10 @@ pub struct ClosedWindow {
     pub gamma: BTreeSet<MacAddr>,
     /// Live localization at close time, with the ladder rung that
     /// produced it ([`Err`] holds the typed reason the window was not
-    /// locatable live).
+    /// locatable live). `Err(DeferredLocalization)` when it was not
+    /// localized live: in lazy mode, and for every window closed while
+    /// journal recovery catches up (see
+    /// [`FrameJournal::recover`](crate::FrameJournal::recover)).
     pub outcome: Result<(Estimate, FixProvenance), PipelineError>,
 }
 
@@ -159,6 +167,9 @@ pub struct StreamEngine {
     open_peak: usize,
     /// Guards the one-shot metrics flush in `finish`.
     metrics_flushed: bool,
+    /// `Some` only inside [`catch_up`](Self::catch_up), holding whether
+    /// a live re-solve is owed to its settle. Never serialized.
+    catching_up: Option<bool>,
 }
 
 /// Bucket bounds (inclusive upper edges, seconds) for the
@@ -204,7 +215,30 @@ impl StreamEngine {
             lag_counts: [0; WATERMARK_LAG_BOUNDS_S.len() + 1],
             open_peak: 0,
             metrics_flushed: false,
+            catching_up: None,
         }
+    }
+
+    /// Runs `tail` in catch-up mode, then settles — journal recovery
+    /// replays its tail this way. A window that closes inside `tail`
+    /// folds its Γ into the AP-Rad statistics and does nothing else:
+    /// its outcome is `Err(DeferredLocalization)`, but a live re-solve
+    /// the close would have made still counts in
+    /// [`StreamStats::lp_solves`]. If any was skipped, the settle makes
+    /// the one solve they add up to. A cold solve reads only the
+    /// order-independent statistics, and a clean fold leaves it
+    /// bit-identical, so that one solve installs exactly the radii the
+    /// last dirtying close would have.
+    pub(crate) fn catch_up<T>(&mut self, tail: impl FnOnce(&mut StreamEngine) -> T) -> T {
+        self.catching_up = Some(false);
+        let out = tail(self);
+        if self.catching_up.take() == Some(true) {
+            if let Some(solver) = self.solver.as_mut() {
+                let radii = solver.live_radii().clone();
+                self.map.apply_radii(radii);
+            }
+        }
+        out
     }
 
     /// Overrides the process-configuration mode flags —
@@ -425,17 +459,30 @@ impl StreamEngine {
     fn close_window(&mut self, w: i64, mobile: MacAddr, gamma: BTreeSet<MacAddr>) -> ClosedWindow {
         self.stats.windows_closed += 1;
         if let Some(solver) = self.solver.as_mut() {
-            solver.observe(&gamma);
+            let dirtied = solver.observe(&gamma);
             // Lazy mode only folds the statistics: the solve (and the
             // localization below) are deferred to `batch_fixes`, which
             // is the only consumer in that mode.
             if self.config.live_localization && solver.is_live_dirty() {
-                self.stats.lp_solves += 1;
-                let radii = solver.live_radii().clone();
-                self.map.apply_radii(radii);
+                match self.catching_up.as_mut() {
+                    // Count the solve this close would make and owe it
+                    // to the settle. The first counted solve would have
+                    // filled the cache; only a dirty fold empties it.
+                    Some(owed) => {
+                        if dirtied || !*owed {
+                            self.stats.lp_solves += 1;
+                            *owed = true;
+                        }
+                    }
+                    None => {
+                        self.stats.lp_solves += 1;
+                        let radii = solver.live_radii().clone();
+                        self.map.apply_radii(radii);
+                    }
+                }
             }
         }
-        let outcome = if self.config.live_localization {
+        let outcome = if self.config.live_localization && self.catching_up.is_none() {
             self.map.try_locate(&gamma)
         } else {
             Err(PipelineError::DeferredLocalization)

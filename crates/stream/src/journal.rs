@@ -246,7 +246,11 @@ pub struct Recovery {
     /// state after `next_seq` frames.
     pub engine: StreamEngine,
     /// Every window the pre-crash run had closed, in emission order —
-    /// checkpoint-carried windows first, then the tail replay's.
+    /// checkpoint-carried windows first, then the tail replay's. Each
+    /// outcome is `Err(DeferredLocalization)`: the closed-window log
+    /// stores none, and the tail is replayed as a catch-up (see
+    /// [`FrameJournal::recover`]). [`StreamEngine::batch_fixes`]
+    /// localizes them.
     pub closed: Vec<ClosedWindow>,
     /// Sequence number of the next frame to ingest (= frames durably
     /// journaled).
@@ -467,6 +471,17 @@ impl FrameJournal {
     /// serialized); its windowing knobs are used only when recovering
     /// from scratch — a restored checkpoint carries its own.
     ///
+    /// The tail replays as a *catch-up*: each window close folds its Γ
+    /// into the AP-Rad statistics and nothing else — no live solve, no
+    /// M-Loc — and the end of the tail makes the one live solve the
+    /// skipped re-solves add up to. The cold LP is a pure function of
+    /// the order-independent statistics, and a clean fold leaves its
+    /// solution bit-identical, so in cold live mode (the default) the
+    /// rebuilt engine equals the uninterrupted run's, its
+    /// [`StreamStats::lp_solves`](crate::StreamStats::lp_solves)
+    /// included. With `warm_start` the live radii are
+    /// optimum-equivalent, as across any restore.
+    ///
     /// # Errors
     ///
     /// [`RecoveryError::Io`] on filesystem failures and
@@ -496,67 +511,70 @@ impl FrameJournal {
         engine.set_mode(config.live_localization, config.warm_start);
         let mut closed = restored.closed;
 
-        // Replay the tail: walk segments in order, skipping any whose
-        // entire range the checkpoint already covers.
+        // Replay the tail as a catch-up: walk segments in order,
+        // skipping any whose entire range the checkpoint already covers.
         let mut next_seq = start_seq;
         let mut tail_torn = 0u64;
         let mut tail_crcs: Vec<u32> = Vec::new();
         let mut final_removed = false;
-        for (idx, (first_seq, name)) in segments.iter().enumerate() {
-            let covered_by_next = segments
-                .get(idx + 1)
-                .map(|(next_first, _)| *next_first <= start_seq)
-                .unwrap_or(false);
-            if covered_by_next {
-                continue;
-            }
-            let is_final = idx + 1 == segments.len();
-            let path = dir.join(name);
-            let scan = scan_segment(&path, name, *first_seq, is_final)?;
-            report.segments_scanned += 1;
-            for (seq, crc, frame) in scan.frames {
-                if seq != next_seq && seq >= start_seq {
-                    return Err(RecoveryError::Corrupt {
-                        segment: name.clone(),
-                        offset: 0,
-                        reason: format!("record sequence {seq} where {next_seq} was expected"),
-                    });
-                }
-                if seq < start_seq {
+        engine.catch_up(|engine| {
+            for (idx, (first_seq, name)) in segments.iter().enumerate() {
+                let covered_by_next = segments
+                    .get(idx + 1)
+                    .map(|(next_first, _)| *next_first <= start_seq)
+                    .unwrap_or(false);
+                if covered_by_next {
                     continue;
                 }
-                closed.extend(engine.push(&frame));
-                tail_crcs.push(crc);
-                next_seq += 1;
-                report.records_replayed += 1;
-            }
-            if is_final {
-                tail_torn = scan.torn_bytes;
-                if scan.valid_len < SEGMENT_HEADER_LEN {
-                    // The crash hit rotation itself: the segment file
-                    // was created but its header never became durable.
-                    // Reopening it for append would bury every
-                    // subsequent acknowledged record in a headerless
-                    // file, which the *next* recovery would discard
-                    // wholesale as a torn tail — silent loss of
-                    // fsync'd appends. Delete the file instead; the
-                    // first post-recovery append rotates into a
-                    // fresh, properly headered segment.
-                    std::fs::remove_file(&path)
-                        .map_err(RecoveryError::io(format!("remove {}", path.display())))?;
-                    final_removed = true;
-                } else if scan.torn_bytes > 0 {
-                    // Physically truncate the torn tail so the journal
-                    // can be appended to from a clean record boundary.
-                    let file = OpenOptions::new()
-                        .write(true)
-                        .open(&path)
-                        .map_err(RecoveryError::io(format!("reopen {}", path.display())))?;
-                    file.set_len(scan.valid_len)
-                        .map_err(RecoveryError::io(format!("truncate {}", path.display())))?;
+                let is_final = idx + 1 == segments.len();
+                let path = dir.join(name);
+                let scan = scan_segment(&path, name, *first_seq, is_final)?;
+                report.segments_scanned += 1;
+                for (seq, crc, frame) in scan.frames {
+                    if seq != next_seq && seq >= start_seq {
+                        return Err(RecoveryError::Corrupt {
+                            segment: name.clone(),
+                            offset: 0,
+                            reason: format!("record sequence {seq} where {next_seq} was expected"),
+                        });
+                    }
+                    if seq < start_seq {
+                        continue;
+                    }
+                    closed.extend(engine.push(&frame));
+                    tail_crcs.push(crc);
+                    next_seq += 1;
+                    report.records_replayed += 1;
+                }
+                if is_final {
+                    tail_torn = scan.torn_bytes;
+                    if scan.valid_len < SEGMENT_HEADER_LEN {
+                        // The crash hit rotation itself: the segment file
+                        // was created but its header never became durable.
+                        // Reopening it for append would bury every
+                        // subsequent acknowledged record in a headerless
+                        // file, which the *next* recovery would discard
+                        // wholesale as a torn tail — silent loss of
+                        // fsync'd appends. Delete the file instead; the
+                        // first post-recovery append rotates into a
+                        // fresh, properly headered segment.
+                        std::fs::remove_file(&path)
+                            .map_err(RecoveryError::io(format!("remove {}", path.display())))?;
+                        final_removed = true;
+                    } else if scan.torn_bytes > 0 {
+                        // Physically truncate the torn tail so the journal
+                        // can be appended to from a clean record boundary.
+                        let file = OpenOptions::new()
+                            .write(true)
+                            .open(&path)
+                            .map_err(RecoveryError::io(format!("reopen {}", path.display())))?;
+                        file.set_len(scan.valid_len)
+                            .map_err(RecoveryError::io(format!("truncate {}", path.display())))?;
+                    }
                 }
             }
-        }
+            Ok(())
+        })?;
         report.torn_tail_bytes = tail_torn;
 
         // Reopen the final segment for append (if any). A final

@@ -306,6 +306,113 @@ fn journaled_replay_resumes_after_a_lost_checkpoint() {
 }
 
 #[test]
+fn journaled_replay_at_locations_level_resumes_the_live_fixes() {
+    // At the locations-only level every live fix rides on the AP-Rad
+    // radii, so the resumed replay prints the uninterrupted run's fixes
+    // only if recovery rebuilt the engine's radii and counters exactly.
+    let dir = temp_dir("journal-locations");
+    let out = marauder()
+        .args([
+            "simulate",
+            "--seed",
+            "9",
+            "--aps",
+            "60",
+            "--mobiles",
+            "4",
+            "--duration",
+            "600",
+            "--out-dir",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success());
+    let knowledge = dir.join("aps.csv");
+    let log = dir.join("capture.log");
+    let journal = dir.join("wal");
+
+    // The interrupted run: the first half of the capture, journaled.
+    let text = std::fs::read_to_string(&log).expect("read capture log");
+    let lines: Vec<&str> = text.lines().collect();
+    let half = dir.join("half.log");
+    let keep = 1 + (lines.len() - 1) / 2;
+    std::fs::write(&half, lines[..keep].join("\n") + "\n").expect("write half log");
+    let replay = |capture: &PathBuf, journaled: bool| {
+        let mut cmd = marauder();
+        cmd.arg("replay")
+            .arg(capture)
+            .arg("--knowledge")
+            .arg(&knowledge)
+            .args(["--level", "locations"]);
+        if journaled {
+            cmd.arg("--journal")
+                .arg(&journal)
+                .args(["--checkpoint-every", "512"]);
+        }
+        let out = cmd.output().expect("run replay");
+        assert!(
+            out.status.success(),
+            "replay failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    replay(&half, true);
+
+    // Kill before the seal: the newest checkpoint never landed, so
+    // recovery restores the one before it and replays the tail.
+    let mut checkpoints: Vec<PathBuf> = std::fs::read_dir(&journal)
+        .expect("list journal")
+        .map(|e| e.expect("journal entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .collect();
+    checkpoints.sort();
+    assert!(checkpoints.len() >= 2, "want a checkpoint to fall back to");
+    std::fs::remove_file(checkpoints.last().expect("newest checkpoint")).expect("remove");
+
+    let resumed = replay(&log, true);
+    let clean = replay(&log, false);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    let tail: u64 = stderr
+        .split_once("on disk (")
+        .and_then(|(_, rest)| rest.split_whitespace().next()?.parse().ok())
+        .expect("the resumed replay reports its recovery");
+    assert!(
+        tail >= 100,
+        "want a tail of a few hundred frames, got {tail}"
+    );
+
+    // The resumed run prints what the uninterrupted run printed after
+    // the kill, and closes out with the same summary.
+    let body = |bytes: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(bytes)
+            .lines()
+            .skip(1)
+            .map(str::to_string)
+            .collect()
+    };
+    let (resumed_body, clean_body) = (body(&resumed.stdout), body(&clean.stdout));
+    assert!(
+        !resumed_body.is_empty(),
+        "the resumed replay printed no fix"
+    );
+    assert!(
+        clean_body.ends_with(&resumed_body),
+        "resumed fixes are not a suffix of the uninterrupted replay's"
+    );
+    let summary = |bytes: &[u8]| {
+        String::from_utf8_lossy(bytes)
+            .lines()
+            .last()
+            .map(str::to_string)
+    };
+    assert_eq!(summary(&resumed.stderr), summary(&clean.stderr));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn replay_follow_tails_an_appended_log() {
     use std::io::Read;
 
