@@ -19,10 +19,13 @@
 //! Every `BENCH_*.json` in the baseline directory is paired with the
 //! same filename in the current directory. Ids present on only one side
 //! are reported but never fail the run: benches gain and lose cases
-//! across PRs, and a quick CI pass may filter some out. The `--out`
+//! across PRs, and a quick CI pass may filter some out. A file that
+//! does not parse as JSON, or whose `schema` is not
+//! `marauder-criterion-v1`, stops the run (exit 2). The `--out`
 //! artifact records one row per compared id so a regression can be
 //! traced without re-running anything.
 
+use marauder_obs::json::{self, Json, Layout};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -70,21 +73,25 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Extracts `id -> median_ns` from a `marauder-criterion-v1` document.
-///
-/// The exporter writes one record per line with no escaped quotes in
-/// ids (it replaces `"` with `'`), so a line scan is exact for our own
-/// files and degrades to skipping lines it cannot read elsewhere.
+/// Extracts `id -> median_ns` from a `marauder-criterion-v1` document:
+/// every object with a string `id` and a numeric `median_ns`, however
+/// the records are laid out. A document that does not parse yields
+/// nothing; [`compare_file`] rejects such a file before comparing.
 fn parse_medians(text: &str) -> BTreeMap<String, f64> {
+    fn walk(v: &Json, out: &mut BTreeMap<String, f64>) {
+        let id = v.get("id").and_then(Json::as_str);
+        if let (Some(id), Some(median)) = (id, v.get("median_ns").and_then(Json::as_num)) {
+            out.insert(id.to_string(), median);
+        }
+        match v {
+            Json::Obj(_, members) => members.iter().for_each(|(_, m)| walk(m, out)),
+            Json::Arr(_, items) => items.iter().for_each(|m| walk(m, out)),
+            _ => {}
+        }
+    }
     let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let Some(id) = field_str(line, "\"id\":\"") else {
-            continue;
-        };
-        let Some(median) = field_num(line, "\"median_ns\":") else {
-            continue;
-        };
-        out.insert(id.to_string(), median);
+    if let Ok(doc) = json::parse(text) {
+        walk(&doc, &mut out);
     }
     out
 }
@@ -92,10 +99,11 @@ fn parse_medians(text: &str) -> BTreeMap<String, f64> {
 /// The `host_cores` the exporter stamped into the document header, if
 /// any (older baselines predate the field).
 fn parse_host_cores(text: &str) -> Option<u64> {
-    text.lines()
-        .find_map(|line| field_num(line, "\"host_cores\":"))
-        .filter(|&n| n >= 1.0)
-        .map(|n| n as u64)
+    json::parse(text)
+        .ok()?
+        .get("host_cores")?
+        .as_u64()
+        .filter(|&n| n >= 1)
 }
 
 /// Whether `id` is a thread-scaling row at a thread count other than 1
@@ -110,21 +118,6 @@ fn is_multi_thread_scaling_id(id: &str) -> bool {
             .unwrap_or(false),
         None => false,
     }
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = &line[line.find(key)? + key.len()..];
-    Some(&rest[..rest.find('"')?])
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    // The exporter writes record fields as `"k":v` but header fields as
-    // `"k": v`; tolerate the space either way.
-    let rest = line[line.find(key)? + key.len()..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 struct Row {
@@ -206,7 +199,8 @@ fn compare_file(
         let path = dir.join(file);
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        if !text.contains("marauder-criterion-v1") {
+        let doc = json::parse(&text).map_err(|e| format!("{}: not JSON: {e}", path.display()))?;
+        if doc.get("schema").and_then(Json::as_str) != Some("marauder-criterion-v1") {
             return Err(format!(
                 "{}: not a marauder-criterion-v1 file",
                 path.display()
@@ -219,55 +213,49 @@ fn compare_file(
     Ok(compare_docs(file, &base_text, &cur_text, threshold))
 }
 
-fn json_str_list(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", s.replace('"', "'")))
-        .collect();
-    format!("[{}]", quoted.join(","))
-}
-
 fn render_report(reports: &[FileReport], threshold: f64, regressions: usize) -> String {
-    let files: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let rows: Vec<String> = r
-                .rows
-                .iter()
-                .map(|row| {
-                    format!(
-                        "        {{\"id\":\"{}\",\"baseline_median_ns\":{:.2},\
-                         \"current_median_ns\":{:.2},\"ratio\":{:.4},\"status\":\"{}\"}}",
-                        row.id.replace('"', "'"),
-                        row.baseline_ns,
-                        row.current_ns,
-                        row.ratio,
-                        if row.regressed { "regressed" } else { "ok" }
-                    )
-                })
-                .collect();
-            let cores = |c: Option<u64>| c.map_or("null".to_string(), |n| n.to_string());
-            format!(
-                "    {{\n      \"file\": \"{}\",\n      \"baseline_host_cores\": {},\n      \
-                 \"current_host_cores\": {},\n      \"rows\": [\n{}\n      ],\n      \
-                 \"only_in_baseline\": {},\n      \"only_in_current\": {},\n      \
-                 \"skipped_cross_core\": {}\n    }}",
-                r.file,
-                cores(r.baseline_cores),
-                cores(r.current_cores),
-                rows.join(",\n"),
-                json_str_list(&r.only_baseline),
-                json_str_list(&r.only_current),
-                json_str_list(&r.skipped_cross_core)
-            )
-        })
-        .collect();
+    let files = reports.iter().map(|r| {
+        let rows = r.rows.iter().map(|row| {
+            let status = if row.regressed { "regressed" } else { "ok" };
+            let members = [
+                ("id", row.id.as_str().into()),
+                (
+                    "baseline_median_ns",
+                    Json::Num(format!("{:.2}", row.baseline_ns)),
+                ),
+                (
+                    "current_median_ns",
+                    Json::Num(format!("{:.2}", row.current_ns)),
+                ),
+                ("ratio", Json::Num(format!("{:.4}", row.ratio))),
+                ("status", status.into()),
+            ];
+            Json::obj(Layout::Inline, members)
+        });
+        let ids = |ids: &[String]| Json::arr(Layout::Inline, ids.iter().map(String::as_str));
+        let members = [
+            ("file", r.file.as_str().into()),
+            ("baseline_host_cores", r.baseline_cores.into()),
+            ("current_host_cores", r.current_cores.into()),
+            ("rows", Json::arr(Layout::Block, rows)),
+            ("only_in_baseline", ids(&r.only_baseline)),
+            ("only_in_current", ids(&r.only_current)),
+            ("skipped_cross_core", ids(&r.skipped_cross_core)),
+        ];
+        Json::obj(Layout::Block, members)
+    });
     let compared: usize = reports.iter().map(|r| r.rows.len()).sum();
-    format!(
-        "{{\n  \"schema\": \"marauder-perfguard-v1\",\n  \"threshold\": {threshold},\n  \
-         \"compared\": {compared},\n  \"regressions\": {regressions},\n  \"files\": [\n{}\n  ]\n}}\n",
-        files.join(",\n")
-    )
+    let doc = Json::obj(
+        Layout::Block,
+        [
+            ("schema", "marauder-perfguard-v1".into()),
+            ("threshold", threshold.into()),
+            ("compared", compared.into()),
+            ("regressions", regressions.into()),
+            ("files", Json::arr(Layout::Block, files)),
+        ],
+    );
+    doc.render()
 }
 
 fn run(args: &Args) -> Result<usize, String> {
@@ -462,6 +450,39 @@ mod tests {
         assert!(report.rows.iter().all(|r| r.regressed));
         assert_eq!(report.baseline_cores, Some(8));
         assert_eq!(report.current_cores, Some(1));
+    }
+
+    #[test]
+    fn records_spanning_lines_read_like_one_line_records() {
+        let compact = doc(Some(4), &[("lp/solve", 120.5), ("pipe/threads/4", 9e3)]);
+        let pretty = "{\n  \"schema\": \"marauder-criterion-v1\",\n  \"host_cores\":\n    4,\n  \
+                      \"results\": [\n    {\n      \"id\": \"lp/solve\",\n      \
+                      \"median_ns\": 120.5\n    },\n    {\n      \"id\":\n        \
+                      \"pipe/threads/4\",\n      \"median_ns\": 9000\n    }\n  ]\n}\n";
+        assert_eq!(parse_medians(pretty).len(), 2);
+        assert_eq!(parse_medians(pretty), parse_medians(&compact));
+        assert_eq!(parse_host_cores(pretty), Some(4));
+        assert_eq!(parse_host_cores(pretty), parse_host_cores(&compact));
+    }
+
+    #[test]
+    fn unreadable_documents_are_errors_that_name_the_file() {
+        let dir = std::env::temp_dir().join(format!("perfguard-unreadable-{}", std::process::id()));
+        let (base, cur) = (dir.join("baseline"), dir.join("current"));
+        for d in [&base, &cur] {
+            std::fs::create_dir_all(d).expect("scratch dir");
+        }
+        let full = doc(Some(2), &[("lp/solve", 100.0), ("lp/warm", 50.0)]);
+        std::fs::write(base.join("BENCH_x.json"), &full).expect("write baseline");
+        let foreign = "{\"schema\": \"other\", \"note\": \"marauder-criterion-v1\"}";
+        for bad in [&full[..full.len() / 2], foreign] {
+            std::fs::write(cur.join("BENCH_x.json"), bad).expect("write current");
+            let err = compare_file("BENCH_x.json", &base, &cur, 3.0)
+                .err()
+                .unwrap_or_else(|| panic!("accepted {bad:?}"));
+            assert!(err.contains("BENCH_x.json"), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! count.
 
 use crate::harness::ChaosScenario;
-use marauder_obs::json_string;
+use marauder_obs::json::{Json, Layout};
 use marauder_stream::persist::DocKind;
 use marauder_stream::{
     list_checkpoints, list_numbered, FlushPolicy, FrameJournal, JournalConfig, JournalError,
@@ -231,58 +231,51 @@ impl CrashReport {
             .collect()
     }
 
-    /// Renders the report as JSON (hand-written, std-only).
+    /// Renders the report as JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"sim_seed\": {},", self.sim_seed);
-        let _ = writeln!(out, "  \"frames\": {},", self.frames);
-        let _ = writeln!(out, "  \"stride\": {},", self.stride);
-        let _ = writeln!(out, "  \"checkpoint_every\": {},", self.checkpoint_every);
-        let _ = writeln!(out, "  \"torn_write_bytes\": {},", self.torn_write_bytes);
-        let _ = writeln!(out, "  \"torn_header_bytes\": {},", self.torn_header_bytes);
-        let _ = writeln!(out, "  \"all_matched\": {},", self.all_matched());
-        out.push_str("  \"cells\": [\n");
-        let torn_json = |t: &Option<TornOutcome>| match t {
-            Some(t) => format!(
-                "{{\"bytes\": {}, \"torn_tail_bytes\": {}, \"matched\": {}}}",
-                t.bytes, t.torn_tail_bytes, t.matched
-            ),
-            None => "null".to_string(),
+        let torn_json = |t: &TornOutcome| {
+            let members = [
+                ("bytes", t.bytes.into()),
+                ("torn_tail_bytes", t.torn_tail_bytes.into()),
+                ("matched", t.matched.into()),
+            ];
+            Json::obj(Layout::Inline, members)
         };
-        let seq_json = |seq: Option<u64>| match seq {
-            Some(s) => s.to_string(),
-            None => "null".to_string(),
-        };
-        for (i, c) in self.cells.iter().enumerate() {
-            let lost = match &c.lost_checkpoint {
-                Some(l) => format!(
-                    "{{\"log_torn\": {}, \"checkpoint_seq\": {}, \"matched\": {}}}",
-                    l.log_torn,
-                    seq_json(l.checkpoint_seq),
-                    l.matched
-                ),
-                None => "null".to_string(),
-            };
-            let sep = if i + 1 == self.cells.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"crash_after\": {}, \"matched\": {}, \"checkpoint_seq\": {}, \
-                 \"records_replayed\": {}, \"torn\": {}, \"torn_header\": {}, \
-                 \"lost_checkpoint\": {}}}{}",
-                c.crash_after,
-                c.matched,
-                seq_json(c.checkpoint_seq),
-                c.records_replayed,
-                torn_json(&c.torn),
-                torn_json(&c.torn_header),
-                lost,
-                sep
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let cells = self.cells.iter().map(|c| {
+            let lost = c.lost_checkpoint.as_ref().map(|l| {
+                let members = [
+                    ("log_torn", l.log_torn.into()),
+                    ("checkpoint_seq", l.checkpoint_seq.into()),
+                    ("matched", l.matched.into()),
+                ];
+                Json::obj(Layout::Inline, members)
+            });
+            let members = [
+                ("crash_after", c.crash_after.into()),
+                ("matched", c.matched.into()),
+                ("checkpoint_seq", c.checkpoint_seq.into()),
+                ("records_replayed", c.records_replayed.into()),
+                ("torn", c.torn.as_ref().map(torn_json).into()),
+                ("torn_header", c.torn_header.as_ref().map(torn_json).into()),
+                ("lost_checkpoint", lost.into()),
+            ];
+            Json::obj(Layout::Inline, members)
+        });
+        let doc = Json::obj(
+            Layout::Block,
+            [
+                ("scenario", self.scenario.as_str().into()),
+                ("sim_seed", self.sim_seed.into()),
+                ("frames", self.frames.into()),
+                ("stride", self.stride.into()),
+                ("checkpoint_every", self.checkpoint_every.into()),
+                ("torn_write_bytes", self.torn_write_bytes.into()),
+                ("torn_header_bytes", self.torn_header_bytes.into()),
+                ("all_matched", self.all_matched().into()),
+                ("cells", Json::arr(Layout::Block, cells)),
+            ],
+        );
+        doc.render()
     }
 }
 
@@ -711,5 +704,64 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         let _ = std::fs::remove_dir_all(&dir1);
         let _ = std::fs::remove_dir_all(&dir7);
+    }
+
+    #[test]
+    fn crash_report_renders_its_golden_text() {
+        let torn = |bytes: usize, matched: bool| TornOutcome {
+            bytes,
+            torn_tail_bytes: bytes as u64 / 2,
+            matched,
+        };
+        let report = CrashReport {
+            scenario: "quick".into(),
+            sim_seed: 7,
+            frames: 900,
+            stride: 300,
+            checkpoint_every: 64,
+            torn_write_bytes: 3,
+            torn_header_bytes: 5,
+            cells: vec![
+                CrashCell {
+                    crash_after: 0,
+                    matched: true,
+                    checkpoint_seq: None,
+                    records_replayed: 0,
+                    torn: None,
+                    torn_header: None,
+                    lost_checkpoint: None,
+                },
+                CrashCell {
+                    crash_after: 300,
+                    matched: true,
+                    checkpoint_seq: Some(256),
+                    records_replayed: 44,
+                    torn: Some(torn(3, true)),
+                    torn_header: Some(torn(5, false)),
+                    lost_checkpoint: Some(LostCheckpointOutcome {
+                        log_torn: true,
+                        checkpoint_seq: Some(192),
+                        matched: true,
+                    }),
+                },
+                CrashCell {
+                    crash_after: 600,
+                    matched: false,
+                    checkpoint_seq: Some(576),
+                    records_replayed: 24,
+                    torn: Some(torn(3, true)),
+                    torn_header: None,
+                    lost_checkpoint: Some(LostCheckpointOutcome {
+                        log_torn: false,
+                        checkpoint_seq: None,
+                        matched: false,
+                    }),
+                },
+            ],
+        };
+        assert_eq!(
+            report.to_json(),
+            include_str!("../../obs/tests/golden/crash.json")
+        );
     }
 }

@@ -26,14 +26,13 @@ use marauder_core::pipeline::{
 };
 use marauder_core::PipelineError;
 use marauder_geo::Point;
-use marauder_obs::{json_f64, json_string};
+use marauder_obs::json::{Json, Layout};
 use marauder_sim::mobility::CircuitWalk;
 use marauder_sim::scenario::{CampusScenario, GroundTruthFix, SimulationResult, WorldModel};
 use marauder_wifi::device::{MobileStation, OsProfile, ScanBehavior};
 use marauder_wifi::mac::MacAddr;
 use marauder_wifi::sniffer::{CaptureDatabase, CapturedFrame};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 
 /// Error-CDF thresholds reported per cell, meters.
 pub const ERROR_THRESHOLDS_M: [f64; 5] = [25.0, 50.0, 100.0, 200.0, 400.0];
@@ -444,135 +443,104 @@ pub struct DegradationReport {
 }
 
 impl DegradationReport {
-    /// Renders the report as JSON (hand-written, std-only; all numbers
-    /// are finite by construction).
+    /// Renders the report as JSON (all numbers are finite by
+    /// construction).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"sim_seed\": {},", self.sim_seed);
-        let _ = writeln!(out, "  \"fault_seed\": {},", self.fault_seed);
-        let _ = writeln!(
-            out,
-            "  \"thresholds_m\": [{}],",
-            self.thresholds_m
-                .iter()
-                .map(|t| json_f64(*t))
-                .collect::<Vec<_>>()
-                .join(", ")
+        let cells = self.cells.iter().map(|c| cell_json(c, Some(&self.clean)));
+        let doc = Json::obj(
+            Layout::Block,
+            [
+                ("scenario", self.scenario.as_str().into()),
+                ("sim_seed", self.sim_seed.into()),
+                ("fault_seed", self.fault_seed.into()),
+                (
+                    "thresholds_m",
+                    Json::arr(Layout::Inline, self.thresholds_m.iter().copied()),
+                ),
+                ("clean", cell_json(&self.clean, None)),
+                ("cells", Json::arr(Layout::Block, cells)),
+            ],
         );
-        let _ = writeln!(out, "  \"clean\": {},", cell_json(&self.clean, None, 2));
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            let sep = if i + 1 == self.cells.len() { "" } else { "," };
-            let _ = writeln!(out, "    {}{}", cell_json(cell, Some(&self.clean), 4), sep);
-        }
-        out.push_str("  ]\n}\n");
-        out
+        doc.render()
     }
 }
 
-fn cell_json(cell: &CellOutcome, clean: Option<&CellOutcome>, indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let mut out = String::new();
-    out.push_str("{\n");
-    let field = |out: &mut String, key: &str, value: String, last: bool| {
-        let sep = if last { "" } else { "," };
-        let _ = writeln!(out, "{pad}  \"{key}\": {value}{sep}");
-    };
-    field(&mut out, "plan", json_string(&cell.plan), false);
+fn cell_json(cell: &CellOutcome, clean: Option<&CellOutcome>) -> Json {
     let c = &cell.counts;
-    field(
-        &mut out,
-        "frames",
-        format!(
-            "{{\"clean\": {}, \"corrupted\": {}, \"dropped\": {}, \"burst_dropped\": {}, \
-             \"duplicated\": {}, \"reordered\": {}, \"jittered\": {}, \"skewed\": {}, \
-             \"bit_flipped\": {}, \"ap_flapped\": {}, \"card_dark\": {}, \"truncated\": {}}}",
-            cell.frames_clean,
-            cell.frames_corrupted,
-            c.dropped,
-            c.burst_dropped,
-            c.duplicated,
-            c.reordered,
-            c.jittered,
-            c.skewed,
-            c.bit_flipped,
-            c.ap_flapped,
-            c.card_dark,
-            c.truncated,
-        ),
-        false,
-    );
-    field(
-        &mut out,
-        "windows",
-        format!(
-            "{{\"total\": {}, \"fixed\": {}, \"lost\": {}, \"with_known_ap\": {}, \
-             \"fix_rate\": {}}}",
-            cell.windows_total,
-            cell.windows_fixed,
-            cell.windows_lost,
-            cell.windows_with_known_ap,
-            json_f64(cell.fix_rate()),
-        ),
-        false,
-    );
-    let reasons = cell
-        .loss_reasons
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    field(&mut out, "loss_reasons", format!("{{{reasons}}}"), false);
-    let prov = cell
-        .provenance
-        .iter()
-        .map(|(p, v)| format!("\"{}\": {v}", p.as_str()))
-        .collect::<Vec<_>>()
-        .join(", ");
-    field(&mut out, "provenance", format!("{{{prov}}}"), false);
-    field(
-        &mut out,
-        "devices",
-        format!(
-            "{{\"total\": {}, \"fixed\": {}, \"degraded\": {}, \"lost\": {}}}",
-            cell.devices_total, cell.devices_fixed, cell.devices_degraded, cell.devices_lost,
-        ),
-        false,
-    );
-    let err = match &cell.victim_error {
-        Some(s) => format!(
-            "{{\"count\": {}, \"mean_m\": {}, \"median_m\": {}, \"max_m\": {}}}",
-            s.count,
-            json_f64(s.mean),
-            json_f64(s.median),
-            json_f64(s.max),
-        ),
-        None => "null".to_string(),
-    };
-    field(&mut out, "victim_error", err, false);
-    let cdf = cell
-        .victim_cdf
-        .iter()
-        .enumerate()
-        .map(|(i, (t, frac))| {
-            let shift = clean
-                .and_then(|cl| cl.victim_cdf.get(i))
-                .map(|(_, base)| json_f64(frac - base))
-                .unwrap_or_else(|| "null".to_string());
-            format!(
-                "{{\"threshold_m\": {}, \"fraction\": {}, \"shift_vs_clean\": {}}}",
-                json_f64(*t),
-                json_f64(*frac),
-                shift,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    field(&mut out, "victim_cdf", format!("[{cdf}]"), true);
-    let _ = write!(out, "{pad}}}");
-    out
+    let frames = [
+        ("clean", cell.frames_clean),
+        ("corrupted", cell.frames_corrupted),
+        ("dropped", c.dropped),
+        ("burst_dropped", c.burst_dropped),
+        ("duplicated", c.duplicated),
+        ("reordered", c.reordered),
+        ("jittered", c.jittered),
+        ("skewed", c.skewed),
+        ("bit_flipped", c.bit_flipped),
+        ("ap_flapped", c.ap_flapped),
+        ("card_dark", c.card_dark),
+        ("truncated", c.truncated),
+    ];
+    let windows = [
+        ("total", cell.windows_total.into()),
+        ("fixed", cell.windows_fixed.into()),
+        ("lost", cell.windows_lost.into()),
+        ("with_known_ap", cell.windows_with_known_ap.into()),
+        ("fix_rate", cell.fix_rate().into()),
+    ];
+    let devices = [
+        ("total", cell.devices_total),
+        ("fixed", cell.devices_fixed),
+        ("degraded", cell.devices_degraded),
+        ("lost", cell.devices_lost),
+    ];
+    let victim_error = cell.victim_error.as_ref().map(|s| {
+        let stats = [
+            ("count", s.count.into()),
+            ("mean_m", s.mean.into()),
+            ("median_m", s.median.into()),
+            ("max_m", s.max.into()),
+        ];
+        Json::obj(Layout::Inline, stats)
+    });
+    let cdf = cell.victim_cdf.iter().enumerate().map(|(i, &(t, frac))| {
+        let shift = clean
+            .and_then(|cl| cl.victim_cdf.get(i))
+            .map(|&(_, base)| frac - base);
+        let point = [
+            ("threshold_m", t.into()),
+            ("fraction", frac.into()),
+            ("shift_vs_clean", shift.into()),
+        ];
+        Json::obj(Layout::Inline, point)
+    });
+    Json::obj(
+        Layout::Block,
+        [
+            ("plan", cell.plan.as_str().into()),
+            ("frames", counts(frames)),
+            ("windows", Json::obj(Layout::Inline, windows)),
+            (
+                "loss_reasons",
+                counts(cell.loss_reasons.iter().map(|(&k, &v)| (k, v))),
+            ),
+            (
+                "provenance",
+                counts(cell.provenance.iter().map(|(p, &v)| (p.as_str(), v))),
+            ),
+            ("devices", counts(devices)),
+            ("victim_error", victim_error.into()),
+            ("victim_cdf", Json::arr(Layout::Inline, cdf)),
+        ],
+    )
+}
+
+/// An inline object of `name: count` members.
+fn counts<'a>(pairs: impl IntoIterator<Item = (&'a str, usize)>) -> Json {
+    Json::obj(
+        Layout::Inline,
+        pairs.into_iter().map(|(k, v)| (k, v.into())),
+    )
 }
 
 fn nearest_truth<'a>(truth: &[&'a GroundTruthFix], t: f64) -> Option<&'a GroundTruthFix> {
@@ -668,5 +636,103 @@ mod tests {
         // No non-finite numbers may leak into the JSON ("inflated" is a
         // legitimate key, so match the number forms).
         assert!(!json.contains("NaN") && !json.contains(": inf") && !json.contains("-inf"));
+    }
+
+    #[test]
+    fn degradation_report_renders_its_golden_text() {
+        let provenance = |counts: [usize; 4]| {
+            [
+                FixProvenance::MLoc,
+                FixProvenance::Inflated,
+                FixProvenance::Centroid,
+                FixProvenance::NearestAp,
+            ]
+            .into_iter()
+            .zip(counts)
+            .collect::<BTreeMap<_, _>>()
+        };
+        let clean = CellOutcome {
+            plan: "clean".into(),
+            counts: FaultCounts::default(),
+            frames_clean: 120,
+            frames_corrupted: 120,
+            windows_total: 10,
+            windows_fixed: 9,
+            windows_lost: 1,
+            windows_with_known_ap: 10,
+            loss_reasons: [("empty_observation", 1)].into_iter().collect(),
+            provenance: provenance([8, 1, 0, 0]),
+            devices_total: 5,
+            devices_fixed: 4,
+            devices_degraded: 1,
+            devices_lost: 0,
+            victim_error: Some(ErrorStats {
+                count: 9,
+                mean: 12.5,
+                median: 10.25,
+                max: 40.0,
+            }),
+            victim_cdf: vec![(25.0, 0.1), (50.0, 1.0)],
+        };
+        let dropped = CellOutcome {
+            plan: "drop:0.3".into(),
+            counts: FaultCounts {
+                dropped: 36,
+                ..FaultCounts::default()
+            },
+            frames_corrupted: 84,
+            windows_total: 7,
+            windows_fixed: 5,
+            windows_lost: 2,
+            windows_with_known_ap: 6,
+            loss_reasons: [("empty_observation", 1), ("no_known_aps", 1)]
+                .into_iter()
+                .collect(),
+            provenance: provenance([3, 1, 1, 0]),
+            devices_fixed: 3,
+            devices_degraded: 1,
+            devices_lost: 1,
+            victim_error: Some(ErrorStats {
+                count: 5,
+                mean: 31.0 / 3.0,
+                median: 0.1 + 0.2,
+                max: 88.0,
+            }),
+            victim_cdf: vec![(25.0, 0.3), (50.0, 0.8)],
+            ..clean.clone()
+        };
+        let dark = CellOutcome {
+            plan: "cardoff:0:60+bitflip:0.2".into(),
+            counts: FaultCounts {
+                card_dark: 120,
+                bit_flipped: 3,
+                ..FaultCounts::default()
+            },
+            frames_corrupted: 0,
+            windows_total: 0,
+            windows_fixed: 0,
+            windows_lost: 0,
+            windows_with_known_ap: 0,
+            loss_reasons: BTreeMap::new(),
+            provenance: provenance([0; 4]),
+            devices_fixed: 0,
+            devices_degraded: 0,
+            devices_lost: 5,
+            victim_error: None,
+            victim_cdf: vec![(25.0, 0.0), (50.0, 0.0), (100.0, 0.0)],
+            ..clean.clone()
+        };
+        let report = DegradationReport {
+            scenario: "quick".into(),
+            sim_seed: 7,
+            fault_seed: 11,
+            thresholds_m: vec![25.0, 50.0, 100.0],
+            clean,
+            cells: vec![dropped, dark],
+        };
+        assert_eq!(
+            report.to_json(),
+            include_str!("../../obs/tests/golden/degradation.json")
+        );
     }
 }

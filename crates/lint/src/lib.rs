@@ -37,6 +37,7 @@ pub mod structural;
 
 pub use sarif::render_sarif;
 
+use marauder_obs::json::{Json, Layout};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -124,48 +125,30 @@ pub fn render_human(diags: &[Diagnostic]) -> String {
 }
 
 /// Renders diagnostics as a JSON array (stable field order, sorted
-/// spans) for the CI artifact.
+/// spans) for the CI artifact: one diagnostic per line, `[]` when
+/// there are none.
 pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"path\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \
-             \"severity\": {}, \"message\": {}}}",
-            json_string(&d.path),
-            d.line,
-            d.col,
-            json_string(&d.rule),
-            json_string(d.severity.as_str()),
-            json_string(&d.message),
-        ));
-    }
-    if !diags.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    let layout = if diags.is_empty() {
+        Layout::Inline
+    } else {
+        Layout::Block
+    };
+    let items = diags.iter().map(|d| {
+        let members = [
+            ("path", d.path.as_str().into()),
+            ("line", d.line.into()),
+            ("col", d.col.into()),
+            ("rule", d.rule.as_str().into()),
+            ("severity", d.severity.as_str().into()),
+            ("message", d.message.as_str().into()),
+        ];
+        Json::obj(Layout::Inline, members)
+    });
+    Json::arr(layout, items).render()
 }
 
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+#[cfg(test)]
+use marauder_obs::json_string;
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 //! design: they over-approximate (a false positive is silenced with a
 //! reasoned `lint:allow`) and under-approximate (type-driven cases a
 //! lexer cannot see are documented limitations), which is the right
-//! contract for a zero-dependency gate that runs in milliseconds on
+//! contract for a std-only gate that runs in milliseconds on
 //! every push. The structural families additionally see the parsed
 //! [`crate::parse::Structure`] of the file.
 //!

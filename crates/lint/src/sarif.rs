@@ -10,7 +10,9 @@
 //! required-property subset, so a unit test (and the fixture CLI test)
 //! can prove the output stays well-formed without a schema library.
 
-use crate::{json_string, Diagnostic, Severity};
+use crate::Diagnostic;
+use marauder_obs::json::{Json, Layout};
+use std::collections::BTreeSet;
 
 const SARIF_VERSION: &str = "2.1.0";
 const SARIF_SCHEMA: &str =
@@ -20,61 +22,50 @@ const SARIF_SCHEMA: &str =
 /// and diagnostic order (the engine sorts spans), so the artifact is
 /// byte-reproducible for identical inputs.
 pub fn render_sarif(diags: &[Diagnostic]) -> String {
-    let mut rules_seen: Vec<&str> = Vec::new();
-    for d in diags {
-        if !rules_seen.contains(&d.rule.as_str()) {
-            rules_seen.push(&d.rule);
-        }
-    }
-    rules_seen.sort_unstable();
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"version\": {},\n", json_string(SARIF_VERSION)));
-    out.push_str(&format!("  \"$schema\": {},\n", json_string(SARIF_SCHEMA)));
-    out.push_str("  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"marauder-lint\",\n");
-    out.push_str(&format!(
-        "          \"version\": {},\n",
-        json_string(env!("CARGO_PKG_VERSION"))
-    ));
-    out.push_str("          \"informationUri\": \"https://example.invalid/marauder\",\n");
-    out.push_str("          \"rules\": [");
-    for (i, rule) in rules_seen.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n            {{\"id\": {}}}", json_string(rule)));
-    }
-    if !rules_seen.is_empty() {
-        out.push_str("\n          ");
-    }
-    out.push_str("]\n        }\n      },\n      \"results\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n        {{\n          \"ruleId\": {},\n          \"level\": {},\n          \
-             \"message\": {{\"text\": {}}},\n          \"locations\": [{{\"physicalLocation\": \
-             {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}, \
-             \"startColumn\": {}}}}}}}]\n        }}",
-            json_string(&d.rule),
-            json_string(match d.severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            }),
-            json_string(&d.message),
-            json_string(&d.path),
-            d.line,
-            d.col,
-        ));
-    }
-    if !diags.is_empty() {
-        out.push_str("\n      ");
-    }
-    out.push_str("]\n    }\n  ]\n}\n");
-    out
+    let inline = |members: Vec<(&str, Json)>| Json::obj(Layout::Inline, members);
+    let rules: BTreeSet<&str> = diags.iter().map(|d| d.rule.as_str()).collect();
+    let rules = rules
+        .into_iter()
+        .map(|rule| inline(vec![("id", rule.into())]));
+    let driver = [
+        ("name", "marauder-lint".into()),
+        ("version", env!("CARGO_PKG_VERSION").into()),
+        ("informationUri", "https://example.invalid/marauder".into()),
+        ("rules", Json::arr(Layout::Block, rules)),
+    ];
+    let results = diags.iter().map(|d| {
+        let region = vec![("startLine", d.line.into()), ("startColumn", d.col.into())];
+        let place = vec![
+            (
+                "artifactLocation",
+                inline(vec![("uri", d.path.as_str().into())]),
+            ),
+            ("region", inline(region)),
+        ];
+        let location = inline(vec![("physicalLocation", inline(place))]);
+        let members = [
+            ("ruleId", d.rule.as_str().into()),
+            ("level", d.severity.as_str().into()),
+            ("message", inline(vec![("text", d.message.as_str().into())])),
+            ("locations", Json::arr(Layout::Inline, [location])),
+        ];
+        Json::obj(Layout::Block, members)
+    });
+    let tool = Json::obj(
+        Layout::Block,
+        [("driver", Json::obj(Layout::Block, driver))],
+    );
+    let results = ("results", Json::arr(Layout::Block, results));
+    let run = Json::obj(Layout::Block, [("tool", tool), results]);
+    let doc = Json::obj(
+        Layout::Block,
+        [
+            ("version", SARIF_VERSION.into()),
+            ("$schema", SARIF_SCHEMA.into()),
+            ("runs", Json::arr(Layout::Block, [run])),
+        ],
+    );
+    doc.render()
 }
 
 /// Checks `text` against the SARIF 2.1.0 required-property subset:
@@ -138,6 +129,9 @@ pub fn validate(text: &str) -> Result<(), String> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+use crate::Severity;
 
 #[cfg(test)]
 mod tests {

@@ -17,11 +17,10 @@ use crate::loopback::{corrupt_slice, required_slack_s, split_round_robin, Loopba
 use crate::node::NodeConfig;
 use crate::transport::NetError;
 use marauder_fault::{ChaosScenario, Fault, FaultPlan};
-use marauder_obs::json_string;
+use marauder_obs::json::{Json, Layout};
 use marauder_par::sub_seed;
 use marauder_stream::{replay_frames, StreamConfig};
 use marauder_wifi::sniffer::CapturedFrame;
-use std::fmt::Write as _;
 
 /// One fleet chaos cell, fully accounted.
 #[derive(Debug, Clone)]
@@ -74,41 +73,36 @@ impl FleetChaosReport {
         self.cells.iter().all(|c| c.matches_single_stream)
     }
 
-    /// Renders the report as JSON (hand-written, std-only).
+    /// Renders the report as JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"sim_seed\": {},", self.sim_seed);
-        let _ = writeln!(out, "  \"fault_seed\": {},", self.fault_seed);
-        let _ = writeln!(out, "  \"nodes\": {},", self.nodes);
-        let _ = writeln!(out, "  \"all_match\": {},", self.all_match());
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 == self.cells.len() { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": {}, \"plan\": {}, \"nodes\": {}, \
-                 \"frames_in\": {}, \"frames_relayed\": {}, \"frames_late\": {}, \
-                 \"frames_forced\": {}, \"duplicate_batches\": {}, \
-                 \"windows_closed\": {}, \"fixes\": {}, \
-                 \"matches_single_stream\": {}}}{}",
-                json_string(&c.name),
-                json_string(&c.plan),
-                c.nodes,
-                c.frames_in,
-                c.frames_relayed,
-                c.frames_late,
-                c.frames_forced,
-                c.duplicate_batches,
-                c.windows_closed,
-                c.fixes,
-                c.matches_single_stream,
-                sep
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let cells = self.cells.iter().map(|c| {
+            let members = [
+                ("name", c.name.as_str().into()),
+                ("plan", c.plan.as_str().into()),
+                ("nodes", c.nodes.into()),
+                ("frames_in", c.frames_in.into()),
+                ("frames_relayed", c.frames_relayed.into()),
+                ("frames_late", c.frames_late.into()),
+                ("frames_forced", c.frames_forced.into()),
+                ("duplicate_batches", c.duplicate_batches.into()),
+                ("windows_closed", c.windows_closed.into()),
+                ("fixes", c.fixes.into()),
+                ("matches_single_stream", c.matches_single_stream.into()),
+            ];
+            Json::obj(Layout::Inline, members)
+        });
+        let doc = Json::obj(
+            Layout::Block,
+            [
+                ("scenario", self.scenario.as_str().into()),
+                ("sim_seed", self.sim_seed.into()),
+                ("fault_seed", self.fault_seed.into()),
+                ("nodes", self.nodes.into()),
+                ("all_match", self.all_match().into()),
+                ("cells", Json::arr(Layout::Block, cells)),
+            ],
+        );
+        doc.render()
     }
 }
 
@@ -301,5 +295,36 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"all_match\": true"), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn fleet_chaos_report_renders_its_golden_text() {
+        let cell = |name: &str, plan: &str, late: usize, matches: bool| FleetChaosCell {
+            name: name.into(),
+            plan: plan.into(),
+            nodes: 4,
+            frames_in: 5120,
+            frames_relayed: 5120,
+            frames_late: late,
+            frames_forced: 3,
+            duplicate_batches: 17,
+            windows_closed: 212,
+            fixes: 198,
+            matches_single_stream: matches,
+        };
+        let report = FleetChaosReport {
+            scenario: "fig13".into(),
+            sim_seed: 7,
+            fault_seed: 11,
+            nodes: 4,
+            cells: vec![
+                cell("clean", "clean", 0, true),
+                cell("skew", "skew:0.25", 2, false),
+            ],
+        };
+        assert_eq!(
+            report.to_json(),
+            include_str!("../../obs/tests/golden/fleet_chaos.json")
+        );
     }
 }

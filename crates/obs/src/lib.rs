@@ -11,6 +11,8 @@
 //!   counts, never clock readings, stored in ordered maps. The
 //!   rendered JSON for these sections is byte-identical across runs at
 //!   any `--threads` value.
+//! * [`json`] — the one JSON value type, writer and reader: every
+//!   machine-read report in the workspace renders through it.
 //! * Span timing behind the pluggable [`Clock`] trait —
 //!   [`MonotonicClock`] for real runs (the single reasoned
 //!   `no-wall-clock` carve-out in `lint.toml`), [`ManualClock`] for
@@ -25,10 +27,12 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
+pub mod json;
 pub mod registry;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
-pub use registry::{json_f64, json_string, Histogram, MetricsRegistry, Span, SpanStats};
+pub use json::{json_f64, json_string};
+pub use registry::{Histogram, MetricsRegistry, Span, SpanStats};
 
 use std::sync::OnceLock;
 

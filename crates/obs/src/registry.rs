@@ -1,8 +1,8 @@
-//! The metrics registry and its hand-rendered JSON document.
+//! The metrics registry and its JSON document.
 
 use crate::clock::Clock;
+use crate::json::{Json, Layout};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard};
 
 /// A fixed-bucket histogram: `bounds` are inclusive upper bucket edges
@@ -263,12 +263,8 @@ impl MetricsRegistry {
     /// `histograms`) as a complete JSON document — the byte-comparable
     /// surface.
     pub fn deterministic_json(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::new();
-        out.push_str("{\n");
-        render_deterministic(&mut out, &inner, true);
-        out.push_str("}\n");
-        out
+        let doc = Json::obj(Layout::Block, deterministic_sections(&self.lock()));
+        doc.render()
     }
 
     /// Renders the full registry as JSON: the deterministic sections
@@ -276,30 +272,32 @@ impl MetricsRegistry {
     /// `"nondeterministic"` key. Splitting the text at that key yields
     /// exactly the byte-comparable prefix.
     pub fn to_json(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::new();
-        out.push_str("{\n");
-        render_deterministic(&mut out, &inner, false);
-        out.push_str("  \"nondeterministic\": {\n");
-        render_u64_map(&mut out, "counters", &inner.nondet_counters, 4, false);
-        out.push_str("    \"timings_ns\": {\n");
-        let n = inner.timings.len();
-        for (i, (name, t)) in inner.timings.iter().enumerate() {
-            let sep = if i + 1 == n { "" } else { "," };
-            let _ = writeln!(
-                out,
-                "      {}: {{\"count\": {}, \"total\": {}, \"min\": {}, \"max\": {}}}{sep}",
-                json_string(name),
-                t.count,
-                t.total_ns,
-                t.min_ns,
-                t.max_ns
+        let doc = {
+            let inner = self.lock();
+            let timings = inner.timings.iter().map(|(name, t)| {
+                let stats = [
+                    ("count", t.count),
+                    ("total", t.total_ns),
+                    ("min", t.min_ns),
+                    ("max", t.max_ns),
+                ];
+                (
+                    name,
+                    Json::obj(Layout::Inline, stats.map(|(k, v)| (k, v.into()))),
+                )
+            });
+            let quarantined = Json::obj(
+                Layout::Block,
+                [
+                    ("counters", u64_map(&inner.nondet_counters)),
+                    ("timings_ns", Json::obj(Layout::Block, timings)),
+                ],
             );
-        }
-        out.push_str("    }\n");
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
+            let mut sections = deterministic_sections(&inner);
+            sections.push(("nondeterministic", quarantined));
+            Json::obj(Layout::Block, sections)
+        };
+        doc.render()
     }
 }
 
@@ -325,93 +323,35 @@ impl Drop for Span<'_> {
     }
 }
 
-fn render_deterministic(out: &mut String, inner: &Inner, last: bool) {
-    render_u64_map(out, "counters", &inner.counters, 2, false);
-    let n = inner.gauges.len();
-    out.push_str("  \"gauges\": {\n");
-    for (i, (name, v)) in inner.gauges.iter().enumerate() {
-        let sep = if i + 1 == n { "" } else { "," };
-        let _ = writeln!(out, "    {}: {v}{sep}", json_string(name));
-    }
-    out.push_str("  },\n");
-    let n = inner.histograms.len();
-    out.push_str("  \"histograms\": {\n");
-    for (i, (name, h)) in inner.histograms.iter().enumerate() {
-        let sep = if i + 1 == n { "" } else { "," };
-        let bounds = h
-            .bounds
-            .iter()
-            .map(|b| json_f64(*b))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let counts = h
-            .counts
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            "    {}: {{\"bounds\": [{bounds}], \"counts\": [{counts}], \"total\": {}}}{sep}",
-            json_string(name),
-            h.total()
-        );
-    }
-    if last {
-        out.push_str("  }\n");
-    } else {
-        out.push_str("  },\n");
-    }
+fn deterministic_sections(inner: &Inner) -> Vec<(&'static str, Json)> {
+    let histograms = inner.histograms.iter().map(|(name, h)| {
+        let buckets = [
+            (
+                "bounds",
+                Json::arr(Layout::Inline, h.bounds.iter().copied()),
+            ),
+            (
+                "counts",
+                Json::arr(Layout::Inline, h.counts.iter().copied()),
+            ),
+            ("total", h.total().into()),
+        ];
+        (name, Json::obj(Layout::Inline, buckets))
+    });
+    let gauges = inner.gauges.iter().map(|(name, &v)| (name, v.into()));
+    vec![
+        ("counters", u64_map(&inner.counters)),
+        ("gauges", Json::obj(Layout::Block, gauges)),
+        ("histograms", Json::obj(Layout::Block, histograms)),
+    ]
 }
 
-fn render_u64_map(
-    out: &mut String,
-    key: &str,
-    map: &BTreeMap<String, u64>,
-    indent: usize,
-    last: bool,
-) {
-    let pad = " ".repeat(indent);
-    let _ = writeln!(out, "{pad}\"{key}\": {{");
-    let n = map.len();
-    for (i, (name, v)) in map.iter().enumerate() {
-        let sep = if i + 1 == n { "" } else { "," };
-        let _ = writeln!(out, "{pad}  {}: {v}{sep}", json_string(name));
-    }
-    let sep = if last { "" } else { "," };
-    let _ = writeln!(out, "{pad}}}{sep}");
+fn u64_map(map: &BTreeMap<String, u64>) -> Json {
+    Json::obj(Layout::Block, map.iter().map(|(name, &v)| (name, v.into())))
 }
 
-/// Renders `s` as a JSON string literal: quotes, backslashes and
-/// control characters escaped.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders `x` as a JSON number, or `null` when it is not finite.
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
+#[cfg(test)]
+use crate::json::{json_f64, json_string};
 
 #[cfg(test)]
 mod tests {
@@ -558,5 +498,33 @@ mod tests {
         assert!(!json.contains("\"a\""));
         assert!(!json.contains("\"b\""));
         assert!(!json.contains("\"c\""));
+    }
+
+    #[test]
+    fn metrics_documents_render_their_golden_text() {
+        let reg = MetricsRegistry::new();
+        let clock = ManualClock::new();
+        reg.counter_add("stream.frames", 1200);
+        reg.counter_add("lp.solves", u64::MAX);
+        reg.counter_add("quote\"tab\t", 1);
+        reg.gauge_set("serve.conns.open", -3);
+        for v in [0.5, 2.0, 9.0] {
+            reg.histogram_observe("stream.window_aps", &[1.0, 2.5, 8.0], v);
+        }
+        {
+            let _span = reg.span("core.ingest", &clock);
+            clock.advance_ns(1_500);
+        }
+        {
+            let _span = reg.span("lp.solve", &clock);
+            clock.advance_ns(250);
+        }
+        // No nondeterministic counter was touched: that section is the
+        // empty one.
+        assert_eq!(reg.to_json(), include_str!("../tests/golden/metrics.json"));
+        assert_eq!(
+            reg.deterministic_json(),
+            include_str!("../tests/golden/metrics_deterministic.json")
+        );
     }
 }

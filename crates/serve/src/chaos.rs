@@ -23,6 +23,7 @@ use crate::server::{start, ServeConfig};
 use crate::state::{PublisherConfig, TrackerPublisher};
 use crate::ServeError;
 use marauder_fault::{client_schedule, ClientFaultKind, ClientSchedule, Expectation};
+use marauder_obs::json::{self, Json, Layout};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -120,29 +121,15 @@ impl ChaosReport {
 
     /// Renders the `marauder-serve-chaos-v1` document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"marauder-serve-chaos-v1\",\n");
-        out.push_str(&format!("  \"pass\": {},\n", self.pass()));
-        out.push_str(&format!("  \"healthz_after\": {},\n", self.healthz_after));
-        out.push_str("  \"accounting\": [\n");
-        for (i, a) in self.accounting.iter().enumerate() {
-            let sep = if i + 1 == self.accounting.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "    {{\"kind\": \"{}\", \"cells\": {}, \"counted\": {}}}{sep}\n",
-                a.kind.key(),
-                a.cells,
-                a.counted
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 == self.cells.len() { "" } else { "," };
+        let accounting = self.accounting.iter().map(|a| {
+            let members = [
+                ("kind", a.kind.key().into()),
+                ("cells", a.cells.into()),
+                ("counted", a.counted.into()),
+            ];
+            Json::obj(Layout::Inline, members)
+        });
+        let cells = self.cells.iter().map(|c| {
             let verdict = match &c.verdict {
                 CellVerdict::Honoured => "honoured".to_string(),
                 CellVerdict::WrongStatus { expected, got } => {
@@ -151,16 +138,24 @@ impl ChaosReport {
                 CellVerdict::NoResponse => "no_response".to_string(),
                 CellVerdict::Infra(e) => format!("infra: {e}"),
             };
-            out.push_str(&format!(
-                "    {{\"kind\": \"{}\", \"index\": {}, \"verdict\": \"{}\"}}{sep}\n",
-                c.kind.key(),
-                c.index,
-                verdict.replace('"', "'")
-            ));
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+            let members = [
+                ("kind", c.kind.key().into()),
+                ("index", c.index.into()),
+                ("verdict", Json::Str(verdict)),
+            ];
+            Json::obj(Layout::Inline, members)
+        });
+        let doc = Json::obj(
+            Layout::Block,
+            [
+                ("schema", "marauder-serve-chaos-v1".into()),
+                ("pass", self.pass().into()),
+                ("healthz_after", self.healthz_after.into()),
+                ("accounting", Json::arr(Layout::Block, accounting)),
+                ("cells", Json::arr(Layout::Block, cells)),
+            ],
+        );
+        doc.render()
     }
 }
 
@@ -174,17 +169,12 @@ fn counter_for(kind: ClientFaultKind) -> &'static str {
     }
 }
 
-/// Reads `"name": value` out of an obs JSON export (0 if absent).
+/// Reads `counters.<name>` out of an obs JSON export (0 if absent or
+/// unreadable).
 pub fn counter_in(metrics_json: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\": ");
-    let Some(at) = metrics_json.find(&needle) else {
-        return 0;
-    };
-    metrics_json[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
+    json::parse(metrics_json)
+        .ok()
+        .and_then(|doc| doc.get("counters")?.get(name)?.as_u64())
         .unwrap_or(0)
 }
 
@@ -360,6 +350,24 @@ mod tests {
     }
 
     #[test]
+    fn infra_verdicts_keep_their_text_and_stay_valid_json() {
+        let report = ChaosReport {
+            cells: vec![ChaosCell {
+                kind: ClientFaultKind::Garbage,
+                index: 0,
+                verdict: CellVerdict::Infra("connect: \"x\"\t\\q".into()),
+            }],
+            accounting: Vec::new(),
+            healthz_after: true,
+        };
+        let doc = json::parse(&report.to_json()).expect("the report is valid JSON");
+        let verdict = doc
+            .get("cells")
+            .and_then(|cells| cells.as_arr()?.first()?.get("verdict")?.as_str());
+        assert_eq!(verdict, Some("infra: connect: \"x\"\t\\q"));
+    }
+
+    #[test]
     fn chaos_matrix_passes_against_a_live_server() {
         let report = run_chaos(&ChaosConfig {
             seed: 7,
@@ -373,6 +381,51 @@ mod tests {
             "chaos contract violated: {violations:?} accounting {:?} healthz {}",
             report.accounting,
             report.healthz_after
+        );
+    }
+
+    #[test]
+    fn chaos_report_renders_its_golden_text() {
+        let cell = |kind, index, verdict| ChaosCell {
+            kind,
+            index,
+            verdict,
+        };
+        let report = ChaosReport {
+            cells: vec![
+                cell(ClientFaultKind::SlowLoris, 0, CellVerdict::Honoured),
+                cell(
+                    ClientFaultKind::Garbage,
+                    1,
+                    CellVerdict::WrongStatus {
+                        expected: 400,
+                        got: 200,
+                    },
+                ),
+                cell(ClientFaultKind::Oversized, 0, CellVerdict::NoResponse),
+                cell(
+                    ClientFaultKind::MidRequestDisconnect,
+                    3,
+                    CellVerdict::Infra("connect: Connection refused (os error 111)".into()),
+                ),
+            ],
+            accounting: vec![
+                KindAccounting {
+                    kind: ClientFaultKind::SlowLoris,
+                    cells: 8,
+                    counted: 8,
+                },
+                KindAccounting {
+                    kind: ClientFaultKind::Garbage,
+                    cells: 8,
+                    counted: 7,
+                },
+            ],
+            healthz_after: false,
+        };
+        assert_eq!(
+            report.to_json(),
+            include_str!("../../obs/tests/golden/serve_chaos.json")
         );
     }
 }

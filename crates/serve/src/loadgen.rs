@@ -30,6 +30,7 @@ use crate::ServeError;
 use marauder_core::apdb::{ApDatabase, ApRecord};
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
+use marauder_obs::json::{Json, Layout};
 use marauder_stream::{StreamConfig, StreamEngine};
 use marauder_wifi::channel::Channel;
 use marauder_wifi::frame::Frame;
@@ -142,55 +143,48 @@ impl BenchReport {
         self.rows.iter().all(|row| row.errors == 0) && self.interference.within_budget
     }
 
-    /// Renders the `marauder-serve-bench-v1` document.
+    /// Renders the `marauder-serve-bench-v1` document. Durations and
+    /// ratios carry six decimals and rates one.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"marauder-serve-bench-v1\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        out.push_str("  \"closed_loop\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let sep = if i + 1 == self.rows.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"concurrency\": {}, \"requests\": {}, \"errors\": {}, \
-                 \"elapsed_s\": {:.6}, \"req_per_s\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}{sep}\n",
-                row.concurrency,
-                row.requests,
-                row.errors,
-                row.elapsed.as_secs_f64(),
-                row.req_per_s,
-                row.p50_us,
-                row.p99_us,
-            ));
-        }
-        out.push_str("  ],\n");
+        let fixed = |x: f64, decimals: usize| Json::Num(format!("{x:.decimals$}"));
+        let rows = self.rows.iter().map(|row| {
+            let members = [
+                ("concurrency", row.concurrency.into()),
+                ("requests", row.requests.into()),
+                ("errors", row.errors.into()),
+                ("elapsed_s", fixed(row.elapsed.as_secs_f64(), 6)),
+                ("req_per_s", fixed(row.req_per_s, 1)),
+                ("p50_us", row.p50_us.into()),
+                ("p99_us", row.p99_us.into()),
+            ];
+            Json::obj(Layout::Inline, members)
+        });
         let i = &self.interference;
-        out.push_str("  \"ingest_interference\": {\n");
-        out.push_str(&format!("    \"frames\": {},\n", i.frames));
-        out.push_str(&format!("    \"readers\": {},\n", i.readers));
-        out.push_str(&format!(
-            "    \"reader_responses\": {},\n",
-            i.reader_responses
-        ));
-        out.push_str(&format!(
-            "    \"scheduled_s\": {:.6},\n",
-            i.scheduled.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "    \"base_elapsed_s\": {:.6},\n",
-            i.base_elapsed.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "    \"loaded_elapsed_s\": {:.6},\n",
-            i.loaded_elapsed.as_secs_f64()
-        ));
-        out.push_str(&format!("    \"slowdown\": {:.6},\n", i.slowdown));
-        out.push_str(&format!("    \"max_slowdown\": {:.6},\n", i.max_slowdown));
-        out.push_str(&format!("    \"within_budget\": {}\n", i.within_budget));
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
+        let interference = [
+            ("frames", i.frames.into()),
+            ("readers", i.readers.into()),
+            ("reader_responses", i.reader_responses.into()),
+            ("scheduled_s", fixed(i.scheduled.as_secs_f64(), 6)),
+            ("base_elapsed_s", fixed(i.base_elapsed.as_secs_f64(), 6)),
+            ("loaded_elapsed_s", fixed(i.loaded_elapsed.as_secs_f64(), 6)),
+            ("slowdown", fixed(i.slowdown, 6)),
+            ("max_slowdown", fixed(i.max_slowdown, 6)),
+            ("within_budget", i.within_budget.into()),
+        ];
+        let doc = Json::obj(
+            Layout::Block,
+            [
+                ("schema", "marauder-serve-bench-v1".into()),
+                ("seed", self.seed.into()),
+                ("host_cores", self.host_cores.into()),
+                ("closed_loop", Json::arr(Layout::Block, rows)),
+                (
+                    "ingest_interference",
+                    Json::obj(Layout::Block, interference),
+                ),
+            ],
+        );
+        doc.render()
     }
 }
 
@@ -665,5 +659,48 @@ mod tests {
             "an error response fails the run"
         );
         assert!(!report([0, 0], 0.31).pass(), "over budget fails the run");
+    }
+
+    #[test]
+    fn bench_report_renders_its_golden_text() {
+        let report = BenchReport {
+            seed: 42,
+            host_cores: 2,
+            rows: vec![
+                ClosedLoopRow {
+                    concurrency: 1,
+                    requests: 120,
+                    errors: 0,
+                    elapsed: Duration::from_micros(61_234),
+                    req_per_s: 1959.695,
+                    p50_us: 410,
+                    p99_us: 1_873,
+                },
+                ClosedLoopRow {
+                    concurrency: 64,
+                    requests: 7_680,
+                    errors: 2,
+                    elapsed: Duration::from_nanos(1_500_000_001),
+                    req_per_s: 5120.0,
+                    p50_us: 9_001,
+                    p99_us: 48_250,
+                },
+            ],
+            interference: InterferenceReport {
+                frames: 2000,
+                readers: 64,
+                reader_responses: 6_321,
+                scheduled: Duration::from_millis(1_000),
+                base_elapsed: Duration::from_micros(1_000_412),
+                loaded_elapsed: Duration::from_micros(1_012_345),
+                slowdown: 0.011_928_087,
+                max_slowdown: 0.05,
+                within_budget: true,
+            },
+        };
+        assert_eq!(
+            report.to_json(),
+            include_str!("../../obs/tests/golden/serve_bench.json")
+        );
     }
 }

@@ -78,11 +78,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
-    }
-
     /// Stops accepting, waits for the accept loop to exit, then waits
     /// (briefly) for in-flight connections to drain. Idempotent.
     pub fn shutdown(&mut self) {

@@ -544,12 +544,6 @@ impl CampusScenarioBuilder {
         self
     }
 
-    /// Overrides the free-space environment margin in dB.
-    pub fn environment_margin_db(mut self, db: f64) -> Self {
-        self.inner.environment_margin = Db::new(db);
-        self
-    }
-
     /// Sets the AP beacon period, or disables beacons with `None`
     /// (default 30 s).
     pub fn beacon_period_s(mut self, p: Option<f64>) -> Self {
