@@ -8,7 +8,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use marauder_geo::montecarlo::SplitMix64;
-use marauder_lp::{dense, solve_with_basis, BasisHint, PairProgram, Problem, Relation, WarmStart};
+use marauder_lp::{solve_with_basis, BasisHint, PairProgram, Problem, Relation, WarmStart};
+
+/// The dense reference tableau, kept in the LP crate's test tree.
+#[path = "../../lp/tests/dense/mod.rs"]
+mod dense;
 
 /// An AP-Rad-shaped program over `n` jittered grid sites: per-variable
 /// caps plus pairwise `r_i + r_j ≤ d` budgets for near pairs. Pure-`≤`

@@ -3,7 +3,7 @@
 
 use marauder_core::algorithms::Centroid;
 use marauder_core::apdb::{ApDatabase, ApRecord};
-use marauder_core::eval::{EvalOutcome, FixRecord};
+use marauder_core::eval::{nearest_in_time, EvalOutcome, FixRecord};
 use marauder_core::pipeline::{AttackConfig, FixProvenance, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
 use marauder_sim::mobility::CircuitWalk;
@@ -158,7 +158,12 @@ pub fn run_attack_experiment(seeds: &[u64], world: WorldModel) -> AttackOutcomes
                 .filter_map(|m| db.get(*m).map(|r| (r.location, r.radius)))
                 .collect();
             let positions: Vec<Point> = records.iter().map(|(p, _)| *p).collect();
-            let t = nearest_truth(&truth, obs.window_start_s + config.window_s / 2.0);
+            let t = nearest_in_time(
+                truth.iter().copied(),
+                obs.window_start_s + config.window_s / 2.0,
+                |g| g.time_s,
+            )
+            .expect("non-empty truth");
             if let Some(est) = Centroid.locate(&positions) {
                 out.centroid.records.push(FixRecord {
                     k: positions.len(),
@@ -252,17 +257,6 @@ pub fn measured_knowledge(
         .collect()
 }
 
-fn nearest_truth<'a>(truth: &[&'a GroundTruthFix], t: f64) -> &'a GroundTruthFix {
-    truth
-        .iter()
-        .min_by(|a, b| {
-            let da = (a.time_s - t).abs();
-            let db = (b.time_s - t).abs();
-            da.partial_cmp(&db).expect("times are finite")
-        })
-        .expect("non-empty truth")
-}
-
 fn score_fixes(
     map: &MaraudersMap,
     result: &SimulationResult,
@@ -271,7 +265,8 @@ fn score_fixes(
     outcome: &mut EvalOutcome,
 ) {
     for fix in map.track(&result.captures, victim) {
-        let t = nearest_truth(truth, fix.time_s + 7.5);
+        let t = nearest_in_time(truth.iter().copied(), fix.time_s + 7.5, |g| g.time_s)
+            .expect("non-empty truth");
         outcome.records.push(FixRecord {
             k: fix.gamma.len(),
             error_m: fix.estimate.position.distance(t.position),

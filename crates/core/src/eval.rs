@@ -252,6 +252,19 @@ where
         .collect()
 }
 
+/// The row nearest in time to `t`, by `|time_s(row) - t|` under
+/// [`f64::total_cmp`] (so a NaN time sorts last instead of panicking),
+/// taking the first row on a tie; `None` when there are no rows. Every
+/// scorer matches a fix to its ground truth through it.
+pub fn nearest_in_time<T>(
+    rows: impl IntoIterator<Item = T>,
+    t: f64,
+    time_s: impl Fn(&T) -> f64,
+) -> Option<T> {
+    rows.into_iter()
+        .min_by(|a, b| (time_s(a) - t).abs().total_cmp(&(time_s(b) - t).abs()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

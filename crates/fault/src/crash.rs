@@ -279,19 +279,24 @@ impl CrashReport {
     }
 }
 
-/// Canonical byte rendering of a fix list: every float as its IEEE-754
-/// bits, so "byte-identical" means exactly that.
+/// Canonical byte rendering of a fix list — the one fix identity every
+/// equivalence check compares: time, mobile, position, area, `k`,
+/// provenance and Γ, every float as its IEEE-754 bits, so
+/// "byte-identical" means exactly that.
 pub fn render_fixes(fixes: &[TrackFix]) -> String {
     let mut out = String::new();
     for f in fixes {
         let gamma: Vec<String> = f.gamma.iter().map(|m| m.to_string()).collect();
         let _ = writeln!(
             out,
-            "{:016x} {} {:016x} {:016x} {}",
+            "{:016x} {} {:016x} {:016x} {:016x} {} {} {}",
             f.time_s.to_bits(),
             f.mobile,
             f.estimate.position.x.to_bits(),
             f.estimate.position.y.to_bits(),
+            f.estimate.area().to_bits(),
+            f.estimate.k,
+            f.provenance.as_str(),
             gamma.join(",")
         );
     }
@@ -624,6 +629,32 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn fixes_differing_only_in_area_or_provenance_render_differently() {
+        use marauder_core::pipeline::FixProvenance;
+        let scenario = ChaosScenario::quick(7);
+        let fixes = scenario.fresh_map().track_all(scenario.captures());
+        let fix = &fixes[0];
+        let wider = fixes
+            .iter()
+            .find(|f| f.estimate.area().to_bits() != fix.estimate.area().to_bits())
+            .expect("the campus yields fixes of two areas");
+        let mut area = fix.clone();
+        area.estimate.region = wider.estimate.region.clone();
+        let mut provenance = fix.clone();
+        provenance.provenance = match fix.provenance {
+            FixProvenance::MLoc => FixProvenance::Inflated,
+            _ => FixProvenance::MLoc,
+        };
+        let rendered = render_fixes(std::slice::from_ref(fix));
+        assert_ne!(render_fixes(&[area]), rendered, "area must count");
+        assert_ne!(
+            render_fixes(&[provenance]),
+            rendered,
+            "provenance must count"
+        );
     }
 
     #[test]

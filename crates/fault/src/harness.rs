@@ -20,7 +20,7 @@
 use crate::inject::{FaultCounts, FaultInjector};
 use crate::plan::{Fault, FaultPlan};
 use marauder_core::apdb::{ApDatabase, ApRecord};
-use marauder_core::eval::{ErrorStats, EvalOutcome, FixRecord};
+use marauder_core::eval::{nearest_in_time, ErrorStats, EvalOutcome, FixRecord};
 use marauder_core::pipeline::{
     AttackConfig, DegradationPolicy, FixProvenance, KnowledgeLevel, MaraudersMap,
 };
@@ -285,7 +285,11 @@ impl ChaosScenario {
             .collect();
         let mut victim_outcome = EvalOutcome::default();
         for fix in fixes.iter().filter(|f| f.mobile == self.victim) {
-            let Some(t) = nearest_truth(&truth, fix.time_s + self.config.window_s / 2.0) else {
+            let Some(t) = nearest_in_time(
+                truth.iter().copied(),
+                fix.time_s + self.config.window_s / 2.0,
+                |g| g.time_s,
+            ) else {
                 continue;
             };
             victim_outcome.records.push(FixRecord {
@@ -541,17 +545,6 @@ fn counts<'a>(pairs: impl IntoIterator<Item = (&'a str, usize)>) -> Json {
         Layout::Inline,
         pairs.into_iter().map(|(k, v)| (k, v.into())),
     )
-}
-
-fn nearest_truth<'a>(truth: &[&'a GroundTruthFix], t: f64) -> Option<&'a GroundTruthFix> {
-    truth
-        .iter()
-        .min_by(|a, b| {
-            let da = (a.time_s - t).abs();
-            let db = (b.time_s - t).abs();
-            da.total_cmp(&db)
-        })
-        .copied()
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //!   anti-cycling rule over a **sparse row representation**, with
 //!   **warm starts** from a previous optimal basis. It serves the
 //!   warm-started live path and is the flow solver's reference oracle.
-//!   The original dense tableau is retained in [`dense`] as a bit-exact
-//!   reference for the simplex itself.
+//!   The original dense tableau, the simplex's own bit-exact reference,
+//!   lives in the crate's test tree (`tests/dense`).
 //!
 //! The general model is: maximize (or minimize) `cᵀx` subject to
 //! linear constraints `aᵀx {≤,≥,=} b` and `x ≥ 0`. Upper bounds are
@@ -37,7 +37,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dense;
 pub mod flow;
 pub mod problem;
 pub mod simplex;
@@ -45,3 +44,12 @@ pub mod simplex;
 pub use flow::PairProgram;
 pub use problem::{Constraint, Problem, Relation};
 pub use simplex::{solve_with_basis, BasisHint, Outcome, Solution, SolveReport, WarmStart};
+
+// The unit tests reach the test tree's dense reference under the name
+// every other includer uses.
+#[cfg(test)]
+extern crate self as marauder_lp;
+#[cfg(test)]
+#[allow(dead_code)] // the unit tests call only `solve_counted`
+#[path = "../tests/dense/mod.rs"]
+mod dense;

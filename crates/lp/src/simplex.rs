@@ -11,7 +11,7 @@
 //! # Bit-exactness contract
 //!
 //! The cold path reproduces the retained dense reference
-//! ([`crate::dense`]) **bit for bit**: pivot selection (Dantzig with a
+//! (`tests/dense`) **bit for bit**: pivot selection (Dantzig with a
 //! Bland fallback after the stall threshold), the minimum-ratio test
 //! with its basis-index tie break, and the per-entry update arithmetic
 //! (`v - factor · pv`, pivot-row scaling by `1/piv`) are all replicated

@@ -7,6 +7,8 @@
 //! candidate vertices, keep the feasible ones, and take the best: an
 //! independent oracle for the simplex implementation.
 
+mod dense;
+
 use marauder_lp::{Outcome, Problem, Relation};
 
 /// A dense `≤` system: rows of `(coeffs, rhs)` plus implicit `x ≥ 0`
@@ -171,7 +173,7 @@ fn random_lp(seed: u64, n: usize) -> DenseLp {
 fn check_seed(seed: u64, lp: &DenseLp) {
     let brute = lp.brute_force_optimum().expect("origin is feasible");
     let sparse = lp.to_problem().solve();
-    let dense = marauder_lp::dense::solve(&lp.to_problem());
+    let dense = dense::solve(&lp.to_problem());
     match (&sparse, &dense) {
         (Outcome::Optimal(sol), Outcome::Optimal(dsol)) => {
             assert!(

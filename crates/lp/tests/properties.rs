@@ -5,13 +5,15 @@
 //! and (c) returns an objective at least as good as the known point.
 //!
 //! The differential properties at the bottom pin the sparse solver
-//! against the retained dense reference ([`marauder_lp::dense`]):
+//! against the retained dense reference (`tests/dense`):
 //! bit-for-bit on the cold path (status, objective, values — modulo
 //! zero signs, which neither path defines), and optimum-equivalent on
 //! warm-started solves (which may legitimately stop at a different
 //! vertex of the same optimal face).
 
-use marauder_lp::{dense, solve_with_basis, BasisHint, Outcome, Problem, Relation, WarmStart};
+mod dense;
+
+use marauder_lp::{solve_with_basis, BasisHint, Outcome, Problem, Relation, WarmStart};
 use proptest::prelude::*;
 
 /// A generated LP whose constraints are all of the form `aᵀx ≤ b` with

@@ -16,7 +16,7 @@ use crate::aggregator::{Aggregator, FleetConfig};
 use crate::loopback::{corrupt_slice, required_slack_s, split_round_robin, LoopbackFleet};
 use crate::node::NodeConfig;
 use crate::transport::NetError;
-use marauder_fault::{ChaosScenario, Fault, FaultPlan};
+use marauder_fault::{render_fixes, ChaosScenario, Fault, FaultPlan};
 use marauder_obs::json::{Json, Layout};
 use marauder_par::sub_seed;
 use marauder_stream::{replay_frames, StreamConfig};
@@ -213,13 +213,7 @@ pub fn run_cell(
         stream,
         union.iter().map(|(_, _, _, f)| *f),
     );
-    let matches_single_stream = baseline.len() == fixes.len()
-        && baseline.iter().zip(&fixes).all(|(a, b)| {
-            a.mobile == b.mobile
-                && a.time_s.to_bits() == b.time_s.to_bits()
-                && a.estimate.position.x.to_bits() == b.estimate.position.x.to_bits()
-                && a.estimate.position.y.to_bits() == b.estimate.position.y.to_bits()
-        });
+    let matches_single_stream = render_fixes(&baseline) == render_fixes(&fixes);
 
     Ok(FleetChaosCell {
         name: name.to_string(),

@@ -86,7 +86,8 @@ pub use journal::{
 pub use persist::PersistError;
 pub use publish::SnapshotSink;
 pub use replay::{
-    pacing_gap, replay_database, replay_frames, replay_log, Pacer, PollBackoff, MAX_PACING_GAP_S,
+    pacing_gap, replay_database, replay_frames, replay_log, ErrorBudget, Pacer, PollBackoff,
+    MAX_PACING_GAP_S,
 };
 
 // Re-exported for downstream convenience (CLI, benches).

@@ -1,5 +1,6 @@
 //! Capture replay: drive the engine from stored frames and recover the
-//! batch-equivalent fix list — plus the wall-clock helpers a *live*
+//! batch-equivalent fix list — plus the malformed-input budget every
+//! capture-log ingest path shares, and the wall-clock helpers a *live*
 //! replay needs (pacing, follow-mode polling).
 
 use crate::engine::{ClosedWindow, StreamConfig, StreamEngine, StreamStats};
@@ -177,26 +178,72 @@ pub fn replay_database(
     replay_frames(map, config, captures.iter())
 }
 
-/// Streams a serialized capture log (the
-/// [`marauder_wifi::capture_log`] text format) through a fresh engine,
-/// tolerating up to `error_budget` malformed body lines.
+/// The malformed-input rule every capture-log ingest path shares:
+/// [`replay_log`], and the CLI's `replay` (with or without `--follow`)
+/// and `serve`.
 ///
 /// Real sniffer logs get corrupted — a process killed mid-write cuts
 /// the final record, a flaky disk flips bytes. Aborting a whole
 /// campaign over one bad line is worse than skipping it, but skipping
 /// *silently* hides real corruption; the budget makes the trade
-/// explicit. Malformed lines are skipped deterministically
-/// (skip-and-count, returned for reporting) until the budget is
-/// exceeded.
+/// explicit. The first `budget` malformed body lines are skipped
+/// deterministically and handed back for reporting; the next one is
+/// fatal. A missing or wrong header line is never covered — the text is
+/// not a capture log at all, and a budget rides out corruption *inside*
+/// a log, it does not legitimize replaying a non-log.
+#[derive(Debug, Clone)]
+pub struct ErrorBudget {
+    budget: usize,
+    skipped: Vec<ParseLogError>,
+}
+
+impl ErrorBudget {
+    /// A budget of `budget` malformed body lines.
+    pub fn new(budget: usize) -> Self {
+        ErrorBudget {
+            budget,
+            skipped: Vec::new(),
+        }
+    }
+
+    /// Rules on one decode error: returns it again when the budget
+    /// covers it, so the caller can report the skip.
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::BadHeader`] for a header error (always line 1,
+    /// whatever the budget), and [`PipelineError::BudgetExhausted`]
+    /// naming the 1-based line that overflowed the budget.
+    pub fn skip(&mut self, error: ParseLogError) -> Result<&ParseLogError, PipelineError> {
+        if error.line() <= 1 {
+            return Err(PipelineError::BadHeader);
+        }
+        if self.skipped.len() == self.budget {
+            return Err(PipelineError::BudgetExhausted {
+                line: error.line(),
+                budget: self.budget,
+            });
+        }
+        self.skipped.push(error);
+        Ok(&self.skipped[self.skipped.len() - 1])
+    }
+
+    /// The errors skipped so far, in line order.
+    pub fn skipped(&self) -> &[ParseLogError] {
+        &self.skipped
+    }
+}
+
+/// Streams a serialized capture log (the
+/// [`marauder_wifi::capture_log`] text format) through a fresh engine,
+/// tolerating up to `error_budget` malformed body lines under the
+/// [`ErrorBudget`] rule, and returns the batch-equivalent fixes, the
+/// ingestion counters and the skipped lines.
 ///
 /// # Errors
 ///
-/// [`PipelineError::BudgetExhausted`] naming the 1-based line that
-/// overflowed the budget. A missing or wrong header line is never
-/// covered by the budget — the text is not a capture log at all — and
-/// aborts immediately as the distinct [`PipelineError::BadHeader`]
-/// (previously it surfaced as a confusing `BudgetExhausted { line: 1 }`
-/// even when the budget had plenty of room).
+/// [`PipelineError::BadHeader`] or [`PipelineError::BudgetExhausted`],
+/// as [`ErrorBudget::skip`] rules.
 pub fn replay_log(
     map: MaraudersMap,
     config: StreamConfig,
@@ -205,27 +252,18 @@ pub fn replay_log(
 ) -> Result<(Vec<TrackFix>, StreamStats, Vec<ParseLogError>), PipelineError> {
     let mut engine = StreamEngine::new(map, config);
     let mut closed: Vec<ClosedWindow> = Vec::new();
-    let mut skipped: Vec<ParseLogError> = Vec::new();
+    let mut budget = ErrorBudget::new(error_budget);
     for item in capture_log_frames(text) {
         match item {
             Ok(frame) => closed.extend(engine.push(&frame)),
-            // Header errors are always reported as line 1; body lines
-            // start at 2. The header is exempt from the budget by
-            // design: the budget rides out corruption inside a log, it
-            // does not legitimize replaying a non-log.
-            Err(e) if e.line() <= 1 => return Err(PipelineError::BadHeader),
-            Err(e) if skipped.len() < error_budget => skipped.push(e),
             Err(e) => {
-                return Err(PipelineError::BudgetExhausted {
-                    line: e.line(),
-                    budget: error_budget,
-                })
+                budget.skip(e)?;
             }
         }
     }
     closed.extend(engine.finish());
     let fixes = engine.batch_fixes(closed);
-    Ok((fixes, engine.stats().clone(), skipped))
+    Ok((fixes, engine.stats().clone(), budget.skipped))
 }
 
 #[cfg(test)]
@@ -376,6 +414,26 @@ mod tests {
         // A missing header is not a body error: no budget covers it.
         let err = replay_log(map(KnowledgeLevel::Full), cfg(), "not a log", 10).unwrap_err();
         assert_eq!(err, PipelineError::BadHeader);
+    }
+
+    #[test]
+    fn error_budget_hands_back_each_skip_then_refuses() {
+        let errors: Vec<ParseLogError> = capture_log_frames("# marauder capture v1\nx\n\ny\nz\n")
+            .filter_map(Result::err)
+            .collect();
+        let mut budget = ErrorBudget::new(2);
+        assert_eq!(budget.skip(errors[0].clone()).unwrap().line(), 2);
+        assert_eq!(budget.skip(errors[1].clone()).unwrap().line(), 4);
+        assert_eq!(
+            budget.skip(errors[2].clone()).unwrap_err(),
+            PipelineError::BudgetExhausted { line: 5, budget: 2 }
+        );
+        assert_eq!(budget.skipped(), &errors[..2]);
+        let header = capture_log_frames("x\n").next().unwrap().unwrap_err();
+        assert_eq!(
+            ErrorBudget::new(9).skip(header).unwrap_err(),
+            PipelineError::BadHeader
+        );
     }
 
     #[test]

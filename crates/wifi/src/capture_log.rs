@@ -130,9 +130,8 @@ fn scan(line: &str, from: usize, ws: bool) -> usize {
 
 /// Parses one non-header line of the capture-log body.
 ///
-/// Returns `Ok(None)` for blank lines and `#` comments. This is the
-/// unit the streaming consumers (`marauder replay --follow`) use to
-/// decode lines appended to a live log.
+/// Returns `Ok(None)` for blank lines and `#` comments. [`LineDecoder`]
+/// runs it once per body line.
 ///
 /// # Errors
 ///
@@ -186,23 +185,84 @@ pub fn parse_capture_line(line: &str) -> Result<Option<CapturedFrame>, String> {
     }))
 }
 
+/// Decodes a capture log one line at a time, in order — the decoder
+/// [`CaptureLogFrames`] runs, for readers that receive the log in
+/// pieces (`marauder replay --follow` tails one still being written).
+///
+/// Line 1 must be [`HEADER`]; each later line is one
+/// [`parse_capture_line`] call. Every error carries its 1-based line
+/// number, so a header error is always line 1, and it ends the log:
+/// what follows a wrong header is not a capture-log body.
+#[derive(Debug, Clone, Default)]
+pub struct LineDecoder {
+    lines: usize,
+}
+
+impl LineDecoder {
+    /// A decoder at the start of a log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Decodes the log's next line: `Ok(None)` for the header, a blank
+    /// line or a comment.
+    ///
+    /// # Errors
+    ///
+    /// A wrong header on line 1, or a malformed body line, with its
+    /// line number and [`parse_capture_line`]'s reason.
+    pub fn decode(&mut self, line: &str) -> Result<Option<CapturedFrame>, ParseLogError> {
+        self.lines += 1;
+        if self.lines == 1 {
+            return if line.trim() == HEADER {
+                Ok(None)
+            } else {
+                Err(missing_header())
+            };
+        }
+        parse_capture_line(line).map_err(|reason| ParseLogError {
+            line: self.lines,
+            reason,
+        })
+    }
+
+    /// Ends the log.
+    ///
+    /// # Errors
+    ///
+    /// The missing header, as line 1, when not even a header line was
+    /// decoded.
+    pub fn finish(&self) -> Result<(), ParseLogError> {
+        if self.lines == 0 {
+            return Err(missing_header());
+        }
+        Ok(())
+    }
+}
+
+/// The error of a log whose line 1 is not [`HEADER`].
+fn missing_header() -> ParseLogError {
+    ParseLogError {
+        line: 1,
+        reason: format!("missing header {HEADER:?}"),
+    }
+}
+
 /// Streaming iterator over the frames of a capture log: one
 /// [`CapturedFrame`] at a time, without materializing a
 /// [`CaptureDatabase`] — the frame feed for the live tracking engine.
 ///
-/// The header is validated lazily on the first call to `next`; a
-/// missing or wrong header is fatal and fuses the iterator. A
-/// malformed *body* line yields `Some(Err(_))` with its 1-based line
-/// number and iteration resumes at the following line — callers decide
-/// whether to abort on the first error
-/// ([`parse_capture_log`] does) or skip-and-count under an error
-/// budget (`marauder_stream::replay_log` does).
+/// Each line goes through one [`LineDecoder`]. A missing or wrong
+/// header is fatal and fuses the iterator. A malformed *body* line
+/// yields `Some(Err(_))` with its 1-based line number and iteration
+/// resumes at the following line — callers decide whether to abort on
+/// the first error ([`parse_capture_log`] does) or skip-and-count under
+/// an error budget (`marauder_stream::ErrorBudget` does).
 #[derive(Debug, Clone)]
 pub struct CaptureLogFrames<'a> {
     lines: std::str::Lines<'a>,
-    line_no: usize,
-    header_ok: bool,
-    failed: bool,
+    decoder: LineDecoder,
+    fused: bool,
 }
 
 /// Iterates over the frames of a capture log without building a
@@ -210,9 +270,8 @@ pub struct CaptureLogFrames<'a> {
 pub fn capture_log_frames(text: &str) -> CaptureLogFrames<'_> {
     CaptureLogFrames {
         lines: text.lines(),
-        line_no: 0,
-        header_ok: false,
-        failed: false,
+        decoder: LineDecoder::new(),
+        fused: false,
     }
 }
 
@@ -220,38 +279,23 @@ impl Iterator for CaptureLogFrames<'_> {
     type Item = Result<CapturedFrame, ParseLogError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
+        if self.fused {
             return None;
         }
-        if !self.header_ok {
-            self.line_no += 1;
-            match self.lines.next() {
-                Some(h) if h.trim() == HEADER => self.header_ok = true,
-                _ => {
-                    self.failed = true;
-                    return Some(Err(ParseLogError {
-                        line: 1,
-                        reason: format!("missing header {HEADER:?}"),
-                    }));
-                }
-            }
-        }
         for line in self.lines.by_ref() {
-            self.line_no += 1;
-            match parse_capture_line(line) {
+            match self.decoder.decode(line) {
                 Ok(None) => continue,
                 Ok(Some(rec)) => return Some(Ok(rec)),
-                // Body errors are recoverable: report, then resume on
-                // the next line.
-                Err(reason) => {
-                    return Some(Err(ParseLogError {
-                        line: self.line_no,
-                        reason,
-                    }));
+                // A header error fuses the iterator; a body error is
+                // recoverable: report, then resume on the next line.
+                Err(e) => {
+                    self.fused = e.line() == 1;
+                    return Some(Err(e));
                 }
             }
         }
-        None
+        self.fused = true;
+        self.decoder.finish().err().map(Err)
     }
 }
 
@@ -400,6 +444,23 @@ mod tests {
         assert!(it.next().unwrap().is_ok());
         assert!(it.next().unwrap().is_err());
         assert!(it.next().is_none());
+    }
+
+    #[test]
+    fn line_decoder_fed_line_by_line_matches_the_iterator() {
+        let good = write_capture_log(&sample_db());
+        let text = format!("{good}# comment\n\n1.0 0 zz\n");
+        let mut decoder = LineDecoder::new();
+        let fed: Vec<_> = text
+            .lines()
+            .filter_map(|line| decoder.decode(line).transpose())
+            .collect();
+        assert_eq!(fed, capture_log_frames(&text).collect::<Vec<_>>());
+        assert_eq!(fed[2].as_ref().unwrap_err().line(), 6);
+        assert!(decoder.finish().is_ok());
+        // A wrong first line, or none at all, is a header error.
+        assert_eq!(LineDecoder::new().decode("1.0 0 40").unwrap_err().line(), 1);
+        assert_eq!(LineDecoder::new().finish().unwrap_err().line(), 1);
     }
 
     #[test]

@@ -26,36 +26,35 @@
 //! clusters MAC pseudonyms by their probe fingerprints.
 
 use marauders_map::core::apdb::ApDatabase;
+use marauders_map::core::eval::nearest_in_time;
 use marauders_map::core::map::MapBuilder;
 use marauders_map::core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauders_map::core::pseudonym::PseudonymLinker;
-use marauders_map::core::PipelineError;
 use marauders_map::fault::{
-    crash_sweep, default_matrix, ChaosScenario, CrashSweepConfig, FaultPlan, PlanParseError,
-    SweepError,
+    crash_sweep, default_matrix, ChaosScenario, CrashSweepConfig, FaultPlan,
 };
 use marauders_map::geo::Point;
 use marauders_map::net::chaos::run_default_matrix;
 use marauders_map::net::tcp::{run_node, serve_with, RetryConfig};
 use marauders_map::net::{
-    required_slack_s, restore_latest, split_by_time, split_round_robin, Aggregator,
-    CheckpointError, FleetConfig, LoopbackFleet, NetError, NodeConfig, SnifferNode,
+    required_slack_s, restore_latest, split_by_time, split_round_robin, Aggregator, FleetConfig,
+    LoopbackFleet, NodeConfig, SnifferNode,
 };
 use marauders_map::serve::{
     chaos::{run_chaos, ChaosConfig},
     loadgen::{run_bench, LoadgenConfig},
-    PublisherConfig, ServeConfig, ServeError, TrackerPublisher,
+    PublisherConfig, ServeConfig, TrackerPublisher,
 };
 use marauders_map::sim::deploy::Rect;
 use marauders_map::sim::mobility::CircuitWalk;
 use marauders_map::sim::scenario::CampusScenario;
 use marauders_map::sim::wardrive::{training_from_csv, training_to_csv, wardrive, WardriveRoute};
 use marauders_map::stream::{
-    record_crc, FrameJournal, JournalConfig, JournalError, Pacer, PollBackoff, RecoveryError,
-    StreamConfig, StreamEngine, TrackFix,
+    record_crc, CapturedFrame, ErrorBudget, FrameJournal, JournalConfig, JournalError, Pacer,
+    PollBackoff, StreamConfig, StreamEngine, TrackFix,
 };
 use marauders_map::wifi::capture_log::{
-    capture_log_frames, parse_capture_line, parse_capture_log, write_capture_log, HEADER,
+    capture_log_frames, parse_capture_log, write_capture_log, LineDecoder, ParseLogError,
 };
 use marauders_map::wifi::device::{MobileStation, OsProfile};
 use marauders_map::wifi::mac::MacAddr;
@@ -78,25 +77,33 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    match run(cmd, rest) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Usage(msg)) => {
+            eprintln!("error: {msg}\n\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(CliError::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(cmd: &str, rest: &[String]) -> Result<(), CliError> {
     // `replay`, `stats`, `fleet`, `node` and `serve` accept the capture
     // log as a positional argument (`marauder replay run1/capture.log`);
     // `recover` takes the journal directory the same way; everything
     // else is flags.
     let takes_positional = matches!(
-        cmd.as_str(),
+        cmd,
         "replay" | "stats" | "fleet" | "node" | "recover" | "serve"
     );
     let (positional, rest) = match rest.split_first() {
         Some((p, more)) if takes_positional && !p.starts_with("--") => (Some(p.clone()), more),
         _ => (None, rest),
     };
-    let mut opts = match parse_opts(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let mut opts = parse_opts(rest)?;
     if let Some(arg) = positional {
         let key = if cmd == "recover" {
             "journal"
@@ -108,14 +115,8 @@ fn main() -> ExitCode {
     // Worker count for the parallel campaign engine: default all cores,
     // `--threads 1` forces the sequential path (output is identical
     // either way).
-    match get_num(&opts, "threads", 0usize) {
-        Ok(n) => marauders_map::par::set_threads(n),
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
-    let run = match cmd.as_str() {
+    marauders_map::par::set_threads(get_num(&opts, "threads", 0usize)?);
+    match cmd {
         "simulate" => simulate(&opts),
         "attack" => attack(&opts),
         "replay" => replay(&opts),
@@ -129,156 +130,31 @@ fn main() -> ExitCode {
         "link" => link(&opts),
         "report" => report(&opts),
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),
-    };
+    }?;
     // `--metrics FILE` on any command dumps the global registry after
     // the run — deterministic counter/gauge/histogram sections first,
     // timings under the trailing "nondeterministic" key.
-    let run = run.and_then(|()| match opts.get("metrics") {
-        Some(path) => {
-            write(Path::new(path), &marauders_map::obs::global().to_json())?;
-            eprintln!("wrote metrics to {path}");
-            Ok(())
-        }
-        None => Ok(()),
-    });
-    match run {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            if matches!(e, CliError::Usage(_)) {
-                eprintln!("\n{USAGE}");
-                ExitCode::from(2)
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+    if let Some(path) = opts.get("metrics") {
+        write(Path::new(path), &marauders_map::obs::global().to_json())?;
+        eprintln!("wrote metrics to {path}");
     }
+    Ok(())
 }
 
-/// The CLI's typed error hierarchy: every failure path names its class,
-/// so usage mistakes print the usage text (exit 2) while runtime
-/// failures (I/O, malformed inputs, pipeline errors) exit 1 with a
-/// specific message.
+/// How a command failed. `main` asks one question of it: was this a
+/// usage mistake (usage text, exit 2) or a runtime failure (exit 1)?
 #[derive(Debug)]
 enum CliError {
-    /// A command-line mistake (unknown flag/command, bad flag value).
+    /// A command-line mistake: unknown flag or command, bad flag value.
     Usage(String),
-    /// An I/O failure, with the operation that failed.
-    Io(String, std::io::Error),
-    /// A malformed input file (capture log, CSV, truth file).
-    Input(String),
-    /// A typed localization-pipeline failure.
-    Pipeline(PipelineError),
-    /// An unparsable `--faults` spec.
-    Plan(PlanParseError),
-    /// A typed fleet/wire-protocol failure.
-    Net(NetError),
-    /// A write-ahead journal failure.
-    Journal(JournalError),
-    /// A journal recovery failure.
-    Recovery(RecoveryError),
-    /// A fleet checkpoint failure.
-    Checkpoint(CheckpointError),
-    /// A crash-sweep harness failure.
-    Sweep(SweepError),
-    /// A serving-layer failure (bind, load generator, chaos harness).
-    Serve(ServeError),
+    /// Everything else: I/O, malformed input, a library error.
+    Failed(String),
 }
 
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::Usage(msg) => write!(f, "{msg}"),
-            CliError::Io(what, source) => write!(f, "{what}: {source}"),
-            CliError::Input(msg) => write!(f, "{msg}"),
-            CliError::Pipeline(e) => write!(f, "{e}"),
-            CliError::Plan(e) => write!(f, "{e}"),
-            CliError::Net(e) => write!(f, "{e}"),
-            CliError::Journal(e) => write!(f, "{e}"),
-            CliError::Recovery(e) => write!(f, "{e}"),
-            CliError::Checkpoint(e) => write!(f, "{e}"),
-            CliError::Sweep(e) => write!(f, "{e}"),
-            CliError::Serve(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for CliError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CliError::Io(_, e) => Some(e),
-            CliError::Pipeline(e) => Some(e),
-            CliError::Plan(e) => Some(e),
-            CliError::Net(e) => Some(e),
-            CliError::Journal(e) => Some(e),
-            CliError::Recovery(e) => Some(e),
-            CliError::Checkpoint(e) => Some(e),
-            CliError::Sweep(e) => Some(e),
-            CliError::Serve(e) => Some(e),
-            CliError::Usage(_) | CliError::Input(_) => None,
-        }
-    }
-}
-
-impl From<ServeError> for CliError {
-    fn from(e: ServeError) -> Self {
-        CliError::Serve(e)
-    }
-}
-
-impl From<NetError> for CliError {
-    fn from(e: NetError) -> Self {
-        CliError::Net(e)
-    }
-}
-
-impl From<PipelineError> for CliError {
-    fn from(e: PipelineError) -> Self {
-        CliError::Pipeline(e)
-    }
-}
-
-impl From<PlanParseError> for CliError {
-    fn from(e: PlanParseError) -> Self {
-        CliError::Plan(e)
-    }
-}
-
-impl From<JournalError> for CliError {
-    fn from(e: JournalError) -> Self {
-        CliError::Journal(e)
-    }
-}
-
-impl From<RecoveryError> for CliError {
-    fn from(e: RecoveryError) -> Self {
-        CliError::Recovery(e)
-    }
-}
-
-impl From<CheckpointError> for CliError {
-    fn from(e: CheckpointError) -> Self {
-        CliError::Checkpoint(e)
-    }
-}
-
-impl From<SweepError> for CliError {
-    fn from(e: SweepError) -> Self {
-        CliError::Sweep(e)
-    }
-}
-
-// Bare message strings classify as malformed input — the common case
-// for `ok_or("...")?` / `format!` error paths on data files.
-impl From<String> for CliError {
-    fn from(msg: String) -> Self {
-        CliError::Input(msg)
-    }
-}
-
-impl From<&str> for CliError {
-    fn from(msg: &str) -> Self {
-        CliError::Input(msg.to_string())
+/// Any library error, and any bare message, is a runtime failure.
+impl<E: Into<Box<dyn std::error::Error>>> From<E> for CliError {
+    fn from(e: E) -> Self {
+        CliError::Failed(e.into().to_string())
     }
 }
 
@@ -325,7 +201,8 @@ const USAGE: &str = "usage:
   tail cannot run \"as fast as possible\", so --follow rejects an
   explicit --speed 0);
   --error-budget N tolerates up to N malformed log lines (skipped
-  deterministically and reported) before aborting. --journal DIR
+  deterministically and reported), --follow included, before
+  aborting; a bad header line is never covered. --journal DIR
   write-ahead journals every frame before it is ingested and
   checkpoints every --checkpoint-every frames (default 1024); rerun
   the same command after a crash and the replay resumes exactly where
@@ -473,16 +350,16 @@ fn emit(opts: &Opts, report: &str) -> Result<(), CliError> {
 }
 
 fn read(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("cannot read {path}"), e))
+    std::fs::read_to_string(path).map_err(|e| CliError::Failed(format!("cannot read {path}: {e}")))
 }
 
 fn write(path: &Path, content: &str) -> Result<(), CliError> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)
-            .map_err(|e| CliError::Io(format!("cannot create {}", parent.display()), e))?;
+            .map_err(|e| CliError::Failed(format!("cannot create {}: {e}", parent.display())))?;
     }
     std::fs::write(path, content)
-        .map_err(|e| CliError::Io(format!("cannot write {}", path.display()), e))
+        .map_err(|e| CliError::Failed(format!("cannot write {}: {e}", path.display())))
 }
 
 fn simulate(opts: &Opts) -> Result<(), CliError> {
@@ -554,8 +431,7 @@ fn build_map(opts: &Opts) -> Result<(MaraudersMap, String), CliError> {
             let db = ApDatabase::from_csv(&read(
                 opts.get("knowledge")
                     .ok_or("levels full/locations require --knowledge")?,
-            )?)
-            .map_err(|e| e.to_string())?;
+            )?)?;
             if level == "full" {
                 if !db.has_all_radii() {
                     return Err("knowledge lacks radii; use --level locations (AP-Rad)".into());
@@ -569,8 +445,7 @@ fn build_map(opts: &Opts) -> Result<(MaraudersMap, String), CliError> {
             let training = training_from_csv(&read(
                 opts.get("training")
                     .ok_or("level none requires --training")?,
-            )?)
-            .map_err(|e| e.to_string())?;
+            )?)?;
             MaraudersMap::from_training(&training, config)
         }
         other => return Err(CliError::Usage(format!("unknown --level {other:?}"))),
@@ -581,24 +456,12 @@ fn build_map(opts: &Opts) -> Result<(MaraudersMap, String), CliError> {
 fn attack(opts: &Opts) -> Result<(), CliError> {
     let captures = parse_capture_log(&read(
         opts.get("captures").ok_or("attack requires --captures")?,
-    )?)
-    .map_err(|e| e.to_string())?;
+    )?)?;
     let (mut map, level) = build_map(opts)?;
     map.ingest(&captures);
 
     let fixes = map.track_all(&captures);
-    println!("time_s,mobile,x,y,k,area_m2");
-    for fix in &fixes {
-        println!(
-            "{:.1},{},{:.2},{:.2},{},{:.0}",
-            fix.time_s,
-            fix.mobile,
-            fix.estimate.position.x,
-            fix.estimate.position.y,
-            fix.gamma.len(),
-            fix.estimate.area()
-        );
-    }
+    print_fixes(&fixes)?;
     eprintln!(
         "{} fixes across {} mobiles (knowledge level: {level})",
         fixes.len(),
@@ -609,7 +472,7 @@ fn attack(opts: &Opts) -> Result<(), CliError> {
             .len()
     );
 
-    // Optional scoring against ground truth.
+    // Optional scoring against ground truth, at each window's centre.
     if let Some(truth_path) = opts.get("truth") {
         let text = read(truth_path)?;
         let mut truth: Vec<(f64, MacAddr, Point)> = Vec::new();
@@ -619,7 +482,7 @@ fn attack(opts: &Opts) -> Result<(), CliError> {
             }
             let f: Vec<&str> = line.split(',').collect();
             if f.len() != 4 {
-                return Err(CliError::Input(format!(
+                return Err(CliError::Failed(format!(
                     "truth.csv line {}: expected 4 fields",
                     i + 1
                 )));
@@ -633,28 +496,20 @@ fn attack(opts: &Opts) -> Result<(), CliError> {
                 ),
             ));
         }
-        let mut err = 0.0;
-        let mut n = 0usize;
-        for fix in &fixes {
-            if let Some((_, _, pos)) = truth
-                .iter()
-                .filter(|(_, m, _)| *m == fix.mobile)
-                // total_cmp: a NaN timestamp in the truth file must
-                // not panic the whole scoring pass (it sorts last).
-                .min_by(|a, b| {
-                    (a.0 - fix.time_s)
-                        .abs()
-                        .total_cmp(&(b.0 - fix.time_s).abs())
-                })
-            {
-                err += fix.estimate.position.distance(*pos);
-                n += 1;
-            }
-        }
-        if n > 0 {
+        let half_window = map.config().window_s / 2.0;
+        let errors: Vec<f64> = fixes
+            .iter()
+            .filter_map(|fix| {
+                let rows = truth.iter().filter(|(_, m, _)| *m == fix.mobile);
+                let (_, _, pos) = nearest_in_time(rows, fix.time_s + half_window, |r| r.0)?;
+                Some(fix.estimate.position.distance(*pos))
+            })
+            .collect();
+        if !errors.is_empty() {
             eprintln!(
-                "mean error vs ground truth: {:.1} m over {n} scored fixes",
-                err / n as f64
+                "mean error vs ground truth: {:.1} m over {} scored fixes",
+                errors.iter().sum::<f64>() / errors.len() as f64,
+                errors.len()
             );
         }
     }
@@ -688,7 +543,7 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
         ));
     }
     let lag = get_secs(opts, "lag", StreamConfig::default().allowed_lag_s, false)?;
-    let budget: usize = get_num(opts, "error-budget", 0)?;
+    let mut budget = ErrorBudget::new(get_num(opts, "error-budget", 0)?);
     let follow = opts.contains_key("follow");
     let journal_dir = opts.get("journal").map(PathBuf::from);
     // A live tail has no final frame count, so a resumed follower could
@@ -756,81 +611,70 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
     println!("time_s,mobile,x,y,k,area_m2");
     let mut pacer = Pacer::new(speed);
     let mut out = std::io::stdout();
-    if follow {
-        return follow_log(&path, &mut engine, &mut pacer, &mut out);
-    }
-    let mut skipped = 0usize;
+    let mut decoder = LineDecoder::new();
     let mut valid_seen = 0u64;
-    for item in capture_log_frames(&read(&path)?) {
-        match item {
-            Ok(frame) => {
-                // Frames below the recovered sequence were durably
-                // journaled (and ingested) by the interrupted run —
-                // skip them, but prove the log being skipped is the
-                // one it journaled. Frames above the restored
-                // checkpoint were replayed out of the journal, so
-                // their record CRCs are in hand; a resume pointed at
-                // a different or edited capture log fails here
-                // instead of silently ingesting a skewed stream.
-                if valid_seen < start_seq {
-                    if valid_seen >= ckpt_seq {
-                        let expect = tail_crcs[(valid_seen - ckpt_seq) as usize];
-                        if record_crc(valid_seen, &frame) != expect {
-                            return Err(CliError::Input(format!(
-                                "frame {valid_seen} of {} does not match the journal's \
-                                 record — this is not the capture log the interrupted \
-                                 run journaled",
-                                path
-                            )));
-                        }
-                    }
-                    valid_seen += 1;
-                    continue;
-                }
-                valid_seen += 1;
-                if let Some(j) = journal.as_mut() {
-                    j.append(&frame)?;
-                }
-                pacer.wait_for(frame.time_s);
-                for event in engine.push(&frame) {
-                    if journal.is_some() {
-                        closed.push(event.clone());
-                    }
-                    print_fix(&mut out, event.into_fix())?;
-                }
-                if let Some(j) = journal.as_mut() {
-                    if checkpoint_every > 0
-                        && (valid_seen - start_seq).is_multiple_of(checkpoint_every as u64)
-                    {
-                        j.checkpoint(&engine, &closed)?;
-                    }
-                }
+    // One line of the log, from the file or from a follow poll.
+    let mut ingest = |line: &str| -> Result<(), CliError> {
+        let frame = match decoder.decode(line) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok(()),
+            Err(e) => return skip_line(&mut budget, e),
+        };
+        // Frames below the recovered sequence were durably journaled
+        // (and ingested) by the interrupted run — skip them, but prove
+        // the log being skipped is the one it journaled. Frames above
+        // the restored checkpoint were replayed out of the journal, so
+        // their record CRCs are in hand; a resume pointed at a
+        // different or edited capture log fails here instead of
+        // silently ingesting a skewed stream.
+        if valid_seen < start_seq {
+            if valid_seen >= ckpt_seq
+                && record_crc(valid_seen, &frame) != tail_crcs[(valid_seen - ckpt_seq) as usize]
+            {
+                return Err(CliError::Failed(format!(
+                    "frame {valid_seen} of {path} does not match the journal's record — this \
+                     is not the capture log the interrupted run journaled"
+                )));
             }
-            // Malformed body lines consume the --error-budget; a bad
-            // header (always line 1) is never coverable — the text is
-            // not a capture log at all.
-            Err(e) if e.line() <= 1 => return Err(PipelineError::BadHeader.into()),
-            Err(e) if skipped < budget => {
-                skipped += 1;
-                eprintln!("skipping malformed line {}: {e}", e.line());
+            valid_seen += 1;
+            return Ok(());
+        }
+        valid_seen += 1;
+        if let Some(j) = journal.as_mut() {
+            j.append(&frame)?;
+        }
+        pacer.wait_for(frame.time_s);
+        for event in engine.push(&frame) {
+            if journal.is_some() {
+                closed.push(event.clone());
             }
-            Err(e) => {
-                return Err(PipelineError::BudgetExhausted {
-                    line: e.line(),
-                    budget,
-                }
-                .into())
+            if let Some(fix) = event.into_fix() {
+                print_fix(&mut out, &fix)?;
             }
         }
+        if let Some(j) = journal.as_mut() {
+            if checkpoint_every > 0
+                && (valid_seen - start_seq).is_multiple_of(checkpoint_every as u64)
+            {
+                j.checkpoint(&engine, &closed)?;
+            }
+        }
+        Ok(())
+    };
+    if follow {
+        return follow_lines(&path, ingest);
+    }
+    read(&path)?.lines().try_for_each(&mut ingest)?;
+    if let Err(e) = decoder.finish() {
+        skip_line(&mut budget, e)?;
     }
     // A log that ran out before reaching the journaled frame count is
     // the wrong log (or a truncated copy): nothing was resumed, and
     // continuing would close out with a silently shortened campaign.
     if valid_seen < start_seq {
-        return Err(CliError::Input(format!(
-            "{} holds only {valid_seen} valid frames but the journal says {start_seq} \
-             were already ingested — wrong capture log for this journal?",
-            path
+        return Err(CliError::Failed(format!(
+            "{path} holds only {valid_seen} valid frames but the journal says {start_seq} \
+             were already ingested — wrong capture log for this journal?"
         )));
     }
     // Seal the journal before closing out: the final checkpoint covers
@@ -841,7 +685,9 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
         j.sync()?;
     }
     for event in engine.finish() {
-        print_fix(&mut out, event.into_fix())?;
+        if let Some(fix) = event.into_fix() {
+            print_fix(&mut out, &fix)?;
+        }
     }
     let stats = engine.stats();
     eprintln!(
@@ -850,11 +696,19 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
         stats.frames_total,
         stats.frames_relevant,
         stats.frames_late,
-        skipped,
+        budget.skipped().len(),
         stats.windows_closed,
         stats.lp_solves,
         stats.windows_evicted
     );
+    Ok(())
+}
+
+/// Applies the `--error-budget` rule to one malformed line, reporting
+/// the skip on stderr.
+fn skip_line(budget: &mut ErrorBudget, error: ParseLogError) -> Result<(), CliError> {
+    let e = budget.skip(error)?;
+    eprintln!("skipping malformed line {}: {e}", e.line());
     Ok(())
 }
 
@@ -892,11 +746,7 @@ fn recover(opts: &Opts) -> Result<(), CliError> {
     let mut closed = rec.closed;
     closed.extend(engine.finish());
     let fixes = engine.batch_fixes(closed);
-    println!("time_s,mobile,x,y,k,area_m2");
-    let mut out = std::io::stdout();
-    for fix in fixes.iter().cloned() {
-        print_fix(&mut out, Some(fix))?;
-    }
+    print_fixes(&fixes)?;
     eprintln!(
         "{} fixes from {} journaled frames (knowledge level: {level})",
         fixes.len(),
@@ -1006,7 +856,7 @@ fn crash(opts: &Opts) -> Result<(), CliError> {
     );
     emit(opts, &report.to_json())?;
     if !report.all_matched() {
-        return Err(CliError::Input(format!(
+        return Err(CliError::Failed(format!(
             "crash equivalence failed at boundaries {:?}",
             report.mismatches()
         )));
@@ -1017,12 +867,10 @@ fn crash(opts: &Opts) -> Result<(), CliError> {
 /// Reads a capture log into frames, failing on the first malformed
 /// line (fleet ingestion has no error budget: a node must not silently
 /// thin its slice).
-fn load_frames(path: &str) -> Result<Vec<marauders_map::wifi::sniffer::CapturedFrame>, CliError> {
-    let mut frames = Vec::new();
-    for item in capture_log_frames(&read(path)?) {
-        frames.push(item.map_err(|e| CliError::Input(format!("{path} line {}: {e}", e.line())))?);
-    }
-    Ok(frames)
+fn load_frames(path: &str) -> Result<Vec<CapturedFrame>, CliError> {
+    capture_log_frames(&read(path)?)
+        .collect::<Result<_, _>>()
+        .map_err(|e| CliError::Failed(format!("{path} line {}: {e}", e.line())))
 }
 
 /// Prints fleet fixes in the `attack` CSV format plus a stderr summary.
@@ -1035,11 +883,7 @@ fn print_fleet_outcome(
     let late = agg.engine().stats().frames_late;
     let stats = agg.stats().clone();
     let fixes = agg.batch_fixes(closed);
-    println!("time_s,mobile,x,y,k,area_m2");
-    let mut out = std::io::stdout();
-    for fix in fixes.iter().cloned() {
-        print_fix(&mut out, Some(fix))?;
-    }
+    print_fixes(&fixes)?;
     eprintln!(
         "fleet: {} frames over {} batches ({} duplicates ignored, {} reconnects, \
          {} evicted nodes) -> {} windows closed, {} late, {} fixes \
@@ -1165,7 +1009,7 @@ fn fleet_listen(opts: &Opts) -> Result<(), CliError> {
         None => (Aggregator::new(map, config), Vec::new(), None),
     };
     let listener = std::net::TcpListener::bind(addr)
-        .map_err(|e| CliError::Io(format!("cannot listen on {addr}"), e))?;
+        .map_err(|e| CliError::Failed(format!("cannot listen on {addr}: {e}")))?;
     eprintln!(
         "fleet: listening on {} for {nodes} node(s)",
         listener
@@ -1183,7 +1027,7 @@ fn fleet_listen(opts: &Opts) -> Result<(), CliError> {
     let completed = outcome.completed;
     print_fleet_outcome(outcome.aggregator, outcome.closed, &level)?;
     if !completed {
-        return Err(CliError::Input(format!(
+        return Err(CliError::Failed(format!(
             "fleet went idle for {idle} s before every node completed"
         )));
     }
@@ -1221,9 +1065,7 @@ fn fleet_chaos(opts: &Opts) -> Result<(), CliError> {
     }
     emit(opts, &report.to_json())?;
     if !report.all_match() {
-        return Err(CliError::Input(
-            "fleet merge diverged from single-stream replay in at least one cell".into(),
-        ));
+        return Err("fleet merge diverged from single-stream replay in at least one cell".into());
     }
     Ok(())
 }
@@ -1298,7 +1140,7 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
         .contains_key("linger")
         .then(|| get_secs(opts, "linger", 0.0, false))
         .transpose()?;
-    let budget: usize = get_num(opts, "error-budget", 0)?;
+    let mut budget = ErrorBudget::new(get_num(opts, "error-budget", 0)?);
     let listen = opts
         .get("listen")
         .cloned()
@@ -1313,8 +1155,7 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
     // The bound address goes first on stdout (and is flushed) so a
     // caller that passed `:0` can read the ephemeral port back.
     println!("serving on {}", server.addr());
-    std::io::Write::flush(&mut std::io::stdout())
-        .map_err(|e| CliError::Io("stdout".to_string(), e))?;
+    std::io::Write::flush(&mut std::io::stdout()).map_err(|e| format!("stdout: {e}"))?;
 
     let mut engine = StreamEngine::new(
         map,
@@ -1324,25 +1165,13 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
         },
     );
     let mut pacer = Pacer::new(speed);
-    let mut skipped = 0usize;
     for item in capture_log_frames(&read(&path)?) {
         match item {
             Ok(frame) => {
                 pacer.wait_for(frame.time_s);
                 engine.push_published(&frame, &mut publisher);
             }
-            Err(e) if e.line() <= 1 => return Err(PipelineError::BadHeader.into()),
-            Err(e) if skipped < budget => {
-                skipped += 1;
-                eprintln!("skipping malformed line {}: {e}", e.line());
-            }
-            Err(e) => {
-                return Err(PipelineError::BudgetExhausted {
-                    line: e.line(),
-                    budget,
-                }
-                .into())
-            }
+            Err(e) => skip_line(&mut budget, e)?,
         }
     }
     engine.finish_published(&mut publisher);
@@ -1353,7 +1182,7 @@ fn serve_cmd(opts: &Opts) -> Result<(), CliError> {
          live at http://{}",
         stats.frames_total,
         stats.frames_relevant,
-        skipped,
+        budget.skipped().len(),
         stats.windows_closed,
         publisher.seq(),
         server.addr()
@@ -1433,7 +1262,7 @@ fn serve_chaos(opts: &Opts) -> Result<(), CliError> {
     emit(opts, &report.to_json())?;
     if !report.pass() {
         let violations = report.violations().count();
-        return Err(CliError::Input(format!(
+        return Err(CliError::Failed(format!(
             "serve chaos matrix failed: {violations} contract violations \
              (accounting: {:?}, healthz after: {})",
             report.accounting, report.healthz_after
@@ -1448,66 +1277,47 @@ fn serve_chaos(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Tails `path` like `tail -f`: parses any complete lines appended
-/// since the last poll, feeds them through the engine, and sleeps
-/// between polls. Polling adapts via [`PollBackoff`]: a poll that
-/// found fresh lines re-polls immediately, an idle file backs the
-/// interval off exponentially (10 ms doubling to 200 ms), so a bursty
-/// capture is followed with low latency without spinning on a quiet
-/// one. Runs until the process is interrupted, so windows held open by
-/// the watermark are never force-closed.
-fn follow_log(
+/// Tails `path` like `tail -f`, handing each complete line appended
+/// since the last poll to `ingest` and sleeping between polls. Polling
+/// adapts via [`PollBackoff`]: a poll that found fresh lines re-polls
+/// immediately, an idle file backs the interval off exponentially
+/// (10 ms doubling to 200 ms), so a bursty capture is followed with low
+/// latency without spinning on a quiet one. Runs until the process is
+/// interrupted or `ingest` fails, so windows held open by the watermark
+/// are never force-closed.
+fn follow_lines(
     path: &str,
-    engine: &mut StreamEngine,
-    pacer: &mut Pacer,
-    out: &mut impl std::io::Write,
+    mut ingest: impl FnMut(&str) -> Result<(), CliError>,
 ) -> Result<(), CliError> {
-    let mut consumed = 0usize; // bytes of complete lines already parsed
-    let mut line_no = 0usize;
+    let mut consumed = 0usize; // bytes of complete lines already ingested
     let mut backoff = PollBackoff::follow_default();
     loop {
         let text = read(path)?;
         if text.len() < consumed {
-            return Err(CliError::Input(format!(
+            return Err(CliError::Failed(format!(
                 "{path} was truncated while following"
             )));
         }
         let fresh = &text[consumed..];
-        // Only parse up to the last newline: the final line may still
-        // be mid-write by the capture process.
+        // Only take lines up to the last newline: the final line may
+        // still be mid-write by the capture process.
         let complete = fresh.rfind('\n').map_or(0, |i| i + 1);
-        for line in fresh[..complete].lines() {
-            line_no += 1;
-            if line_no == 1 {
-                if line.trim() != HEADER {
-                    return Err(CliError::Input(format!(
-                        "{path}: missing header {HEADER:?}"
-                    )));
-                }
-                continue;
-            }
-            match parse_capture_line(line) {
-                Ok(None) => {}
-                Ok(Some(frame)) => {
-                    pacer.wait_for(frame.time_s);
-                    for event in engine.push(&frame) {
-                        print_fix(out, event.into_fix())?;
-                    }
-                }
-                Err(reason) => {
-                    return Err(CliError::Input(format!("{path} line {line_no}: {reason}")))
-                }
-            }
-        }
+        fresh[..complete].lines().try_for_each(&mut ingest)?;
         consumed += complete;
         std::thread::sleep(backoff.next_delay(complete > 0));
     }
 }
 
+/// Prints a fix list in the `attack` CSV format, header first.
+fn print_fixes(fixes: &[TrackFix]) -> Result<(), CliError> {
+    println!("time_s,mobile,x,y,k,area_m2");
+    let mut out = std::io::stdout();
+    fixes.iter().try_for_each(|fix| print_fix(&mut out, fix))
+}
+
 /// Prints one fix in the `attack` CSV format, flushing so a paced or
 /// followed replay is genuinely live.
-fn print_fix(out: &mut impl std::io::Write, fix: Option<TrackFix>) -> Result<(), CliError> {
-    let Some(fix) = fix else { return Ok(()) };
+fn print_fix(out: &mut impl std::io::Write, fix: &TrackFix) -> Result<(), CliError> {
     writeln!(
         out,
         "{:.1},{},{:.2},{:.2},{},{:.0}",
@@ -1519,18 +1329,16 @@ fn print_fix(out: &mut impl std::io::Write, fix: Option<TrackFix>) -> Result<(),
         fix.estimate.area()
     )
     .and_then(|()| out.flush())
-    .map_err(|e| CliError::Io("stdout".to_string(), e))
+    .map_err(|e| CliError::Failed(format!("stdout: {e}")))
 }
 
 fn report(opts: &Opts) -> Result<(), CliError> {
     let captures = parse_capture_log(&read(
         opts.get("captures").ok_or("report requires --captures")?,
-    )?)
-    .map_err(|e| e.to_string())?;
+    )?)?;
     let db = ApDatabase::from_csv(&read(
         opts.get("knowledge").ok_or("report requires --knowledge")?,
-    )?)
-    .map_err(|e| e.to_string())?;
+    )?)?;
     let level = if db.has_all_radii() {
         KnowledgeLevel::Full
     } else {
@@ -1550,8 +1358,7 @@ fn report(opts: &Opts) -> Result<(), CliError> {
 fn link(opts: &Opts) -> Result<(), CliError> {
     let captures = parse_capture_log(&read(
         opts.get("captures").ok_or("link requires --captures")?,
-    )?)
-    .map_err(|e| e.to_string())?;
+    )?)?;
     let devices = PseudonymLinker::default().link(&captures);
     println!("device,pseudonyms,fingerprint");
     for (i, d) in devices.iter().enumerate() {
