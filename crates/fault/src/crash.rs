@@ -32,11 +32,16 @@
 //! checkpoint and cut the log back to it; the resumed run checkpoints
 //! over the cut log, and a second recovery must match too.
 //!
-//! Resumed runs checkpoint on the same cadence as the pre-crash run, so
-//! every cell also tests checkpoints written after a recovery. The
-//! torn-header companion is the exception: its resumed run never
-//! checkpoints, so its second recovery must read the resumed appends
-//! from the segments rather than skip them under a newer checkpoint.
+//! Every run goes through [`JournaledEngine`], the write-ahead loop
+//! `marauder replay --journal` runs: the pre-crash run is fed the first
+//! `N` frames and dropped, and every resumed run takes the whole
+//! capture, so every cell also exercises the resume check over the
+//! journaled prefix. Resumed runs checkpoint on the same cadence as the
+//! pre-crash run and seal the journal, so every cell also tests
+//! checkpoints written after a recovery. The torn-header companion is
+//! the exception: its resumed run neither checkpoints nor seals, so its
+//! second recovery must read the resumed appends from the segments
+//! rather than skip them under a newer checkpoint.
 //!
 //! Everything is a pure function of `(scenario seed, sweep config)`:
 //! no RNG, no clocks, and the per-boundary cells are
@@ -48,10 +53,10 @@ use marauder_obs::json::{Json, Layout};
 use marauder_stream::persist::DocKind;
 use marauder_stream::{
     list_checkpoints, list_numbered, FlushPolicy, FrameJournal, JournalConfig, JournalError,
-    RecoveryError, StreamConfig, StreamEngine, TrackFix, CLOSED_LOG, CLOSED_LOG_MAGIC,
+    JournaledEngine, RecoveryReport, StreamConfig, StreamEngine, TrackFix, CLOSED_LOG,
+    CLOSED_LOG_MAGIC,
 };
 use marauder_wifi::sniffer::CapturedFrame;
-use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -88,55 +93,6 @@ impl Default for CrashSweepConfig {
             torn_write_bytes: 3,
             torn_header_bytes: 5,
         }
-    }
-}
-
-/// A sweep failure — not an equivalence miss (those land in the
-/// report), but a journal or recovery operation that failed outright.
-#[derive(Debug)]
-pub enum SweepError {
-    /// Writing the journal for a crash point failed.
-    Journal(JournalError),
-    /// Recovering a crash point failed.
-    Recovery(RecoveryError),
-    /// Filesystem trouble outside the journal itself.
-    Io {
-        /// What the sweep was doing.
-        op: String,
-        /// The underlying failure.
-        source: std::io::Error,
-    },
-}
-
-impl fmt::Display for SweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SweepError::Journal(e) => write!(f, "crash sweep: {e}"),
-            SweepError::Recovery(e) => write!(f, "crash sweep: {e}"),
-            SweepError::Io { op, source } => write!(f, "crash sweep {op}: {source}"),
-        }
-    }
-}
-
-impl std::error::Error for SweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SweepError::Journal(e) => Some(e),
-            SweepError::Recovery(e) => Some(e),
-            SweepError::Io { source, .. } => Some(source),
-        }
-    }
-}
-
-impl From<JournalError> for SweepError {
-    fn from(e: JournalError) -> Self {
-        SweepError::Journal(e)
-    }
-}
-
-impl From<RecoveryError> for SweepError {
-    fn from(e: RecoveryError) -> Self {
-        SweepError::Recovery(e)
     }
 }
 
@@ -335,76 +291,59 @@ fn clean_reference(scenario: &ChaosScenario, frames: &[CapturedFrame]) -> String
     render_fixes(&engine.batch_fixes(closed))
 }
 
-/// Journals and ingests exactly `n` frames — the pre-crash run. What
-/// this function *returns* is deliberately nothing: the kill loses all
-/// in-memory state, and recovery may only use the directory.
-fn run_until_crash(
+/// Opens `dir` as a sweep run's journaled engine and feeds it
+/// `frames`. Dropping what it returns is the kill: recovery may only
+/// use the directory.
+fn feed(
     scenario: &ChaosScenario,
     frames: &[CapturedFrame],
-    n: usize,
     dir: &Path,
     checkpoint_every: usize,
-) -> Result<(), SweepError> {
-    let mut journal = FrameJournal::create(dir, sweep_journal_config())?;
-    let mut engine = StreamEngine::new(scenario.fresh_map(), sweep_config());
-    let mut closed = Vec::new();
-    for (k, f) in frames[..n].iter().enumerate() {
-        journal.append(f)?;
-        closed.extend(engine.push(f));
-        if checkpoint_every > 0 && (k + 1) % checkpoint_every == 0 {
-            journal.checkpoint(&engine, &closed)?;
-        }
+) -> Result<JournaledEngine, JournalError> {
+    let mut journaled = JournaledEngine::open(
+        dir,
+        scenario.name(),
+        scenario.fresh_map(),
+        sweep_config(),
+        sweep_journal_config(),
+        checkpoint_every,
+    )?;
+    for f in frames {
+        journaled.push(f)?;
     }
-    journal.sync()?;
-    Ok(())
+    Ok(journaled)
 }
 
-/// Recovers `dir`, resumes ingestion from the recovered sequence —
-/// checkpointing every `checkpoint_every` resumed frames, as the
-/// pre-crash run did — and renders the final fixes. Returns the
-/// rendering plus the recovery accounting.
+/// Recovers `dir` and resumes with the whole capture — its journaled
+/// prefix checked and skipped, the rest checkpointed every
+/// `checkpoint_every` resumed frames, as the pre-crash run did — then
+/// renders the final fixes. Returns the rendering plus the recovery
+/// accounting (empty when `dir` held nothing to recover).
 fn recover_and_resume(
     scenario: &ChaosScenario,
     frames: &[CapturedFrame],
     dir: &Path,
     checkpoint_every: usize,
-) -> Result<(String, marauder_stream::RecoveryReport), SweepError> {
-    let rec = FrameJournal::recover(dir, scenario.fresh_map(), sweep_config())?;
-    let mut journal = rec.journal;
-    journal.set_config(sweep_journal_config());
-    let mut engine = rec.engine;
-    let mut closed = rec.closed;
-    let resume_from = rec.next_seq as usize;
-    for (k, f) in frames[resume_from.min(frames.len())..].iter().enumerate() {
-        journal.append(f)?;
-        closed.extend(engine.push(f));
-        if checkpoint_every > 0 && (k + 1) % checkpoint_every == 0 {
-            journal.checkpoint(&engine, &closed)?;
-        }
-    }
+) -> Result<(String, RecoveryReport), JournalError> {
+    let journaled = feed(scenario, frames, dir, checkpoint_every)?;
+    let report = journaled.recovery().cloned().unwrap_or_default();
+    let (mut engine, mut closed) = journaled.finish()?;
     closed.extend(engine.finish());
-    Ok((render_fixes(&engine.batch_fixes(closed)), rec.report))
+    Ok((render_fixes(&engine.batch_fixes(closed)), report))
 }
 
 /// Truncates the final journal segment in `dir` to `bytes` bytes into
 /// its last record — the on-disk signature of dying mid-append.
 /// Returns `false` when there is nothing to tear (no segments, no
 /// records, or the record is shorter than `bytes`).
-pub fn tear_last_record(dir: &Path, bytes: usize) -> Result<bool, SweepError> {
+pub fn tear_last_record(dir: &Path, bytes: usize) -> Result<bool, JournalError> {
     match list_numbered(dir, "segment-", ".wal")
-        .map_err(scan_error(dir))?
+        .map_err(JournalError::io(format!("scan {}", dir.display())))?
         .last()
     {
         // 16-byte segment header, then length-prefixed records.
         Some((_, name)) => tear_final_record(&dir.join(name), 16, bytes),
         None => Ok(false),
-    }
-}
-
-fn scan_error(dir: &Path) -> impl FnOnce(std::io::Error) -> SweepError + '_ {
-    move |source| SweepError::Io {
-        op: format!("scan {}", dir.display()),
-        source,
     }
 }
 
@@ -416,14 +355,18 @@ fn scan_error(dir: &Path) -> impl FnOnce(std::io::Error) -> SweepError + '_ {
 ///
 /// # Errors
 ///
-/// [`SweepError::Io`] when the directory cannot be read or changed.
-pub fn lose_newest_checkpoint(dir: &Path, kind: DocKind, bytes: usize) -> Result<bool, SweepError> {
-    if let Some((_, name)) = list_checkpoints(dir, kind).map_err(scan_error(dir))?.last() {
+/// [`JournalError::Io`] when the directory cannot be read or changed.
+pub fn lose_newest_checkpoint(
+    dir: &Path,
+    kind: DocKind,
+    bytes: usize,
+) -> Result<bool, JournalError> {
+    let checkpoints =
+        list_checkpoints(dir, kind).map_err(JournalError::io(format!("scan {}", dir.display())))?;
+    if let Some((_, name)) = checkpoints.last() {
         let newest = dir.join(name);
-        std::fs::remove_file(&newest).map_err(|source| SweepError::Io {
-            op: format!("remove {}", newest.display()),
-            source,
-        })?;
+        std::fs::remove_file(&newest)
+            .map_err(JournalError::io(format!("remove {}", newest.display())))?;
     }
     let log = dir.join(CLOSED_LOG);
     if bytes == 0 || !log.exists() {
@@ -435,11 +378,8 @@ pub fn lose_newest_checkpoint(dir: &Path, kind: DocKind, bytes: usize) -> Result
 /// Truncates the file at `path` — a `header_len`-byte header, then
 /// length-prefixed records — to `bytes` bytes into its last record.
 /// Returns `false` when there is nothing to tear.
-fn tear_final_record(path: &Path, header_len: usize, bytes: usize) -> Result<bool, SweepError> {
-    let io = |op: &str| {
-        let op = format!("{op} {}", path.display());
-        move |source: std::io::Error| SweepError::Io { op, source }
-    };
+fn tear_final_record(path: &Path, header_len: usize, bytes: usize) -> Result<bool, JournalError> {
+    let io = |op: &str| JournalError::io(format!("{op} {}", path.display()));
     let data = std::fs::read(path).map_err(io("read"))?;
     // Walk the records to find where the last one starts.
     let mut pos = header_len;
@@ -474,16 +414,16 @@ fn tear_final_record(path: &Path, header_len: usize, bytes: usize) -> Result<boo
 /// empty file; clamped to 15 so the result is never a valid header).
 /// `first_seq` must be the number of frames journaled so far — the
 /// sequence the torn rotation would have been named after.
-pub fn tear_segment_header(dir: &Path, first_seq: u64, bytes: usize) -> Result<(), SweepError> {
+pub fn tear_segment_header(dir: &Path, first_seq: u64, bytes: usize) -> Result<(), JournalError> {
     let mut header = Vec::with_capacity(16);
     header.extend_from_slice(&marauder_stream::SEGMENT_MAGIC);
     header.extend_from_slice(&first_seq.to_be_bytes());
     header.truncate(bytes.min(15));
     let path = dir.join(format!("segment-{first_seq:020}.wal"));
-    std::fs::write(&path, &header).map_err(|source| SweepError::Io {
-        op: format!("tear segment header {}", path.display()),
-        source,
-    })
+    std::fs::write(&path, &header).map_err(JournalError::io(format!(
+        "tear segment header {}",
+        path.display()
+    )))
 }
 
 /// Runs the crash-equivalence sweep for `scenario` under `dir` (one
@@ -491,14 +431,14 @@ pub fn tear_segment_header(dir: &Path, first_seq: u64, bytes: usize) -> Result<(
 ///
 /// # Errors
 ///
-/// [`SweepError`] if a journal write or recovery fails outright —
-/// equivalence *misses* are not errors; they land in the report's
-/// `matched` flags.
+/// [`JournalError`] if a journal write, recovery or resume check
+/// fails outright — equivalence *misses* are not errors; they land in
+/// the report's `matched` flags.
 pub fn crash_sweep(
     scenario: &ChaosScenario,
     dir: &Path,
     config: &CrashSweepConfig,
-) -> Result<CrashReport, SweepError> {
+) -> Result<CrashReport, JournalError> {
     let frames: Vec<CapturedFrame> = scenario.captures().iter().cloned().collect();
     let reference = clean_reference(scenario, &frames);
     let stride = config.stride.max(1);
@@ -507,23 +447,25 @@ pub fn crash_sweep(
         boundaries.push(frames.len());
     }
 
-    let cells: Vec<Result<CrashCell, SweepError>> =
+    let cells: Vec<Result<CrashCell, JournalError>> =
         marauder_par::par_map_range(boundaries.len(), |i| {
             let n = boundaries[i];
             let cell_dir = dir.join(format!("crash-{n:08}"));
-            let _ = std::fs::remove_dir_all(&cell_dir);
-            run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
-            let (rendered, report) =
-                recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
+            // Fresh pre-crash state: `n` frames journaled, then the kill.
+            let crash = || {
+                let _ = std::fs::remove_dir_all(&cell_dir);
+                feed(scenario, &frames[..n], &cell_dir, config.checkpoint_every).map(drop)
+            };
+            let resume = |every| recover_and_resume(scenario, &frames, &cell_dir, every);
+            crash()?;
+            let (rendered, report) = resume(config.checkpoint_every)?;
             let matched = rendered == reference;
 
             let torn = if config.torn_write_bytes > 0 {
-                // Fresh pre-crash state, then tear the final record.
-                let _ = std::fs::remove_dir_all(&cell_dir);
-                run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
+                // Tear the final record.
+                crash()?;
                 if tear_last_record(&cell_dir, config.torn_write_bytes)? {
-                    let (rendered, report) =
-                        recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
+                    let (rendered, report) = resume(config.checkpoint_every)?;
                     Some(TornOutcome {
                         bytes: config.torn_write_bytes,
                         torn_tail_bytes: report.torn_tail_bytes,
@@ -537,16 +479,15 @@ pub fn crash_sweep(
             };
 
             let torn_header = if config.torn_header_bytes > 0 {
-                // Fresh pre-crash state, then die mid-rotation: the
-                // next segment file exists, headerless.
-                let _ = std::fs::remove_dir_all(&cell_dir);
-                run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
+                // Die mid-rotation: the next segment file exists,
+                // headerless.
+                crash()?;
                 tear_segment_header(&cell_dir, n as u64, config.torn_header_bytes)?;
-                // The resumed run does not checkpoint: a resumed
-                // checkpoint past the headerless segment would let the
-                // second recovery skip that segment as covered, hiding
-                // the appends this companion exists to find.
-                let (rendered, report) = recover_and_resume(scenario, &frames, &cell_dir, 0)?;
+                // The resumed run neither checkpoints nor seals: a
+                // resumed checkpoint past the headerless segment would
+                // let the second recovery skip that segment as covered,
+                // hiding the appends this companion exists to find.
+                let (rendered, report) = resume(0)?;
                 // The resumed run journaled the remaining frames; a
                 // second recovery must see every one of them. This is
                 // the check that catches resumed appends landing in a
@@ -563,22 +504,19 @@ pub fn crash_sweep(
             };
 
             let lost_checkpoint = if config.checkpoint_every > 0 {
-                // Fresh pre-crash state, then die between the log sync
-                // and the rename of the newest checkpoint.
-                let _ = std::fs::remove_dir_all(&cell_dir);
-                run_until_crash(scenario, &frames, n, &cell_dir, config.checkpoint_every)?;
+                // Die between the log sync and the rename of the newest
+                // checkpoint.
+                crash()?;
                 let log_torn = lose_newest_checkpoint(
                     &cell_dir,
                     DocKind::JournalCheckpoint,
                     config.torn_write_bytes,
                 )?;
-                let (rendered, report) =
-                    recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
-                // The resumed run journaled the remaining frames and,
-                // given enough of them, checkpointed over the cut log;
-                // a second recovery must read it all back.
-                let (again, _) =
-                    recover_and_resume(scenario, &frames, &cell_dir, config.checkpoint_every)?;
+                let (rendered, report) = resume(config.checkpoint_every)?;
+                // The resumed run journaled the remaining frames and
+                // checkpointed over the cut log; a second recovery must
+                // read it all back.
+                let (again, _) = resume(config.checkpoint_every)?;
                 Some(LostCheckpointOutcome {
                     log_torn,
                     checkpoint_seq: report.checkpoint_seq,

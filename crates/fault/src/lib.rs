@@ -41,7 +41,7 @@ pub mod plan;
 pub use client::{client_schedule, ClientFaultKind, ClientSchedule, Expectation, BASE_REQUEST};
 pub use crash::{
     crash_sweep, lose_newest_checkpoint, render_fixes, tear_last_record, tear_segment_header,
-    CrashCell, CrashReport, CrashSweepConfig, LostCheckpointOutcome, SweepError, TornOutcome,
+    CrashCell, CrashReport, CrashSweepConfig, LostCheckpointOutcome, TornOutcome,
 };
 pub use harness::{
     default_matrix, reason_key, CellOutcome, ChaosScenario, DegradationReport, ERROR_THRESHOLDS_M,

@@ -20,59 +20,8 @@ use crate::aggregator::{Aggregator, FleetConfig};
 use crate::time::Watermark;
 use marauder_core::MaraudersMap;
 use marauder_stream::persist::DocKind;
-use marauder_stream::{ClosedWindow, DurableDir, JournalError, RecoveryError};
-use std::fmt;
-use std::path::{Path, PathBuf};
-
-/// Errors from writing or restoring fleet checkpoints.
-///
-/// Damage inside an individual checkpoint file is not an error while
-/// an older file restores: [`restore_latest`] skips damaged files
-/// newest-first.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Creating the directory or writing a checkpoint failed, or
-    /// [`Checkpointer::new`] found durable state already there.
-    Write(JournalError),
-    /// Reading the directory failed.
-    Read(RecoveryError),
-    /// The directory holds checkpoint files and none of them restores.
-    /// Starting fresh here would silently drop every window they
-    /// carried, so the operator must move the directory aside to do
-    /// that.
-    NoUsableCheckpoint {
-        /// The checkpoint directory.
-        dir: PathBuf,
-        /// Checkpoint files found, every one skipped.
-        skipped: usize,
-    },
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Write(e) => write!(f, "fleet checkpoint: {e}"),
-            CheckpointError::Read(e) => write!(f, "fleet restore: {e}"),
-            CheckpointError::NoUsableCheckpoint { dir, skipped } => write!(
-                f,
-                "none of the {skipped} fleet checkpoint file(s) in {} restores (damaged, or \
-                 written by another format version); move the whole directory aside, closed.wal \
-                 included, to start a fresh campaign",
-                dir.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Write(e) => Some(e),
-            CheckpointError::Read(e) => Some(e),
-            CheckpointError::NoUsableCheckpoint { .. } => None,
-        }
-    }
-}
+use marauder_stream::{ClosedWindow, DurableDir, JournalError};
+use std::path::Path;
 
 /// Writes periodic checkpoints of an [`Aggregator`] plus the windows
 /// closed since the previous checkpoint.
@@ -97,12 +46,11 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Write`] when the directory cannot be created
-    /// or already holds checkpoints or a closed-window log (open it
-    /// with [`restore_latest`] instead).
-    pub fn new(dir: &Path, every_s: f64) -> Result<Self, CheckpointError> {
-        let durable =
-            DurableDir::create(dir, DocKind::FleetCheckpoint).map_err(CheckpointError::Write)?;
+    /// [`JournalError::Io`] when the directory cannot be created, and
+    /// [`JournalError::NotEmpty`] when it already holds checkpoints or
+    /// a closed-window log (open it with [`restore_latest`] instead).
+    pub fn new(dir: &Path, every_s: f64) -> Result<Self, JournalError> {
+        let durable = DurableDir::create(dir, DocKind::FleetCheckpoint)?;
         Ok(Checkpointer::resume(durable, every_s, 0))
     }
 
@@ -115,11 +63,6 @@ impl Checkpointer {
         }
     }
 
-    /// The directory checkpoints are written to.
-    pub fn dir(&self) -> &Path {
-        self.durable.dir()
-    }
-
     /// Checkpoints if the fleet watermark has advanced by at least the
     /// configured cadence since the last checkpoint (the first watermark
     /// past `NoData` always triggers one). Returns whether a checkpoint
@@ -127,12 +70,12 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Write`] when the checkpoint cannot be written.
+    /// [`JournalError`] when the checkpoint cannot be written.
     pub fn maybe_checkpoint(
         &mut self,
         aggregator: &Aggregator,
         closed: &[ClosedWindow],
-    ) -> Result<bool, CheckpointError> {
+    ) -> Result<bool, JournalError> {
         let wm = aggregator.fleet_watermark();
         if !checkpoint_due(self.last_mark, wm, self.every_s) {
             return Ok(false);
@@ -147,16 +90,15 @@ impl Checkpointer {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Write`] when the checkpoint cannot be written.
+    /// [`JournalError`] when the checkpoint cannot be written.
     pub fn checkpoint_now(
         &mut self,
         aggregator: &Aggregator,
         closed: &[ClosedWindow],
-    ) -> Result<(), CheckpointError> {
+    ) -> Result<(), JournalError> {
         let written = self
             .durable
-            .checkpoint(self.next_index, closed, |out| aggregator.encode_state(out))
-            .map_err(CheckpointError::Write)?;
+            .checkpoint(self.next_index, closed, |out| aggregator.encode_state(out))?;
         self.next_index += 1;
         self.last_mark = aggregator.fleet_watermark();
         let reg = marauder_obs::global();
@@ -212,26 +154,21 @@ pub struct FleetRestore {
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Write`] when the directory cannot be created,
-/// [`CheckpointError::Read`] when it cannot be read, and
-/// [`CheckpointError::NoUsableCheckpoint`] when it holds checkpoint
+/// [`JournalError::Io`] when the directory cannot be created or read,
+/// and [`JournalError::NoUsableCheckpoint`] when it holds checkpoint
 /// files but none restores.
 pub fn restore_latest(
     dir: &Path,
     map: &MaraudersMap,
     config: &FleetConfig,
     every_s: f64,
-) -> Result<FleetRestore, CheckpointError> {
-    std::fs::create_dir_all(dir).map_err(|source| {
-        CheckpointError::Write(JournalError::Io {
-            op: format!("create dir {}", dir.display()),
-            source,
-        })
-    })?;
-    let restored = DurableDir::restore(dir, DocKind::FleetCheckpoint, map.config().window_s, |r| {
-        Aggregator::decode_state(map.clone(), config.clone(), r)
-    })
-    .map_err(CheckpointError::Read)?;
+) -> Result<FleetRestore, JournalError> {
+    std::fs::create_dir_all(dir)
+        .map_err(JournalError::io(format!("create dir {}", dir.display())))?;
+    let restored =
+        DurableDir::restore(dir, DocKind::FleetCheckpoint, map.config().window_s, |r| {
+            Aggregator::decode_state(map.clone(), config.clone(), r)
+        })?;
     let reg = marauder_obs::global();
     reg.counter_add("fleet.checkpoints_skipped", restored.skipped as u64);
     let (key, aggregator) = match restored.checkpoint {
@@ -240,7 +177,7 @@ pub fn restore_latest(
             (Some(key), aggregator)
         }
         None if restored.skipped > 0 => {
-            return Err(CheckpointError::NoUsableCheckpoint {
+            return Err(JournalError::NoUsableCheckpoint {
                 dir: dir.to_path_buf(),
                 skipped: restored.skipped,
             })
@@ -272,6 +209,7 @@ mod tests {
     use marauder_wifi::sniffer::CapturedFrame;
     use marauder_wifi::ssid::Ssid;
     use marauder_wifi::{Frame, MacAddr};
+    use std::path::PathBuf;
 
     fn map() -> MaraudersMap {
         let db: ApDatabase = [
@@ -467,7 +405,7 @@ mod tests {
                 .err()
                 .expect("a lone unusable checkpoint must not start a fresh campaign");
             assert!(
-                matches!(&err, CheckpointError::NoUsableCheckpoint { dir: d, skipped: 1 } if *d == dir),
+                matches!(&err, JournalError::NoUsableCheckpoint { dir: d, skipped: 1 } if *d == dir),
                 "{err}"
             );
             assert!(
@@ -594,10 +532,7 @@ mod tests {
         // A directory holding durable state is refused; the
         // checkpointer restore hands back keeps counting.
         let err = Checkpointer::new(&dir, 1e9).expect_err("directory is not empty");
-        assert!(
-            matches!(err, CheckpointError::Write(JournalError::NotEmpty { .. })),
-            "{err}"
-        );
+        assert!(matches!(err, JournalError::NotEmpty { .. }), "{err}");
         let mut restored = restore_latest(&dir, &map(), &config(), 1e9).expect("restore");
         assert_eq!(restored.key, Some(0));
         // It checkpoints at its first finite watermark, then keeps the

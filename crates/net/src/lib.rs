@@ -49,7 +49,7 @@ pub mod time;
 pub mod transport;
 
 pub use aggregator::{Aggregator, FleetConfig, FleetStats, Turn, NODE_LAG_BOUNDS_S};
-pub use checkpoint::{restore_latest, CheckpointError, Checkpointer, FleetRestore};
+pub use checkpoint::{restore_latest, Checkpointer, FleetRestore};
 pub use codec::{Message, WireError, MAX_BODY_LEN, PROTOCOL_VERSION};
 pub use loopback::{
     corrupt_slice, required_slack_s, split_by_time, split_round_robin, LoopbackFleet,

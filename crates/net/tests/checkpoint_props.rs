@@ -22,11 +22,9 @@ use marauder_core::apdb::{ApDatabase, ApRecord};
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
 use marauder_net::codec::{Message, PROTOCOL_VERSION};
-use marauder_net::{
-    restore_latest, Aggregator, CheckpointError, Checkpointer, FleetConfig, StreamTime, Watermark,
-};
+use marauder_net::{restore_latest, Aggregator, Checkpointer, FleetConfig, StreamTime, Watermark};
 use marauder_stream::persist::encode_closed;
-use marauder_stream::{ClosedWindow, StreamConfig, CLOSED_LOG, CLOSED_LOG_MAGIC};
+use marauder_stream::{ClosedWindow, JournalError, StreamConfig, CLOSED_LOG, CLOSED_LOG_MAGIC};
 use marauder_wifi::channel::Channel;
 use marauder_wifi::frame::Frame;
 use marauder_wifi::mac::MacAddr;
@@ -245,7 +243,7 @@ fn check_restore(name: &str, damaged: &[u8], want: Want) -> Result<(), TestCaseE
             );
             Ok(())
         }
-        (Err(CheckpointError::NoUsableCheckpoint { skipped: 2, .. }), Want::Unusable) => Ok(()),
+        (Err(JournalError::NoUsableCheckpoint { skipped: 2, .. }), Want::Unusable) => Ok(()),
         (Ok(r), want) => Err(TestCaseError::fail(format!(
             "restored {:?} with {} skipped, want {want:?}",
             r.key, r.skipped
@@ -331,7 +329,7 @@ fn earlier_fleet_checkpoint_kinds_are_refused() {
             .err()
             .unwrap_or_else(|| panic!("a kind-{kind} checkpoint must not restore"));
         assert!(
-            matches!(&err, CheckpointError::NoUsableCheckpoint { skipped: 1, .. }),
+            matches!(&err, JournalError::NoUsableCheckpoint { skipped: 1, .. }),
             "{fixture}: {err}"
         );
         let _ = std::fs::remove_dir_all(&dir);

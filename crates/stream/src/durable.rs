@@ -20,7 +20,7 @@
 //! gives the rationale.
 
 use crate::engine::ClosedWindow;
-use crate::journal::{JournalError, RecoveryError};
+use crate::journal::JournalError;
 use crate::persist::{
     self, crc32, crc32_update, decode_closed, encode_closed, DocKind, Field, PersistError, Reader,
     MIN_CLOSED_LEN,
@@ -350,7 +350,7 @@ impl DurableDir {
     ///
     /// # Errors
     ///
-    /// [`RecoveryError::Io`] when the directory or the log cannot be
+    /// [`JournalError::Io`] when the directory or the log cannot be
     /// read. Damage is never an error: a checkpoint it touches is
     /// skipped.
     pub fn restore<T>(
@@ -358,9 +358,9 @@ impl DurableDir {
         kind: DocKind,
         window_s: f64,
         mut state: impl FnMut(&mut Reader<'_>) -> Result<T, PersistError>,
-    ) -> Result<Restored<T>, RecoveryError> {
-        let checkpoints = list_checkpoints(dir, kind)
-            .map_err(RecoveryError::io(format!("scan {}", dir.display())))?;
+    ) -> Result<Restored<T>, JournalError> {
+        let checkpoints =
+            list_checkpoints(dir, kind).map_err(JournalError::recovery("scan", dir))?;
         let log = scan_log(&dir.join(CLOSED_LOG), window_s)?;
         let mut skipped = 0;
         for (number, name) in checkpoints.iter().rev() {
@@ -435,7 +435,7 @@ struct LogScan {
 
 /// Reads the closed-window log up to its first damaged record, deleting
 /// a log whose header is torn.
-fn scan_log(path: &Path, window_s: f64) -> Result<LogScan, RecoveryError> {
+fn scan_log(path: &Path, window_s: f64) -> Result<LogScan, JournalError> {
     let mut scan = LogScan {
         windows: Vec::new(),
         prefix: vec![(0, 0)],
@@ -443,11 +443,10 @@ fn scan_log(path: &Path, window_s: f64) -> Result<LogScan, RecoveryError> {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(scan),
-        Err(e) => return Err(RecoveryError::io(format!("read {}", path.display()))(e)),
+        Err(e) => return Err(JournalError::recovery("read", path)(e)),
     };
     if !bytes.starts_with(&CLOSED_LOG_MAGIC) {
-        std::fs::remove_file(path)
-            .map_err(RecoveryError::io(format!("remove {}", path.display())))?;
+        std::fs::remove_file(path).map_err(JournalError::recovery("remove", path))?;
         return Ok(scan);
     }
     let header_len = CLOSED_LOG_MAGIC.len();

@@ -32,7 +32,7 @@
 //! the torn record was never acknowledged as ingested, so the producer
 //! re-feeds it and the resumed run stays byte-identical to an
 //! uninterrupted one. The same damage in a *non-final* segment cannot
-//! be a crash artifact and is reported as [`RecoveryError::Corrupt`].
+//! be a crash artifact and is reported as [`JournalError::Corrupt`].
 //!
 //! The invariant pinned by `crates/fault`'s kill-at-every-boundary
 //! sweep: for any crash point, crash → recover → resume produces fixes
@@ -96,7 +96,9 @@ impl Default for JournalConfig {
     }
 }
 
-/// Error writing to (or creating) a journal.
+/// The durable layer's one error: writing, recovering or resuming a
+/// journal, and writing or restoring fleet checkpoints, which share
+/// its [`DurableDir`].
 #[derive(Debug)]
 pub enum JournalError {
     /// An I/O failure, with the operation that failed.
@@ -122,12 +124,57 @@ pub enum JournalError {
         /// Windows the caller handed in.
         given: usize,
     },
+    /// A segment holds a damaged or missing record where no crash can
+    /// leave one. A torn tail can only live at the physical end of the
+    /// log, so this is real corruption, not a crash artifact.
+    Corrupt {
+        /// The offending segment file name.
+        segment: String,
+        /// Byte offset of the first bad record.
+        offset: u64,
+        /// What was wrong with it.
+        reason: String,
+    },
+    /// A fleet checkpoint directory holds checkpoint files and none of
+    /// them restores. Starting fresh there would silently drop every
+    /// window they carried, so the operator must move the directory
+    /// aside to do that.
+    NoUsableCheckpoint {
+        /// The checkpoint directory.
+        dir: PathBuf,
+        /// Checkpoint files found, every one skipped.
+        skipped: usize,
+    },
+    /// A resumed capture's frame differs from the record the journal
+    /// holds for its sequence number: it is not the capture the
+    /// interrupted run journaled.
+    FrameMismatch {
+        /// The capture's name, as the caller gave it.
+        capture: String,
+        /// The frame's sequence number.
+        seq: u64,
+    },
+    /// A resumed capture ended before the frames the journal holds.
+    CaptureShort {
+        /// The capture's name, as the caller gave it.
+        capture: String,
+        /// Frames the capture held.
+        frames: u64,
+        /// Frames the journal holds.
+        journaled: u64,
+    },
 }
 
 impl JournalError {
-    pub(crate) fn io(op: impl Into<String>) -> impl FnOnce(std::io::Error) -> JournalError {
+    /// Wraps an I/O failure of the operation `op`, for `map_err`.
+    pub fn io(op: impl Into<String>) -> impl FnOnce(std::io::Error) -> JournalError {
         let op = op.into();
         move |source| JournalError::Io { op, source }
+    }
+
+    /// [`io`](Self::io) for recovery's step `op` on `path`.
+    pub(crate) fn recovery(op: &str, path: &Path) -> impl FnOnce(std::io::Error) -> JournalError {
+        JournalError::io(format!("recovery {op} {}", path.display()))
     }
 }
 
@@ -145,6 +192,35 @@ impl fmt::Display for JournalError {
                 "checkpoint was handed {given} closed windows, but {persisted} are already \
                  durable"
             ),
+            JournalError::Corrupt {
+                segment,
+                offset,
+                reason,
+            } => write!(
+                f,
+                "journal segment {segment} corrupt at byte {offset}: {reason}"
+            ),
+            JournalError::NoUsableCheckpoint { dir, skipped } => write!(
+                f,
+                "none of the {skipped} fleet checkpoint file(s) in {} restores (damaged, or \
+                 written by another format version); move the whole directory aside, closed.wal \
+                 included, to start a fresh campaign",
+                dir.display()
+            ),
+            JournalError::FrameMismatch { capture, seq } => write!(
+                f,
+                "frame {seq} of {capture} does not match the journal's record — this is not the \
+                 capture log the interrupted run journaled"
+            ),
+            JournalError::CaptureShort {
+                capture,
+                frames,
+                journaled,
+            } => write!(
+                f,
+                "{capture} holds only {frames} valid frames but the journal says {journaled} were \
+                 already ingested — wrong capture log for this journal?"
+            ),
         }
     }
 }
@@ -153,62 +229,12 @@ impl std::error::Error for JournalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             JournalError::Io { source, .. } => Some(source),
-            JournalError::NotEmpty { .. } | JournalError::ClosedWindowsLost { .. } => None,
-        }
-    }
-}
-
-/// Error recovering a journal directory.
-#[derive(Debug)]
-pub enum RecoveryError {
-    /// An I/O failure, with the operation that failed.
-    Io {
-        /// What recovery was doing.
-        op: String,
-        /// The underlying failure.
-        source: std::io::Error,
-    },
-    /// A segment that is not the journal's final one holds a damaged
-    /// record. A torn tail can only live at the physical end of the
-    /// log, so this is real corruption, not a crash artifact.
-    Corrupt {
-        /// The offending segment file name.
-        segment: String,
-        /// Byte offset of the first bad record.
-        offset: u64,
-        /// What was wrong with it.
-        reason: String,
-    },
-}
-
-impl RecoveryError {
-    pub(crate) fn io(op: impl Into<String>) -> impl FnOnce(std::io::Error) -> RecoveryError {
-        let op = op.into();
-        move |source| RecoveryError::Io { op, source }
-    }
-}
-
-impl fmt::Display for RecoveryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryError::Io { op, source } => write!(f, "journal recovery {op}: {source}"),
-            RecoveryError::Corrupt {
-                segment,
-                offset,
-                reason,
-            } => write!(
-                f,
-                "journal segment {segment} corrupt at byte {offset}: {reason}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RecoveryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RecoveryError::Io { source, .. } => Some(source),
-            RecoveryError::Corrupt { .. } => None,
+            JournalError::NotEmpty { .. }
+            | JournalError::ClosedWindowsLost { .. }
+            | JournalError::Corrupt { .. }
+            | JournalError::NoUsableCheckpoint { .. }
+            | JournalError::FrameMismatch { .. }
+            | JournalError::CaptureShort { .. } => None,
         }
     }
 }
@@ -224,8 +250,9 @@ fn put_payload(out: &mut Vec<u8>, seq: u64, frame: &CapturedFrame) {
 
 /// CRC-32 of the record payload `(seq, frame)` journals as — the same
 /// value stored in the record header by [`FrameJournal::append`]. A
-/// resuming replay uses this with [`Recovery::tail_crcs`] to detect a
-/// capture log that diverges from what the interrupted run journaled.
+/// [`JournaledEngine`] compares it with the stored CRC of every frame
+/// it skips, to refuse a capture that diverges from what the
+/// interrupted run journaled.
 pub fn record_crc(seq: u64, frame: &CapturedFrame) -> u32 {
     let mut payload = Vec::with_capacity(PAYLOAD_PREFIX_LEN + 64);
     put_payload(&mut payload, seq, frame);
@@ -257,10 +284,9 @@ pub struct Recovery {
     pub next_seq: u64,
     /// Payload CRC-32 of every replayed record, in sequence order:
     /// `tail_crcs[i]` covers sequence `checkpoint_seq + i` (0 when no
-    /// checkpoint was restored). A resuming replay compares these
-    /// against [`record_crc`] of the frames it skips, proving the
-    /// capture log it resumes from is the one the interrupted run
-    /// journaled.
+    /// checkpoint was restored). A [`JournaledEngine`] compares these,
+    /// and the stored CRCs of the records the checkpoint covers,
+    /// against [`record_crc`] of the frames it skips.
     pub tail_crcs: Vec<u32>,
     /// How the recovery went, for operators and the sweep harness.
     pub report: RecoveryReport,
@@ -302,9 +328,6 @@ pub struct FrameJournal {
     /// The record an append encodes in place and writes, kept so an
     /// append allocates nothing.
     record: Vec<u8>,
-    /// Frames covered by the newest checkpoint written through this
-    /// handle (or carried in at recovery).
-    checkpointed_seq: u64,
     /// The closed-window log and the checkpoints.
     durable: DurableDir,
 }
@@ -333,14 +356,8 @@ impl FrameJournal {
             next_seq: 0,
             unsynced: false,
             record: Vec::new(),
-            checkpointed_seq: 0,
             durable,
         })
-    }
-
-    /// The directory this journal lives in.
-    pub fn dir(&self) -> &Path {
-        self.durable.dir()
     }
 
     /// Sequence number the next append will receive (= frames durably
@@ -444,7 +461,6 @@ impl FrameJournal {
         let written = self
             .durable
             .checkpoint(self.next_seq, closed, |out| engine.encode_state(out))?;
-        self.checkpointed_seq = self.next_seq;
         let reg = marauder_obs::global();
         reg.counter_add("journal.checkpoints", 1);
         reg.counter_add("journal.checkpoint_bytes", written.bytes);
@@ -452,11 +468,6 @@ impl FrameJournal {
             reg.counter_add("journal.checkpoints_pruned", written.pruned);
         }
         Ok(())
-    }
-
-    /// Frames covered by the newest checkpoint this handle wrote.
-    pub fn checkpointed_seq(&self) -> u64 {
-        self.checkpointed_seq
     }
 
     /// Rebuilds engine state from the journal in `dir`: restores the
@@ -484,16 +495,16 @@ impl FrameJournal {
     ///
     /// # Errors
     ///
-    /// [`RecoveryError::Io`] on filesystem failures and
-    /// [`RecoveryError::Corrupt`] for a damaged record anywhere but
+    /// [`JournalError::Io`] on filesystem failures and
+    /// [`JournalError::Corrupt`] for a damaged record anywhere but
     /// the journal's physical tail.
     pub fn recover(
         dir: &Path,
         map: MaraudersMap,
         config: StreamConfig,
-    ) -> Result<Recovery, RecoveryError> {
-        let segments = list_numbered(dir, "segment-", ".wal")
-            .map_err(RecoveryError::io(format!("scan {}", dir.display())))?;
+    ) -> Result<Recovery, JournalError> {
+        let segments =
+            list_numbered(dir, "segment-", ".wal").map_err(JournalError::recovery("scan", dir))?;
         let restored = DurableDir::restore(
             dir,
             DocKind::JournalCheckpoint,
@@ -532,11 +543,8 @@ impl FrameJournal {
                 report.segments_scanned += 1;
                 for (seq, crc, frame) in scan.frames {
                     if seq != next_seq && seq >= start_seq {
-                        return Err(RecoveryError::Corrupt {
-                            segment: name.clone(),
-                            offset: 0,
-                            reason: format!("record sequence {seq} where {next_seq} was expected"),
-                        });
+                        let reason = format!("record sequence {seq} where {next_seq} was expected");
+                        return Err(corrupt(name, 0, reason));
                     }
                     if seq < start_seq {
                         continue;
@@ -559,7 +567,7 @@ impl FrameJournal {
                         // first post-recovery append rotates into a
                         // fresh, properly headered segment.
                         std::fs::remove_file(&path)
-                            .map_err(RecoveryError::io(format!("remove {}", path.display())))?;
+                            .map_err(JournalError::recovery("remove", &path))?;
                         final_removed = true;
                     } else if scan.torn_bytes > 0 {
                         // Physically truncate the torn tail so the journal
@@ -567,9 +575,9 @@ impl FrameJournal {
                         let file = OpenOptions::new()
                             .write(true)
                             .open(&path)
-                            .map_err(RecoveryError::io(format!("reopen {}", path.display())))?;
+                            .map_err(JournalError::recovery("reopen", &path))?;
                         file.set_len(scan.valid_len)
-                            .map_err(RecoveryError::io(format!("truncate {}", path.display())))?;
+                            .map_err(JournalError::recovery("truncate", &path))?;
                     }
                 }
             }
@@ -587,9 +595,9 @@ impl FrameJournal {
                 let mut file = OpenOptions::new()
                     .append(true)
                     .open(&path)
-                    .map_err(RecoveryError::io(format!("reopen {}", path.display())))?;
+                    .map_err(JournalError::recovery("reopen", &path))?;
                 file.seek(SeekFrom::End(0))
-                    .map_err(RecoveryError::io("seek to end"))?;
+                    .map_err(JournalError::io("recovery seek to end"))?;
                 (Some(file), (next_seq - first_seq) as usize)
             }
             None => (None, 0),
@@ -616,7 +624,6 @@ impl FrameJournal {
                 next_seq,
                 unsynced: false,
                 record: Vec::new(),
-                checkpointed_seq: start_seq,
                 durable: restored.durable,
             },
             engine,
@@ -634,6 +641,143 @@ impl FrameJournal {
     }
 }
 
+/// A [`StreamEngine`] behind a [`FrameJournal`]: the one write-ahead
+/// loop, with the resume rule. DESIGN.md ("The journaled engine and the
+/// resume rule") gives the contract. Dropping it without
+/// [`finish`](Self::finish) is a kill: recovery may use only the
+/// directory.
+#[derive(Debug)]
+pub struct JournaledEngine {
+    /// The capture's name, for refusals.
+    capture: String,
+    journal: FrameJournal,
+    engine: StreamEngine,
+    closed: Vec<ClosedWindow>,
+    /// The stored record CRC of each frame the journal held at open;
+    /// `None` for a final record under the restored checkpoint that
+    /// recovery cut as a torn tail.
+    journaled: Vec<Option<u32>>,
+    /// Frames taken from the capture, skipped ones included.
+    taken: u64,
+    checkpoint_every: u64,
+    recovery: Option<RecoveryReport>,
+}
+
+impl JournaledEngine {
+    /// Creates the journal in `dir` when it holds no durable state, and
+    /// otherwise recovers it ([`FrameJournal::recover`] with `config`)
+    /// and reads the stored CRCs of the records its checkpoint covers.
+    /// `journal_config` applies either way; a checkpoint is written
+    /// every `checkpoint_every` frames counted from now (0: none).
+    /// `capture` names the capture in refusals (the CLI passes the
+    /// log's path).
+    ///
+    /// # Errors
+    ///
+    /// Any [`JournalError`] from creating or recovering the journal, or
+    /// [`JournalError::Corrupt`] for damage among the covered records.
+    pub fn open(
+        dir: &Path,
+        capture: impl Into<String>,
+        map: MaraudersMap,
+        config: StreamConfig,
+        journal_config: JournalConfig,
+        checkpoint_every: usize,
+    ) -> Result<JournaledEngine, JournalError> {
+        let mut journaled = Vec::new();
+        let (journal, engine, closed, recovery) =
+            match FrameJournal::create(dir, journal_config.clone()) {
+                Err(JournalError::NotEmpty { .. }) => {
+                    let mut rec = FrameJournal::recover(dir, map, config)?;
+                    rec.journal.set_config(journal_config);
+                    let covered = rec.report.checkpoint_seq.unwrap_or(0);
+                    journaled = prefix_crcs(dir, covered, rec.report.torn_tail_bytes > 0)?;
+                    journaled.extend(rec.tail_crcs.into_iter().map(Some));
+                    (rec.journal, rec.engine, rec.closed, Some(rec.report))
+                }
+                journal => (journal?, StreamEngine::new(map, config), Vec::new(), None),
+            };
+        Ok(JournaledEngine {
+            capture: capture.into(),
+            journal,
+            engine,
+            closed,
+            journaled,
+            taken: 0,
+            checkpoint_every: checkpoint_every as u64,
+            recovery,
+        })
+    }
+
+    /// How the recovery at open went; `None` for a fresh journal.
+    pub fn recovery(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
+    }
+
+    /// Frames the journal held at open.
+    pub fn journaled(&self) -> u64 {
+        self.journaled.len() as u64
+    }
+
+    /// Every window closed so far, the recovered ones first.
+    pub fn closed(&self) -> &[ClosedWindow] {
+        &self.closed
+    }
+
+    /// Takes the capture's next frame. A frame the journal held is
+    /// checked against its record and skipped (`None`); any other is
+    /// journaled, then pushed, and the windows it closed come back.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::FrameMismatch`] when a held frame differs from
+    /// its record, or a write error.
+    pub fn push(&mut self, frame: &CapturedFrame) -> Result<Option<&[ClosedWindow]>, JournalError> {
+        let seq = self.taken;
+        if let Some(stored) = self.journaled.get(seq as usize) {
+            if stored.is_some_and(|crc| crc != record_crc(seq, frame)) {
+                let capture = self.capture.clone();
+                return Err(JournalError::FrameMismatch { capture, seq });
+            }
+            self.taken += 1;
+            return Ok(None);
+        }
+        self.journal.append(frame)?;
+        self.taken += 1;
+        let from = self.closed.len();
+        self.closed.extend(self.engine.push(frame));
+        let fresh = self.taken - self.journaled();
+        if self.checkpoint_every > 0 && fresh.is_multiple_of(self.checkpoint_every) {
+            self.journal.checkpoint(&self.engine, &self.closed)?;
+        }
+        Ok(Some(&self.closed[from..]))
+    }
+
+    /// Ends the capture: refuses one shorter than the journal, seals
+    /// the journal with a checkpoint (unless `checkpoint_every` is 0)
+    /// and syncs it. Hands back every closed window and the engine,
+    /// still open: its `finish` is not journaled, as recovery replays
+    /// the log and finishes again.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::CaptureShort`], or a write error.
+    pub fn finish(mut self) -> Result<(StreamEngine, Vec<ClosedWindow>), JournalError> {
+        if self.taken < self.journaled() {
+            return Err(JournalError::CaptureShort {
+                journaled: self.journaled(),
+                capture: self.capture,
+                frames: self.taken,
+            });
+        }
+        if self.checkpoint_every > 0 {
+            self.journal.checkpoint(&self.engine, &self.closed)?;
+        }
+        self.journal.sync()?;
+        Ok((self.engine, self.closed))
+    }
+}
+
 /// One scanned segment: the intact records (sequence, payload CRC,
 /// frame) and where validity ended.
 struct SegmentScan {
@@ -647,22 +791,17 @@ struct SegmentScan {
 
 /// Reads every record of one segment. In the final segment damage is a
 /// torn tail (scan stops, remainder reported); anywhere else it is
-/// [`RecoveryError::Corrupt`].
+/// [`JournalError::Corrupt`].
 fn scan_segment(
     path: &Path,
     name: &str,
     expect_first_seq: u64,
     is_final: bool,
-) -> Result<SegmentScan, RecoveryError> {
+) -> Result<SegmentScan, JournalError> {
     let mut bytes = Vec::new();
     File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(RecoveryError::io(format!("read {}", path.display())))?;
-    let corrupt = |offset: u64, reason: String| RecoveryError::Corrupt {
-        segment: name.to_string(),
-        offset,
-        reason,
-    };
+        .map_err(JournalError::recovery("read", path))?;
     // The header: even this can be torn if the crash hit during
     // rotation — a short or mismatched header on the *final* segment
     // is an empty torn tail, not corruption.
@@ -679,7 +818,7 @@ fn scan_segment(
                 torn_bytes: bytes.len() as u64,
             });
         }
-        return Err(corrupt(0, "bad segment header".into()));
+        return Err(corrupt(name, 0, "bad segment header".into()));
     }
 
     let mut frames = Vec::new();
@@ -706,7 +845,7 @@ fn scan_segment(
             Err(e) => {
                 // The CRC passed but the frame codec rejects the bytes:
                 // that is structural corruption, not a torn write.
-                return Err(corrupt(offset as u64, format!("undecodable frame: {e:?}")));
+                return Err(corrupt(name, offset, format!("undecodable frame: {e:?}")));
             }
         };
         frames.push((
@@ -720,13 +859,54 @@ fn scan_segment(
         ));
     }
     if let (Some(reason), false) = (records.damage, is_final) {
-        return Err(corrupt(records.pos as u64, reason));
+        return Err(corrupt(name, records.pos, reason));
     }
     Ok(SegmentScan {
         frames,
         valid_len: records.pos as u64,
         torn_bytes: (bytes.len() - records.pos) as u64,
     })
+}
+
+/// The stored CRC of each record `0..below`, by sequence: the records a
+/// restored checkpoint covers, which [`FrameJournal::recover`] skips.
+/// Segments are never pruned, so each is on disk, except the final one
+/// when recovery cut it as a torn tail (`torn`): its entry is `None`.
+/// Damage, a gap or any other missing record is
+/// [`JournalError::Corrupt`].
+fn prefix_crcs(dir: &Path, below: u64, torn: bool) -> Result<Vec<Option<u32>>, JournalError> {
+    let mut crcs = Vec::new();
+    let segments = list_numbered(dir, "segment-", ".wal")
+        .map_err(JournalError::io(format!("resume scan {}", dir.display())))?;
+    for (first_seq, name) in segments.iter().take_while(|(first, _)| *first < below) {
+        for (seq, crc, _) in scan_segment(&dir.join(name), name, *first_seq, false)?.frames {
+            match seq {
+                seq if seq >= below => break,
+                seq if seq == crcs.len() as u64 => crcs.push(Some(crc)),
+                seq => {
+                    let want = crcs.len();
+                    let reason = format!("record sequence {seq} where {want} was expected");
+                    return Err(corrupt(name, 0, reason));
+                }
+            }
+        }
+    }
+    let on_disk = crcs.len() as u64;
+    if on_disk + u64::from(torn) < below {
+        let reason = format!("record {on_disk} is missing under the checkpoint at {below}");
+        return Err(corrupt(&segment_name(on_disk), 0, reason));
+    }
+    crcs.resize(below as usize, None);
+    Ok(crcs)
+}
+
+/// [`JournalError::Corrupt`] at byte `offset` of segment `name`.
+fn corrupt(name: &str, offset: usize, reason: String) -> JournalError {
+    JournalError::Corrupt {
+        segment: name.to_string(),
+        offset: offset as u64,
+        reason,
+    }
 }
 
 #[cfg(test)]
@@ -1091,7 +1271,7 @@ mod tests {
         std::fs::write(&first, &bytes).unwrap();
         let err = FrameJournal::recover(&dir, map(), lazy()).unwrap_err();
         assert!(
-            matches!(err, RecoveryError::Corrupt { .. }),
+            matches!(err, JournalError::Corrupt { .. }),
             "want Corrupt, got {err}"
         );
         let _ = std::fs::remove_dir_all(&dir);

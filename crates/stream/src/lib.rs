@@ -62,7 +62,10 @@
 //! checkpoint + journal-tail replay, torn tails truncated) with state
 //! byte-identical to the uninterrupted run. Its closed-window log and
 //! checkpoints are a [`DurableDir`], which the fleet aggregator's
-//! checkpoints share. See DESIGN.md "Durability & crash recovery".
+//! checkpoints share. [`JournaledEngine`] is the one write-ahead loop
+//! over a journal and an engine: it resumes a killed run, refusing a
+//! capture that differs from the frames the journal holds. See
+//! DESIGN.md "Durability & crash recovery".
 
 #![forbid(unsafe_code)]
 
@@ -80,7 +83,7 @@ pub use durable::{
 };
 pub use engine::{ClosedWindow, StreamConfig, StreamEngine, StreamStats};
 pub use journal::{
-    record_crc, FlushPolicy, FrameJournal, JournalConfig, JournalError, Recovery, RecoveryError,
+    record_crc, FlushPolicy, FrameJournal, JournalConfig, JournalError, JournaledEngine, Recovery,
     RecoveryReport, SEGMENT_MAGIC,
 };
 pub use persist::PersistError;

@@ -1,7 +1,7 @@
 //! Property tests for the frame journal's damage tolerance, mirroring
 //! the wire-codec fuzz suite: any truncation or single-byte corruption
 //! of a segment, checkpoint or the closed-window log yields either a
-//! clean torn-tail recovery or a typed [`RecoveryError`] — never a
+//! clean torn-tail recovery or a typed [`JournalError`] — never a
 //! panic, and never a recovery that claims more frames than were
 //! written.
 //!
@@ -22,7 +22,7 @@ use marauder_core::apdb::{ApDatabase, ApRecord};
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap};
 use marauder_geo::Point;
 use marauder_stream::{
-    FlushPolicy, FrameJournal, JournalConfig, RecoveryError, StreamConfig, StreamEngine, CLOSED_LOG,
+    FlushPolicy, FrameJournal, JournalConfig, JournalError, StreamConfig, StreamEngine, CLOSED_LOG,
 };
 use marauder_wifi::channel::Channel;
 use marauder_wifi::frame::Frame;
@@ -155,7 +155,7 @@ fn template() -> &'static Vec<(String, Vec<u8>)> {
 
 /// Canonical byte rendering of the batch fixes a recovered journal
 /// holds.
-fn recovered_fixes(dir: &std::path::Path) -> Result<String, RecoveryError> {
+fn recovered_fixes(dir: &std::path::Path) -> Result<String, JournalError> {
     let rec = FrameJournal::recover(dir, map(), lazy())?;
     let mut engine = rec.engine;
     let mut closed = rec.closed;
@@ -253,7 +253,7 @@ fn check_recovery(
             prop_assert_eq!(rec.next_seq, rec.journal.next_seq());
             Ok(())
         }
-        Err(RecoveryError::Corrupt { .. }) => {
+        Err(JournalError::Corrupt { .. }) => {
             prop_assert!(
                 !is_final_segment,
                 "final-segment damage is a torn tail, never fatal"

@@ -50,7 +50,7 @@ use marauders_map::sim::mobility::CircuitWalk;
 use marauders_map::sim::scenario::CampusScenario;
 use marauders_map::sim::wardrive::{training_from_csv, training_to_csv, wardrive, WardriveRoute};
 use marauders_map::stream::{
-    record_crc, CapturedFrame, ErrorBudget, FrameJournal, JournalConfig, JournalError, Pacer,
+    CapturedFrame, ClosedWindow, ErrorBudget, FrameJournal, JournalConfig, JournaledEngine, Pacer,
     PollBackoff, StreamConfig, StreamEngine, TrackFix,
 };
 use marauders_map::wifi::capture_log::{
@@ -59,6 +59,8 @@ use marauders_map::wifi::capture_log::{
 use marauders_map::wifi::device::{MobileStation, OsProfile};
 use marauders_map::wifi::mac::MacAddr;
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -204,9 +206,11 @@ const USAGE: &str = "usage:
   deterministically and reported), --follow included, before
   aborting; a bad header line is never covered. --journal DIR
   write-ahead journals every frame before it is ingested and
-  checkpoints every --checkpoint-every frames (default 1024); rerun
-  the same command after a crash and the replay resumes exactly where
-  it died, printing only the fixes the dead process never reached.
+  checkpoints every --checkpoint-every frames (default 1024; 0 writes
+  none, not even the final one); rerun the same command after a crash
+  and the replay resumes exactly where it died, printing only the
+  fixes the dead process never reached. The resume refuses a log that
+  differs from the journaled frames or ends before them.
 
   recover rebuilds the engine from a write-ahead journal directory
   (newest valid checkpoint + tail replay; a torn final record is
@@ -563,56 +567,34 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
     // Journal-backed replay: an empty --journal DIR starts a fresh
     // write-ahead log (each frame is journaled *before* it is pushed);
     // a non-empty one is recovered first, so an interrupted replay
-    // resumes exactly where it died — already-ingested frames are
-    // skipped, and their fixes (printed by the dead process) are not
-    // re-printed.
-    let (mut engine, mut journal, start_seq, mut closed, ckpt_seq, tail_crcs) = match &journal_dir {
-        None => (
-            StreamEngine::new(map, config),
-            None,
-            0u64,
-            Vec::new(),
-            0u64,
-            Vec::new(),
-        ),
-        Some(dir) => match FrameJournal::create(dir, JournalConfig::default()) {
-            Ok(j) => (
-                StreamEngine::new(map, config),
-                Some(j),
-                0,
-                Vec::new(),
-                0,
-                Vec::new(),
-            ),
-            Err(JournalError::NotEmpty { .. }) => {
-                let rec = FrameJournal::recover(dir, map, config)?;
+    // resumes exactly where it died — the frames it journaled are
+    // checked against their records and skipped, and their fixes
+    // (printed by the dead process) are not re-printed.
+    let mut engine = match &journal_dir {
+        None => Ingest::Plain(Box::new(StreamEngine::new(map, config))),
+        Some(dir) => {
+            let journal = JournalConfig::default();
+            let journaled =
+                JournaledEngine::open(dir, path.as_str(), map, config, journal, checkpoint_every)?;
+            if let Some(report) = journaled.recovery() {
                 eprintln!(
                     "recovered journal {}: {} frames on disk ({} replayed above \
                      checkpoint, {} windows closed pre-crash, {} B torn tail truncated)",
                     dir.display(),
-                    rec.next_seq,
-                    rec.report.records_replayed,
-                    rec.closed.len(),
-                    rec.report.torn_tail_bytes
+                    journaled.journaled(),
+                    report.records_replayed,
+                    journaled.closed().len(),
+                    report.torn_tail_bytes
                 );
-                (
-                    rec.engine,
-                    Some(rec.journal),
-                    rec.next_seq,
-                    rec.closed,
-                    rec.report.checkpoint_seq.unwrap_or(0),
-                    rec.tail_crcs,
-                )
             }
-            Err(e) => return Err(e.into()),
-        },
+            Ingest::Journaled(Box::new(journaled))
+        }
     };
 
     println!("time_s,mobile,x,y,k,area_m2");
     let mut pacer = Pacer::new(speed);
     let mut out = std::io::stdout();
     let mut decoder = LineDecoder::new();
-    let mut valid_seen = 0u64;
     // One line of the log, from the file or from a follow poll.
     let mut ingest = |line: &str| -> Result<(), CliError> {
         let frame = match decoder.decode(line) {
@@ -620,46 +602,17 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
             Ok(None) => return Ok(()),
             Err(e) => return skip_line(&mut budget, e),
         };
-        // Frames below the recovered sequence were durably journaled
-        // (and ingested) by the interrupted run — skip them, but prove
-        // the log being skipped is the one it journaled. Frames above
-        // the restored checkpoint were replayed out of the journal, so
-        // their record CRCs are in hand; a resume pointed at a
-        // different or edited capture log fails here instead of
-        // silently ingesting a skewed stream.
-        if valid_seen < start_seq {
-            if valid_seen >= ckpt_seq
-                && record_crc(valid_seen, &frame) != tail_crcs[(valid_seen - ckpt_seq) as usize]
-            {
-                return Err(CliError::Failed(format!(
-                    "frame {valid_seen} of {path} does not match the journal's record — this \
-                     is not the capture log the interrupted run journaled"
-                )));
-            }
-            valid_seen += 1;
-            return Ok(());
-        }
-        valid_seen += 1;
-        if let Some(j) = journal.as_mut() {
-            j.append(&frame)?;
-        }
+        let closed = match &mut engine {
+            Ingest::Plain(engine) => engine.push(&frame),
+            // A frame the interrupted run journaled is checked against
+            // its record and skipped, unpaced.
+            Ingest::Journaled(j) => match j.push(&frame)? {
+                Some(closed) => closed.to_vec(),
+                None => return Ok(()),
+            },
+        };
         pacer.wait_for(frame.time_s);
-        for event in engine.push(&frame) {
-            if journal.is_some() {
-                closed.push(event.clone());
-            }
-            if let Some(fix) = event.into_fix() {
-                print_fix(&mut out, &fix)?;
-            }
-        }
-        if let Some(j) = journal.as_mut() {
-            if checkpoint_every > 0
-                && (valid_seen - start_seq).is_multiple_of(checkpoint_every as u64)
-            {
-                j.checkpoint(&engine, &closed)?;
-            }
-        }
-        Ok(())
+        print_closed(&mut out, closed)
     };
     if follow {
         return follow_lines(&path, ingest);
@@ -668,27 +621,15 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
     if let Err(e) = decoder.finish() {
         skip_line(&mut budget, e)?;
     }
-    // A log that ran out before reaching the journaled frame count is
-    // the wrong log (or a truncated copy): nothing was resumed, and
-    // continuing would close out with a silently shortened campaign.
-    if valid_seen < start_seq {
-        return Err(CliError::Failed(format!(
-            "{path} holds only {valid_seen} valid frames but the journal says {start_seq} \
-             were already ingested — wrong capture log for this journal?"
-        )));
-    }
-    // Seal the journal before closing out: the final checkpoint covers
-    // every appended frame (finish() itself is not journaled — a
-    // recovery replays the log and finishes again).
-    if let Some(j) = journal.as_mut() {
-        j.checkpoint(&engine, &closed)?;
-        j.sync()?;
-    }
-    for event in engine.finish() {
-        if let Some(fix) = event.into_fix() {
-            print_fix(&mut out, &fix)?;
-        }
-    }
+    // Seal the journal before closing out (unless --checkpoint-every
+    // is 0): the final checkpoint covers every appended frame (finish()
+    // itself is not journaled — a recovery replays the log and finishes
+    // again).
+    let mut engine = match engine {
+        Ingest::Plain(engine) => *engine,
+        Ingest::Journaled(j) => j.finish()?.0,
+    };
+    print_closed(&mut out, engine.finish())?;
     let stats = engine.stats();
     eprintln!(
         "replayed {} frames ({} relevant, {} late, {} malformed lines skipped) -> \
@@ -702,6 +643,21 @@ fn replay(opts: &Opts) -> Result<(), CliError> {
         stats.windows_evicted
     );
     Ok(())
+}
+
+/// Where `replay` pushes each frame: straight into the engine, or
+/// through the write-ahead journal (boxed: both are large).
+enum Ingest {
+    Plain(Box<StreamEngine>),
+    Journaled(Box<JournaledEngine>),
+}
+
+/// Prints the fix of every window in `closed` that has one.
+fn print_closed(out: &mut impl std::io::Write, closed: Vec<ClosedWindow>) -> Result<(), CliError> {
+    closed
+        .into_iter()
+        .filter_map(ClosedWindow::into_fix)
+        .try_for_each(|fix| print_fix(out, &fix))
 }
 
 /// Applies the `--error-budget` rule to one malformed line, reporting
@@ -1284,26 +1240,34 @@ fn serve_chaos(opts: &Opts) -> Result<(), CliError> {
 /// (10 ms doubling to 200 ms), so a bursty capture is followed with low
 /// latency without spinning on a quiet one. Runs until the process is
 /// interrupted or `ingest` fails, so windows held open by the watermark
-/// are never force-closed.
+/// are never force-closed. The file stays open and each poll reads on
+/// from the end of the last complete line, so it costs what was
+/// appended, not the whole log; a log shorter than that offset is an
+/// error.
 fn follow_lines(
     path: &str,
     mut ingest: impl FnMut(&str) -> Result<(), CliError>,
 ) -> Result<(), CliError> {
-    let mut consumed = 0usize; // bytes of complete lines already ingested
+    let cannot_read = |e: std::io::Error| CliError::Failed(format!("cannot read {path}: {e}"));
+    let mut file = File::open(path).map_err(cannot_read)?;
+    let mut consumed = 0u64; // bytes of complete lines already ingested
+    let mut fresh = String::new();
     let mut backoff = PollBackoff::follow_default();
     loop {
-        let text = read(path)?;
-        if text.len() < consumed {
+        if file.metadata().map_err(cannot_read)?.len() < consumed {
             return Err(CliError::Failed(format!(
                 "{path} was truncated while following"
             )));
         }
-        let fresh = &text[consumed..];
+        fresh.clear();
+        file.seek(SeekFrom::Start(consumed))
+            .and_then(|_| file.read_to_string(&mut fresh))
+            .map_err(cannot_read)?;
         // Only take lines up to the last newline: the final line may
         // still be mid-write by the capture process.
         let complete = fresh.rfind('\n').map_or(0, |i| i + 1);
         fresh[..complete].lines().try_for_each(&mut ingest)?;
-        consumed += complete;
+        consumed += complete as u64;
         std::thread::sleep(backoff.next_delay(complete > 0));
     }
 }
