@@ -17,7 +17,9 @@
 //!   everything that was not on disk.
 //! * `tornwrite:K` — the process dies *mid-append*, leaving `K` bytes
 //!   of the final record on disk. Simulated by physically truncating
-//!   the last journal segment `K` bytes into its final record.
+//!   the last journal segment `K` bytes into its final record, after
+//!   deleting any checkpoint that covers that record: a checkpoint
+//!   syncs the segment first, so no kill tears a covered record.
 //!
 //! A third companion run tears the *segment header* instead: the kill
 //! lands inside `rotate()`, after the new segment file is created but
@@ -52,8 +54,8 @@ use crate::harness::ChaosScenario;
 use marauder_obs::json::{Json, Layout};
 use marauder_stream::persist::DocKind;
 use marauder_stream::{
-    list_checkpoints, list_numbered, FlushPolicy, FrameJournal, JournalConfig, JournalError,
-    JournaledEngine, RecoveryReport, StreamConfig, StreamEngine, TrackFix, CLOSED_LOG,
+    list_checkpoints, list_numbered, replay_frames, FlushPolicy, FrameJournal, JournalConfig,
+    JournalError, JournaledEngine, RecoveryReport, StreamConfig, TrackFix, CLOSED_LOG,
     CLOSED_LOG_MAGIC,
 };
 use marauder_wifi::sniffer::CapturedFrame;
@@ -280,17 +282,6 @@ fn sweep_journal_config() -> JournalConfig {
     }
 }
 
-/// The uninterrupted run: push everything, close out, batch-localize.
-fn clean_reference(scenario: &ChaosScenario, frames: &[CapturedFrame]) -> String {
-    let mut engine = StreamEngine::new(scenario.fresh_map(), sweep_config());
-    let mut closed = Vec::new();
-    for f in frames {
-        closed.extend(engine.push(f));
-    }
-    closed.extend(engine.finish());
-    render_fixes(&engine.batch_fixes(closed))
-}
-
 /// Opens `dir` as a sweep run's journaled engine and feeds it
 /// `frames`. Dropping what it returns is the kill: recovery may only
 /// use the directory.
@@ -440,7 +431,7 @@ pub fn crash_sweep(
     config: &CrashSweepConfig,
 ) -> Result<CrashReport, JournalError> {
     let frames: Vec<CapturedFrame> = scenario.captures().iter().cloned().collect();
-    let reference = clean_reference(scenario, &frames);
+    let reference = render_fixes(&replay_frames(scenario.fresh_map(), sweep_config(), &frames).0);
     let stride = config.stride.max(1);
     let mut boundaries: Vec<usize> = (0..=frames.len()).step_by(stride).collect();
     if boundaries.last() != Some(&frames.len()) {
@@ -462,8 +453,16 @@ pub fn crash_sweep(
             let matched = rendered == reference;
 
             let torn = if config.torn_write_bytes > 0 {
-                // Tear the final record.
+                // Tear the final record, after deleting the checkpoints
+                // that cover it.
                 crash()?;
+                let checkpoints = list_checkpoints(&cell_dir, DocKind::JournalCheckpoint)
+                    .map_err(JournalError::io(format!("scan {}", cell_dir.display())))?;
+                for (_, name) in checkpoints.iter().filter(|(key, _)| *key >= n as u64) {
+                    let path = cell_dir.join(name);
+                    std::fs::remove_file(&path)
+                        .map_err(JournalError::io(format!("remove {}", path.display())))?;
+                }
                 if tear_last_record(&cell_dir, config.torn_write_bytes)? {
                     let (rendered, report) = resume(config.checkpoint_every)?;
                     Some(TornOutcome {

@@ -129,9 +129,6 @@ struct NodeState {
     watermark: Watermark,
     /// Dropped from the merge gate for falling too far behind.
     evicted: bool,
-    /// Transport currently attached (TCP bookkeeping only — the merge
-    /// gate cares about watermarks, not sockets).
-    connected: bool,
 }
 
 /// A frame parked until the fleet watermark passes it.
@@ -146,7 +143,7 @@ struct Buffered {
     frame: CapturedFrame,
 }
 
-/// A node's merge state; the transport flag restores as disconnected.
+/// A node's merge state.
 impl Field for NodeState {
     fn put(&self, out: &mut Vec<u8>) {
         self.clock_offset.put(out);
@@ -161,7 +158,6 @@ impl Field for NodeState {
             next_seq: r.get()?,
             watermark: r.get()?,
             evicted: r.get()?,
-            connected: false,
         })
     }
 }
@@ -237,6 +233,11 @@ impl Aggregator {
         &self.stats
     }
 
+    /// Nodes that must join before any frame is released.
+    pub fn expected_nodes(&self) -> usize {
+        self.config.expected_nodes
+    }
+
     /// The wrapped engine (counters, watermark, map access).
     pub fn engine(&self) -> &StreamEngine {
         &self.engine
@@ -274,6 +275,8 @@ impl Aggregator {
     /// # Errors
     ///
     /// [`NetError::Handshake`] on a version mismatch,
+    /// [`NetError::FleetFull`] (counted as `net.hellos_refused`) for a
+    /// `Hello` from a new id once every expected node has joined,
     /// [`NetError::UnknownNode`] for traffic before a handshake,
     /// [`NetError::SequenceGap`] when a node skipped batches, and
     /// [`NetError::Protocol`] for messages only an aggregator sends.
@@ -290,11 +293,20 @@ impl Aggregator {
                         supported: PROTOCOL_VERSION,
                     });
                 }
+                let expected = self.config.expected_nodes;
+                if self.nodes.len() >= expected && !self.nodes.contains_key(node_id) {
+                    // A stray id would hold the full fleet's watermark,
+                    // and so its completion, until the idle timeout.
+                    marauder_obs::global().counter_add("net.hellos_refused", 1);
+                    return Err(NetError::FleetFull {
+                        node: *node_id,
+                        expected,
+                    });
+                }
                 let resume_seq = match self.nodes.get_mut(node_id) {
                     Some(st) => {
                         // Rejoin: same identity, resumed stream. An
                         // evicted node re-enters the merge gate.
-                        st.connected = true;
                         st.evicted = false;
                         st.clock_offset = *clock_offset_s;
                         self.stats.reconnects += 1;
@@ -308,7 +320,6 @@ impl Aggregator {
                                 next_seq: 0,
                                 watermark: Watermark::NoData,
                                 evicted: false,
-                                connected: true,
                             },
                         );
                         0
@@ -401,15 +412,6 @@ impl Aggregator {
             Message::HelloAck { .. } => {
                 Err(NetError::Protocol("aggregator-only message from a node"))
             }
-        }
-    }
-
-    /// Marks a node's transport as gone (TCP reader hangup). The merge
-    /// gate is unaffected — the node either rejoins and resumes, or
-    /// stalls until stream-time eviction removes it.
-    pub fn node_disconnected(&mut self, node_id: u32) {
-        if let Some(st) = self.nodes.get_mut(&node_id) {
-            st.connected = false;
         }
     }
 
@@ -807,6 +809,38 @@ mod tests {
             }
         );
         assert_eq!(agg.stats().reconnects, 1);
+    }
+
+    #[test]
+    fn a_stray_hello_cannot_join_a_full_fleet() {
+        let mut agg = Aggregator::new(
+            map(),
+            FleetConfig {
+                expected_nodes: 2,
+                ..FleetConfig::default()
+            },
+        );
+        agg.on_message(&hello(0)).unwrap();
+        agg.on_message(&hello(1)).unwrap();
+        assert_eq!(
+            agg.on_message(&hello(99)).map(|turn| turn.replies),
+            Err(NetError::FleetFull {
+                node: 99,
+                expected: 2
+            })
+        );
+        // A seated node still rejoins.
+        agg.on_message(&hello(1)).unwrap();
+        for id in [0, 1] {
+            agg.on_message(&Message::Heartbeat {
+                node_id: id,
+                watermark_s: Watermark::Drained,
+            })
+            .unwrap();
+        }
+        // The stray holds neither the watermark nor completion.
+        assert_eq!(agg.fleet_watermark(), Watermark::Drained);
+        assert!(agg.finished());
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   maps to a typed [`WireError`].
 //! - [`transport`]: the [`Transport`] trait plus the deterministic
 //!   in-process [`LoopbackTransport`]; [`tcp`] adds the real
-//!   `std::net` client/server with heartbeat timeouts and bounded
-//!   exponential-backoff reconnect.
+//!   `std::net` node client, with bounded exponential-backoff
+//!   reconnect, and a one-thread poll-loop server with a connection
+//!   bound and a handshake deadline.
 //! - [`node`]: [`SnifferNode`] streams a capture slice as sequenced
 //!   frame batches with watermark heartbeats, and resumes after a
 //!   death from the aggregator's `resume_seq` with nothing lost.

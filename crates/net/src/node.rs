@@ -120,6 +120,11 @@ impl SnifferNode {
         self.phase == Phase::Done
     }
 
+    /// Whether the aggregator acked this connection's `Hello`.
+    pub fn is_streaming(&self) -> bool {
+        self.phase == Phase::Streaming
+    }
+
     /// Resets the connection state for a fresh transport (after a
     /// death or TCP reconnect). Stream progress (`cursor`, `seq`) is
     /// kept — the handshake's `resume_seq` decides what to re-send.

@@ -1,38 +1,52 @@
-//! Real-network transport: a blocking `std::net` client/server pair.
+//! Real-network transport: the node's `std::net` client and the
+//! aggregator's one-thread poll loop ([`serve_with`]), both on
+//! non-blocking sockets: `recv` never waits, `send` finishes a partial
+//! write, and an end with nothing to do sleeps on a [`PollBackoff`].
 //!
 //! This is the only module in the crate that touches sockets or the
 //! wall clock; the merge logic it feeds ([`Aggregator`]) stays a pure
 //! function of the message sequence. Server-side liveness uses two
 //! independent mechanisms: the aggregator's *stream-time* eviction
 //! (`dead_after_s`) guarantees merge progress past a silent node, and
-//! the server loop's wall-clock idle timeout bounds how long the whole
-//! process waits when every node goes quiet.
+//! the loop's wall-clock idle timeout bounds how long the whole process
+//! waits when every node goes quiet.
 
-use crate::aggregator::{Aggregator, Turn};
+use crate::aggregator::Aggregator;
 use crate::checkpoint::Checkpointer;
-use crate::codec::{decode_exact, WireError, MAX_BODY_LEN};
+use crate::codec::{decode_exact, encode, Message, WireError, MAX_BODY_LEN};
 use crate::node::SnifferNode;
 use crate::transport::{NetError, Transport};
-use marauder_stream::ClosedWindow;
-use std::collections::BTreeMap;
+use marauder_stream::{ClosedWindow, PollBackoff};
+use std::collections::BTreeSet;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-/// Poll granularity for socket reads and the server's event loop.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// The wait of an end with nothing to do: 1 ms, doubling to 20 ms, so
+/// an idle server wakes 50 times a second.
+fn idle_backoff() -> PollBackoff {
+    PollBackoff::new(Duration::from_millis(1), Duration::from_millis(20))
+}
 
-/// [`Transport`] over one TCP stream, preserving message boundaries
-/// by re-framing on the length prefix. Reads are bounded by a short
-/// timeout so `recv` approximates the non-blocking contract.
+/// A socket failure; a peer that went away is `Disconnected`.
+fn socket_error(e: std::io::Error) -> NetError {
+    match e.kind() {
+        ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
+            NetError::Disconnected
+        }
+        _ => NetError::Io(e.to_string()),
+    }
+}
+
+/// [`Transport`] over one non-blocking TCP stream, preserving message
+/// boundaries by re-framing on the length prefix.
 pub struct TcpTransport {
     stream: TcpStream,
     inbuf: Vec<u8>,
 }
 
 impl TcpTransport {
-    /// Wraps a connected stream.
+    /// Wraps a connected stream and makes it non-blocking.
     ///
     /// # Errors
     ///
@@ -40,8 +54,8 @@ impl TcpTransport {
     pub fn new(stream: TcpStream) -> Result<Self, NetError> {
         stream
             .set_nodelay(true)
-            .and_then(|()| stream.set_read_timeout(Some(POLL_INTERVAL)))
-            .map_err(|e| NetError::Io(e.to_string()))?;
+            .and_then(|()| stream.set_nonblocking(true))
+            .map_err(socket_error)?;
         Ok(TcpTransport {
             stream,
             inbuf: Vec::new(),
@@ -72,13 +86,19 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        self.stream.write_all(frame).map_err(|e| match e.kind() {
-            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
-                NetError::Disconnected
+    fn send(&mut self, mut frame: &[u8]) -> Result<(), NetError> {
+        let mut backoff = idle_backoff();
+        while !frame.is_empty() {
+            match self.stream.write(frame) {
+                Ok(0) => return Err(NetError::Disconnected),
+                Ok(n) => frame = &frame[n..],
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    std::thread::sleep(backoff.next_delay(false));
+                }
+                Err(e) => return Err(socket_error(e)),
             }
-            _ => NetError::Io(e.to_string()),
-        })
+        }
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
@@ -90,18 +110,8 @@ impl Transport for TcpTransport {
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(NetError::Disconnected),
                 Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Ok(None)
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
-                    ) =>
-                {
-                    return Err(NetError::Disconnected)
-                }
-                Err(e) => return Err(NetError::Io(e.to_string())),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+                Err(e) => return Err(socket_error(e)),
             }
         }
     }
@@ -151,7 +161,9 @@ pub fn backoff_with_jitter(base: Duration, node_seed: u64, attempt: u32) -> Dura
 /// per-node jitter) across connection failures and mid-stream
 /// disconnects. Each successful handshake resumes from the
 /// aggregator's `resume_seq`, so a flapping link never loses or
-/// duplicates a batch.
+/// duplicates a batch. A link that closes before its `HelloAck` (a
+/// refused `Hello`) fails like a refused connect; only an acked link
+/// resets the backoff.
 ///
 /// # Errors
 ///
@@ -161,81 +173,44 @@ pub fn run_node(addr: &str, node: &mut SnifferNode, retry: &RetryConfig) -> Resu
     let mut failures = 0u32;
     let mut backoff = retry.initial_backoff;
     while !node.is_done() {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                let mut transport = TcpTransport::new(stream)?;
-                match drive_node(node, &mut transport) {
-                    Ok(()) => return Ok(()),
-                    Err(NetError::Disconnected) => {
-                        // Mid-stream hangup: rejoin and resume.
-                        node.begin_reconnect();
-                    }
-                    Err(e) => return Err(e),
-                }
-                failures = 0;
-                backoff = retry.initial_backoff;
+        let failure = match TcpStream::connect(addr) {
+            Ok(stream) => match drive_node(node, &mut TcpTransport::new(stream)?) {
+                Ok(()) => return Ok(()),
+                // Hangup: rejoin and resume.
+                Err(NetError::Disconnected) if node.is_streaming() => None,
+                Err(NetError::Disconnected) => Some("the link closed before its ack".into()),
+                Err(e) => return Err(e),
+            },
+            Err(e) => Some(e.to_string()),
+        };
+        node.begin_reconnect();
+        if let Some(why) = failure {
+            failures += 1;
+            if failures > retry.max_retries {
+                return Err(NetError::Io(format!(
+                    "gave up after {failures} connection attempts: {why}"
+                )));
             }
-            Err(e) => {
-                failures += 1;
-                if failures > retry.max_retries {
-                    return Err(NetError::Io(format!(
-                        "gave up after {failures} connection attempts: {e}"
-                    )));
-                }
-                marauder_obs::global().counter_add("net.tcp_connect_retries", 1);
-            }
+            marauder_obs::global().counter_add("net.tcp_connect_retries", 1);
+        } else {
+            failures = 0;
+            backoff = retry.initial_backoff;
         }
-        if !node.is_done() {
-            std::thread::sleep(backoff_with_jitter(backoff, u64::from(node.id()), failures));
-            backoff = (backoff * 2).min(retry.max_backoff);
-        }
+        std::thread::sleep(backoff_with_jitter(backoff, u64::from(node.id()), failures));
+        backoff = (backoff * 2).min(retry.max_backoff);
     }
     Ok(())
 }
 
-/// Steps a node over one live connection until done or disconnected.
+/// Steps a node over one live connection until done or disconnected,
+/// sleeping only while a step finds nothing to do (awaiting the ack).
 fn drive_node(node: &mut SnifferNode, transport: &mut TcpTransport) -> Result<(), NetError> {
+    let mut backoff = idle_backoff();
     while !node.is_done() {
-        if !node.step(transport)? {
-            // Waiting on the ack: the read timeout inside `recv`
-            // already paced us; just try again.
-            std::thread::yield_now();
-        }
+        let progressed = node.step(transport)?;
+        std::thread::sleep(backoff.next_delay(progressed));
     }
     Ok(())
-}
-
-/// Reader-thread events feeding the server loop.
-enum Event {
-    /// A complete wire frame from connection `conn`.
-    Frame(u64, Vec<u8>),
-    /// Connection `conn` hung up or failed.
-    Gone(u64),
-}
-
-/// Pumps one connection's reads into the event channel until hangup.
-fn pump_connection(conn: u64, stream: TcpStream, tx: Sender<Event>) {
-    let mut transport = match TcpTransport::new(stream) {
-        Ok(t) => t,
-        Err(_) => {
-            let _ = tx.send(Event::Gone(conn));
-            return;
-        }
-    };
-    loop {
-        match transport.recv() {
-            Ok(Some(frame)) => {
-                if tx.send(Event::Frame(conn, frame)).is_err() {
-                    return;
-                }
-            }
-            Ok(None) => {}
-            Err(_) => {
-                let _ = tx.send(Event::Gone(conn));
-                return;
-            }
-        }
-    }
 }
 
 /// What a [`serve`] run produced.
@@ -256,8 +231,8 @@ pub struct ServeOutcome {
 /// `idle_timeout` passes with no traffic.
 ///
 /// Per-connection protocol errors (bad version, sequence gap, corrupt
-/// frame) drop that connection — the node may reconnect and resume —
-/// and never take the server down.
+/// frame, a `Hello` the full fleet refuses) drop that connection — the
+/// node may reconnect and resume — and never take the server down.
 ///
 /// # Errors
 ///
@@ -270,6 +245,15 @@ pub fn serve(
     serve_with(listener, aggregator, idle_timeout, None, Vec::new())
 }
 
+/// One accepted connection.
+struct Connection {
+    transport: TcpTransport,
+    /// The node its `Hello` bound, once one arrived.
+    node: Option<u32>,
+    /// When it was accepted; its handshake deadline runs from here.
+    accepted: Instant,
+}
+
 /// [`serve`] with crash durability: closed windows accumulate on top
 /// of `initial_closed` (the restored pre-crash list, so a later
 /// checkpoint never forgets them), and `checkpointer` — when present —
@@ -277,6 +261,16 @@ pub fn serve(
 /// completes. Checkpoint write failures are counted
 /// (`fleet.checkpoint_errors`) but never take the server down; the
 /// merge keeps running on the last durable state.
+///
+/// Each pass of the loop accepts what is pending and takes at most one
+/// message from each connection. It holds two connections per expected
+/// node, so a rejoin can overlap the one its `Hello` then closes, and
+/// closes any more at once (`net.tcp_refused`). It closes a connection
+/// that sends no `Hello` within `idle_timeout`
+/// (`net.tcp_handshake_timeouts`), or a second one, so it writes a
+/// connection at most one small reply and a peer that never reads
+/// cannot stall it. Only a served message counts as activity, so a
+/// peer whose every `Hello` is refused cannot hold the loop open.
 ///
 /// # Errors
 ///
@@ -288,81 +282,55 @@ pub fn serve_with(
     mut checkpointer: Option<&mut Checkpointer>,
     initial_closed: Vec<ClosedWindow>,
 ) -> Result<ServeOutcome, NetError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| NetError::Io(e.to_string()))?;
-    let (tx, rx) = channel();
-    let mut writers: BTreeMap<u64, TcpStream> = BTreeMap::new();
-    let mut node_of: BTreeMap<u64, u32> = BTreeMap::new();
-    let mut next_conn = 0u64;
+    listener.set_nonblocking(true).map_err(socket_error)?;
+    let bound = 2 * aggregator.expected_nodes();
+    let mut connections: Vec<Connection> = Vec::new();
     let mut closed = initial_closed;
     let mut last_activity = Instant::now();
+    let mut backoff = idle_backoff();
     let reg = marauder_obs::global();
 
     let completed = loop {
-        // Admit any pending connections.
+        let mut busy = false;
         loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let conn = next_conn;
-                    next_conn += 1;
-                    reg.counter_add("net.tcp_accepts", 1);
-                    match stream.try_clone() {
-                        Ok(reader) => {
-                            writers.insert(conn, stream);
-                            let tx = tx.clone();
-                            std::thread::spawn(move || pump_connection(conn, reader, tx));
-                        }
-                        Err(_) => {
-                            // The socket died between accept and clone.
-                        }
-                    }
-                    last_activity = Instant::now();
-                }
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => return Err(NetError::Io(e.to_string())),
+                Err(e) => return Err(socket_error(e)),
+            };
+            if connections.len() >= bound {
+                // Dropping the stream closes it.
+                reg.counter_add("net.tcp_refused", 1);
+            } else if let Ok(transport) = TcpTransport::new(stream) {
+                reg.counter_add("net.tcp_accepts", 1);
+                connections.push(Connection {
+                    transport,
+                    node: None,
+                    accepted: Instant::now(),
+                });
             }
         }
-        match rx.recv_timeout(POLL_INTERVAL) {
-            Ok(Event::Frame(conn, bytes)) => {
-                last_activity = Instant::now();
-                match handle_frame(&mut aggregator, &bytes) {
-                    Ok((maybe_node, turn)) => {
-                        if let Some(id) = maybe_node {
-                            node_of.insert(conn, id);
-                        }
-                        closed.extend(turn.closed);
-                        if let Some(cp) = checkpointer.as_deref_mut() {
-                            if cp.maybe_checkpoint(&aggregator, &closed).is_err() {
-                                reg.counter_add("fleet.checkpoint_errors", 1);
-                            }
-                        }
-                        if let Some(writer) = writers.get_mut(&conn) {
-                            for reply in &turn.replies {
-                                if writer.write_all(&crate::codec::encode(reply)).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        // Poison one connection, not the fleet.
+        connections.retain_mut(|conn| {
+            if conn.node.is_none() && conn.accepted.elapsed() > idle_timeout {
+                reg.counter_add("net.tcp_handshake_timeouts", 1);
+                return false;
+            }
+            let cp = checkpointer.as_deref_mut();
+            match serve_next(conn, &mut aggregator, &mut closed, cp) {
+                Ok(served) => busy |= served,
+                Err(e) => {
+                    // Poison one connection, not the fleet.
+                    if e != NetError::Disconnected {
                         reg.counter_add("net.tcp_conn_errors", 1);
-                        writers.remove(&conn);
-                        if let Some(id) = node_of.remove(&conn) {
-                            aggregator.node_disconnected(id);
-                        }
                     }
+                    return false;
                 }
             }
-            Ok(Event::Gone(conn)) => {
-                writers.remove(&conn);
-                if let Some(id) = node_of.remove(&conn) {
-                    aggregator.node_disconnected(id);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break false,
+            true
+        });
+        drop_replaced(&mut connections);
+        if busy {
+            last_activity = Instant::now();
         }
         if aggregator.finished() {
             break true;
@@ -370,6 +338,7 @@ pub fn serve_with(
         if last_activity.elapsed() > idle_timeout {
             break false;
         }
+        std::thread::sleep(backoff.next_delay(busy));
     };
     closed.extend(aggregator.finish());
     if let Some(cp) = checkpointer {
@@ -384,19 +353,49 @@ pub fn serve_with(
     })
 }
 
-/// Decodes and dispatches one wire frame; returns the node id when the
-/// frame was a handshake (so the server can bind connection → node).
-fn handle_frame(
+/// Closes every connection but the newest bound to each node: a node
+/// rejoins only after giving up on its old link.
+fn drop_replaced(connections: &mut Vec<Connection>) {
+    let mut bound = BTreeSet::new();
+    // Accept order: walking back keeps the newest.
+    for i in (0..connections.len()).rev() {
+        if connections[i].node.is_some_and(|id| !bound.insert(id)) {
+            connections.remove(i);
+        }
+    }
+}
+
+/// Serves the next wire frame from `conn`, if one is in: dispatches it,
+/// checkpoints when one is due, and writes the replies back. Returns
+/// whether there was a frame. A `Hello` binds the connection to its
+/// node; a second one is a protocol error.
+fn serve_next(
+    conn: &mut Connection,
     aggregator: &mut Aggregator,
-    bytes: &[u8],
-) -> Result<(Option<u32>, Turn), NetError> {
-    let msg = decode_exact(bytes)?;
-    let joined = match &msg {
-        crate::codec::Message::Hello { node_id, .. } => Some(*node_id),
-        _ => None,
+    closed: &mut Vec<ClosedWindow>,
+    checkpointer: Option<&mut Checkpointer>,
+) -> Result<bool, NetError> {
+    let Some(bytes) = conn.transport.recv()? else {
+        return Ok(false);
     };
+    let msg = decode_exact(&bytes)?;
+    if let (Message::Hello { .. }, Some(_)) = (&msg, conn.node) {
+        return Err(NetError::Protocol("a second hello on one connection"));
+    }
     let turn = aggregator.on_message(&msg)?;
-    Ok((joined, turn))
+    if let Message::Hello { node_id, .. } = msg {
+        conn.node = Some(node_id);
+    }
+    closed.extend(turn.closed);
+    if let Some(cp) = checkpointer {
+        if cp.maybe_checkpoint(aggregator, closed).is_err() {
+            marauder_obs::global().counter_add("fleet.checkpoint_errors", 1);
+        }
+    }
+    for reply in &turn.replies {
+        conn.transport.send(&encode(reply))?;
+    }
+    Ok(true)
 }
 
 #[cfg(test)]

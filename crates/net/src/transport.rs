@@ -35,6 +35,13 @@ pub enum NetError {
     },
     /// A message referenced a node id with no completed handshake.
     UnknownNode(u32),
+    /// A `Hello` from a new node id after every expected node joined.
+    FleetFull {
+        /// The refused node id.
+        node: u32,
+        /// Nodes the fleet expects, all of them joined.
+        expected: usize,
+    },
     /// The peer sent a message the protocol state machine does not
     /// allow here (e.g. a node sending `HelloAck`).
     Protocol(&'static str),
@@ -65,6 +72,10 @@ impl fmt::Display for NetError {
                 )
             }
             NetError::UnknownNode(id) => write!(f, "message from unknown node {id}"),
+            NetError::FleetFull { node, expected } => write!(
+                f,
+                "node {node} cannot join: all {expected} expected node(s) already joined"
+            ),
             NetError::Protocol(what) => write!(f, "protocol violation: {what}"),
             NetError::BadTime(what) => write!(f, "{what} is not a finite number of seconds"),
         }

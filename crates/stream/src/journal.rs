@@ -497,7 +497,8 @@ impl FrameJournal {
     ///
     /// [`JournalError::Io`] on filesystem failures and
     /// [`JournalError::Corrupt`] for a damaged record anywhere but
-    /// the journal's physical tail.
+    /// the journal's physical tail, or for records that end below the
+    /// restored checkpoint.
     pub fn recover(
         dir: &Path,
         map: MaraudersMap,
@@ -525,6 +526,7 @@ impl FrameJournal {
         // Replay the tail as a catch-up: walk segments in order,
         // skipping any whose entire range the checkpoint already covers.
         let mut next_seq = start_seq;
+        let mut on_disk = 0u64; // one past the last record on disk
         let mut tail_torn = 0u64;
         let mut tail_crcs: Vec<u32> = Vec::new();
         let mut final_removed = false;
@@ -541,7 +543,9 @@ impl FrameJournal {
                 let path = dir.join(name);
                 let scan = scan_segment(&path, name, *first_seq, is_final)?;
                 report.segments_scanned += 1;
+                on_disk = *first_seq;
                 for (seq, crc, frame) in scan.frames {
+                    on_disk = seq + 1;
                     if seq != next_seq && seq >= start_seq {
                         let reason = format!("record sequence {seq} where {next_seq} was expected");
                         return Err(corrupt(name, 0, reason));
@@ -583,6 +587,12 @@ impl FrameJournal {
             }
             Ok(())
         })?;
+        // A checkpoint syncs the segment first, so no kill leaves the
+        // log short of it, and appending at the checkpoint would leave
+        // a gap.
+        if on_disk < start_seq {
+            return Err(missing_under(on_disk, start_seq));
+        }
         report.torn_tail_bytes = tail_torn;
 
         // Reopen the final segment for append (if any). A final
@@ -653,10 +663,8 @@ pub struct JournaledEngine {
     journal: FrameJournal,
     engine: StreamEngine,
     closed: Vec<ClosedWindow>,
-    /// The stored record CRC of each frame the journal held at open;
-    /// `None` for a final record under the restored checkpoint that
-    /// recovery cut as a torn tail.
-    journaled: Vec<Option<u32>>,
+    /// The stored record CRC of each frame the journal held at open.
+    journaled: Vec<u32>,
     /// Frames taken from the capture, skipped ones included.
     taken: u64,
     checkpoint_every: u64,
@@ -691,8 +699,8 @@ impl JournaledEngine {
                     let mut rec = FrameJournal::recover(dir, map, config)?;
                     rec.journal.set_config(journal_config);
                     let covered = rec.report.checkpoint_seq.unwrap_or(0);
-                    journaled = prefix_crcs(dir, covered, rec.report.torn_tail_bytes > 0)?;
-                    journaled.extend(rec.tail_crcs.into_iter().map(Some));
+                    journaled = prefix_crcs(dir, covered)?;
+                    journaled.extend(rec.tail_crcs);
                     (rec.journal, rec.engine, rec.closed, Some(rec.report))
                 }
                 journal => (journal?, StreamEngine::new(map, config), Vec::new(), None),
@@ -734,8 +742,8 @@ impl JournaledEngine {
     /// its record, or a write error.
     pub fn push(&mut self, frame: &CapturedFrame) -> Result<Option<&[ClosedWindow]>, JournalError> {
         let seq = self.taken;
-        if let Some(stored) = self.journaled.get(seq as usize) {
-            if stored.is_some_and(|crc| crc != record_crc(seq, frame)) {
+        if let Some(&stored) = self.journaled.get(seq as usize) {
+            if stored != record_crc(seq, frame) {
                 let capture = self.capture.clone();
                 return Err(JournalError::FrameMismatch { capture, seq });
             }
@@ -870,11 +878,9 @@ fn scan_segment(
 
 /// The stored CRC of each record `0..below`, by sequence: the records a
 /// restored checkpoint covers, which [`FrameJournal::recover`] skips.
-/// Segments are never pruned, so each is on disk, except the final one
-/// when recovery cut it as a torn tail (`torn`): its entry is `None`.
-/// Damage, a gap or any other missing record is
-/// [`JournalError::Corrupt`].
-fn prefix_crcs(dir: &Path, below: u64, torn: bool) -> Result<Vec<Option<u32>>, JournalError> {
+/// Segments are never pruned, so each is on disk; damage, a gap or a
+/// missing record is [`JournalError::Corrupt`].
+fn prefix_crcs(dir: &Path, below: u64) -> Result<Vec<u32>, JournalError> {
     let mut crcs = Vec::new();
     let segments = list_numbered(dir, "segment-", ".wal")
         .map_err(JournalError::io(format!("resume scan {}", dir.display())))?;
@@ -882,7 +888,7 @@ fn prefix_crcs(dir: &Path, below: u64, torn: bool) -> Result<Vec<Option<u32>>, J
         for (seq, crc, _) in scan_segment(&dir.join(name), name, *first_seq, false)?.frames {
             match seq {
                 seq if seq >= below => break,
-                seq if seq == crcs.len() as u64 => crcs.push(Some(crc)),
+                seq if seq == crcs.len() as u64 => crcs.push(crc),
                 seq => {
                     let want = crcs.len();
                     let reason = format!("record sequence {seq} where {want} was expected");
@@ -891,13 +897,17 @@ fn prefix_crcs(dir: &Path, below: u64, torn: bool) -> Result<Vec<Option<u32>>, J
             }
         }
     }
-    let on_disk = crcs.len() as u64;
-    if on_disk + u64::from(torn) < below {
-        let reason = format!("record {on_disk} is missing under the checkpoint at {below}");
-        return Err(corrupt(&segment_name(on_disk), 0, reason));
+    if (crcs.len() as u64) < below {
+        return Err(missing_under(crcs.len() as u64, below));
     }
-    crcs.resize(below as usize, None);
     Ok(crcs)
+}
+
+/// [`JournalError::Corrupt`] for record `seq`, missing although the
+/// checkpoint at `below` covers it.
+fn missing_under(seq: u64, below: u64) -> JournalError {
+    let reason = format!("record {seq} is missing under the checkpoint at {below}");
+    corrupt(&segment_name(seq), 0, reason)
 }
 
 /// [`JournalError::Corrupt`] at byte `offset` of segment `name`.

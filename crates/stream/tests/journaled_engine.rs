@@ -15,8 +15,8 @@
 //!
 //! The refusals write nothing, so (c) resumes the same journal. Two
 //! fixed cases pin the records under the checkpoint, which recovery
-//! skips: a gap among them is refused, and only a final record that
-//! recovery cut as a torn tail may be missing.
+//! skips: a gap among them is refused, and so is a log that ends below
+//! the checkpoint, torn or not.
 
 use marauder_core::apdb::ApDatabase;
 use marauder_core::pipeline::{AttackConfig, KnowledgeLevel, MaraudersMap, TrackFix};
@@ -268,9 +268,9 @@ fn a_missing_segment_under_the_checkpoint_is_refused() {
 
 #[test]
 fn only_a_torn_final_record_under_the_checkpoint_goes_unchecked() {
-    // A checkpoint at frame 32 covers every record. Recovery cuts a torn
-    // final record and restores the checkpoint anyway; a record that is
-    // simply gone is a gap the resume check refuses.
+    // A checkpoint at frame 32 covers every record. No kill can leave
+    // the log short of it, as a checkpoint syncs the segment first, so
+    // recovery refuses the log whether its last record is torn or gone.
     let s = Scenario {
         seed: 5,
         aps: 30,
@@ -283,7 +283,7 @@ fn only_a_torn_final_record_under_the_checkpoint_goes_unchecked() {
         edit_permille: 0,
     };
     let (db, frames) = campus(&s);
-    for (keep, refused) in [(3, false), (0, true)] {
+    for keep in [3, 0] {
         let dir = scratch();
         drop(feed(&dir, &db, &s, &frames[..32]).expect("journal"));
         // Cut the final segment `keep` bytes into its last record.
@@ -300,14 +300,10 @@ fn only_a_torn_final_record_under_the_checkpoint_goes_unchecked() {
         std::fs::write(&last, &bytes[..start + keep]).expect("cut the last record");
         let resumed = feed(&dir, &db, &s, &frames).map(|j| j.journaled());
         let _ = std::fs::remove_dir_all(&dir);
-        if refused {
-            let want = "record 31 is missing under the checkpoint at 32";
-            assert!(
-                matches!(&resumed, Err(JournalError::Corrupt { reason, .. }) if reason == want),
-                "{resumed:?}"
-            );
-        } else {
-            assert_eq!(resumed.expect("the torn record goes unchecked"), 32);
-        }
+        let want = "record 31 is missing under the checkpoint at 32";
+        assert!(
+            matches!(&resumed, Err(JournalError::Corrupt { reason, .. }) if reason == want),
+            "{keep} bytes kept: {resumed:?}"
+        );
     }
 }

@@ -175,7 +175,7 @@ const USAGE: &str = "usage:
                  [--faults SPEC] [--out FILE]
   marauder crash [--scenario quick|fig13] [--seed N] [--stride N]
                  [--checkpoint-every FRAMES] [--torn-bytes K]
-                 [--dir DIR] [--out FILE]
+                 [--torn-header-bytes K] [--dir DIR] [--out FILE]
   marauder fleet LOG (--knowledge FILE | --training FILE) [--level L]
                  [--loopback N] [--split rr|time] [--faults SPEC]
                  [--fault-seed N]
@@ -220,25 +220,28 @@ const USAGE: &str = "usage:
   crash proves crash equivalence by brute force: at every --stride-th
   frame boundary it kills a journaled ingestion run, recovers,
   resumes, and compares the final fixes byte-for-byte against the
-  uninterrupted run (plus a --torn-bytes torn-write companion at each
-  boundary). JSON report to stdout or --out FILE; nonzero exit on any
-  mismatch.
+  uninterrupted run (plus, at each boundary, a --torn-bytes torn-write
+  companion and a --torn-header-bytes torn-segment-header companion).
+  JSON report to stdout or --out FILE; nonzero exit on any mismatch.
 
   chaos injects deterministic faults into a simulated capture and
   reports how the attack degrades, as JSON (stdout, or --out FILE).
   --faults is a comma-separated plan like drop:0.2,reorder:5 (kinds:
   drop:P burst:PE:PX dup:P reorder:D jitter:S skew:O bitflip:P
-  apflap:T carddrop:T truncate:F); without --faults the full
-  10-kind x 3-intensity matrix runs.
+  apflap:T carddrop:T truncate:F crash:N tornwrite:K); without --faults
+  the full 12-kind x 3-intensity matrix runs.
 
   fleet merges a capture log across N sniffer nodes into one tracked
   stream. --loopback N runs the whole fleet in-process over the
   deterministic transport (--split rr interleaves frames round-robin,
   time hands each node a contiguous shift; --faults corrupts every
   node's slice with a per-node sub-seeded plan); --listen ADDR serves
-  real TCP nodes started with `marauder node`; --chaos runs the
-  per-node fault matrix against a simulated capture and emits a JSON
-  report verifying the merge is byte-identical to a single stream.
+  real TCP nodes started with `marauder node`: it holds two connections
+  per expected node and closes any more at once, closes a connection
+  that sends no hello within --idle-timeout, and refuses a hello from a
+  new node id once --nodes ids have joined; --chaos runs the per-node
+  fault matrix against a simulated capture and emits a JSON report
+  verifying the merge is byte-identical to a single stream.
   --checkpoint-dir DIR makes a --listen fleet durable: the aggregator
   checkpoints atomically every --checkpoint-every seconds of stream
   time (default 30) and, on restart, restores the newest valid
